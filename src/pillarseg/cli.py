@@ -191,7 +191,8 @@ def cmd_occupancy(overrides: dict[str, list[str]]) -> int:
     cloud = dataio.parse_point_cloud(Path(scan).read_bytes())
     out_dir.mkdir(parents=True, exist_ok=True)
     omap = occ.observability(cloud, cfg.grid)
-    render.write_pgm8(out_dir / "observability.pgm", omap.counts.astype(np.float64))
+    # the channel the network reads, so a cell that one ray passes is not black
+    render.write_pgm8(out_dir / "observability.pgm", omap.normalized())
     grid3d = occ.visibility(cloud, cfg.grid)
     state_levels = np.array([0, 128, 255], dtype=np.uint8)
     for d in range(grid3d.states.shape[2]):
@@ -274,27 +275,27 @@ def cmd_eval(overrides: dict[str, list[str]]) -> int:
     if checkpoint is None:
         raise ConfigError("eval needs --checkpoint FILE")
     cfg = _load_config(overrides)
-    net = PillarSegNet(train.model_config(cfg), seed=cfg.seed)
-    load_checkpoint(checkpoint, net)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     val_idx = list(range(cfg.train_frames, cfg.train_frames + cfg.val_frames))
-    packs = train.prepare_frames(cfg, val_idx, threads=cfg.threads)
-
-    # prediction pass first: labels are only read afterwards for metrics
     palette = render.parse_palette(resolve_text(cfg.palette))
     supervised = cfg.class_map.supervised_indices
     preds = []
-    for pack, index in zip(packs, val_idx):
-        pset = train.frame_pset(cfg, pack, index)
-        occ_channel = pack.obs_norm if cfg.use_occupancy else None
-        logits = net.forward_pillars(pset, cfg.grid, occ_channel, training=False)
-        pred = net.predict(logits, supervised)
-        preds.append(pred)
-        render.write_raw16(out_dir / f"pred_{index:06d}.raw", pred)
-        rgb = render.render_class_map(pred, cfg.class_map.class_names, palette,
-                                      observed=pack.visible)
-        render.write_ppm(out_dir / f"pred_{index:06d}.ppm", rgb)
+    with train.model_dtype(cfg):
+        net = PillarSegNet(train.model_config(cfg), seed=cfg.seed)
+        load_checkpoint(checkpoint, net)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        packs = train.prepare_frames(cfg, val_idx, threads=cfg.threads)
+
+        # prediction pass first: labels are only read afterwards for metrics
+        for pack, index in zip(packs, val_idx):
+            pset = train.frame_pset(cfg, pack, index)
+            occ_channel = pack.obs_norm if cfg.use_occupancy else None
+            logits = net.forward_pillars(pset, cfg.grid, occ_channel, training=False)
+            pred = net.predict(logits, supervised)
+            preds.append(pred)
+            render.write_raw16(out_dir / f"pred_{index:06d}.raw", pred)
+            rgb = render.render_class_map(pred, cfg.class_map.class_names, palette,
+                                          observed=pack.visible)
+            render.write_ppm(out_dir / f"pred_{index:06d}.ppm", rgb)
 
     acc = train._IoUAccumulator(supervised, cfg.class_map.unlabeled_index)
     for pack, pred in zip(packs, preds):

@@ -1,18 +1,34 @@
 """Ray-cast occupancy features: 2D observability counts and 3D visibility states.
 
-Traversal is a supercover variant of incremental grid stepping: when a segment
-crosses a cell corner (or voxel edge/vertex in 3D) exactly, all touching
-neighbor cells are emitted, which keeps corner cases deterministic across
-platforms. Rays are cast in 2D for observability and in 3D for visibility.
+One batched supercover traversal serves both, from an origin on or off the
+grid. It steps every ray of a scan at once in the manner of Amanatides and
+Woo's incremental grid stepping: a vectorized Liang-Barsky clip to the grid
+box, then per ray its current cell, the steps left to its end cell, its step
+directions and its next-crossing parameters `tmax`/`tdelta`, with the rays
+that have finished dropped from the working set after each step. Rays are
+cast in 2D for observability, whose counts are a bincount of the visited
+cells, and in 3D for visibility.
 
-The traversal emits every cell whose closed rectangle (box in 3D) meets the
-segment clipped to the grid, however short the chord it cuts off. Crossings
-whose segment parameters t lie within `_TIE_TOL` of each other count as one
-exact corner crossing, so an emitted cell may lie up to about
-`_TIE_TOL * |segment|` from the segment instead of touching it. A cell that
-the segment meets only on a grid line it does not cross (an axis-parallel
-segment on that line, or an endpoint on it) is emitted only when it holds the
-segment's points under the floor convention.
+Traversal contract. Each ray emits every cell whose closed rectangle (box in
+3D) meets the segment clipped to the grid, however short the chord it cuts
+off. Crossings whose segment parameters t lie within `_TIE_TOL` of each other
+count as one exact corner crossing (voxel edge or vertex in 3D): all touching
+neighbours are emitted, the partially stepped ones first, subsets of the tied
+axes in `itertools.combinations` order, then the diagonal one. An emitted
+cell may therefore lie up to about `_TIE_TOL * |segment|` from the segment
+instead of touching it. A cell that the segment meets only on a grid line it
+does not cross (an axis-parallel segment on that line, or an endpoint on it)
+is emitted only when it holds the segment's points under the floor
+convention. The scalar reference in the tests follows the same steps one ray
+at a time, and the tests require bitwise-equal results.
+
+A ray may stop early at a cell of a "stop" mask, which is then its last
+emitted cell. Visibility stops each 3D ray at the first voxel that holds a
+point: a voxel without points that some ray passes is FREE, a point-bearing
+voxel where some ray stops is OCCUPIED, and every other voxel is UNKNOWN.
+Each ray's path is fixed by its own geometry and the mask, never by what
+other rays marked, so the states do not depend on the order of the rays and
+all of them can be cast together.
 """
 
 from __future__ import annotations
@@ -20,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,69 +74,135 @@ class VoxelStateGrid:
     states: np.ndarray
 
 
-def _clip_segment(p0: np.ndarray, p1: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Liang-Barsky clip of segment p0-p1 to the closed box [lo, hi]; None if outside."""
+class _Lattice(NamedTuple):
+    """Box, cell size and cell counts per axis (x, y[, z]), and the strides
+    that map a cell to its flat index in the (H, W[, D]) output array."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    size: np.ndarray
+    shape: np.ndarray
+    strides: np.ndarray
+
+
+def _lattice(cfg: GridConfig, ndim: int) -> _Lattice:
+    """The top-view grid (ndim 2) or the voxel grid (ndim 3) of `cfg`."""
+    depth = cfg.depth
+    lo = np.array([cfg.x_range[0], cfg.y_range[0], cfg.z_range[0]])
+    hi = np.array([cfg.x_range[1], cfg.y_range[1], cfg.z_range[1]])
+    # z voxels tile the extent exactly even when it is not a multiple of dz
+    size = np.array([cfg.pillar_size[0], cfg.pillar_size[1], (hi[2] - lo[2]) / depth])
+    shape = np.array([cfg.width, cfg.height, depth])
+    strides = np.array([1, cfg.width] if ndim == 2 else [depth, cfg.width * depth, 1])
+    return _Lattice(lo[:ndim], hi[:ndim], size[:ndim], shape[:ndim], strides)
+
+
+def _cells(u: np.ndarray, lat: _Lattice) -> np.ndarray:
+    """Floor cells of points in cell units, clamped to the grid."""
+    return np.clip(np.floor(u).astype(np.int64), 0, lat.shape - 1)
+
+
+def _clip(p0: np.ndarray, p1: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Liang-Barsky clip of the segments from p0 to each row of p1 to the
+    closed box [lo, hi]: the clipped ends of the segments that meet it."""
     d = p1 - p0
-    t0, t1 = 0.0, 1.0
-    for axis in range(len(lo)):
-        if d[axis] == 0.0:
-            if p0[axis] < lo[axis] or p0[axis] > hi[axis]:
-                return None
-        else:
-            ta = (lo[axis] - p0[axis]) / d[axis]
-            tb = (hi[axis] - p0[axis]) / d[axis]
-            if ta > tb:
-                ta, tb = tb, ta
-            t0 = max(t0, ta)
-            t1 = min(t1, tb)
-            if t0 > t1:
-                return None
-    return p0 + t0 * d, p0 + t1 * d
+    t0 = np.zeros(len(d))
+    t1 = np.ones(len(d))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for axis in range(len(lo)):
+            # where d == 0 these are infinite or NaN: they leave [t0, t1] as it
+            # is when p0 lies in [lo, hi] on this axis, and empty it otherwise
+            ta = (lo[axis] - p0[axis]) / d[:, axis]
+            tb = (hi[axis] - p0[axis]) / d[:, axis]
+            t0 = np.fmax(t0, np.minimum(ta, tb))
+            t1 = np.fmin(t1, np.maximum(ta, tb))
+    ok = t0 <= t1
+    d = d[ok]
+    return p0 + t0[ok, None] * d, p0 + t1[ok, None] * d
 
 
-def _cell_of(u: np.ndarray, shape: tuple[int, ...]) -> list[int]:
-    return [min(max(int(math.floor(u[i])), 0), shape[i] - 1) for i in range(len(shape))]
+def _tie_subsets(ndim: int) -> list[tuple[int, list[list[int]]]]:
+    """For each set of two or more tied axes, its bit code and the partially
+    stepped neighbours to emit, as axis lists in combinations order."""
+    table = []
+    for k in range(2, ndim + 1):
+        for tied in combinations(range(ndim), k):
+            subsets = [list(s) for size in range(1, k) for s in combinations(tied, size)]
+            table.append((sum(1 << i for i in tied), subsets))
+    return table
 
 
-def _supercover(u0: np.ndarray, u1: np.ndarray, shape: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Ordered supercover traversal in cell units; endpoints must lie in [0, shape]."""
-    ndim = len(shape)
-    cur = _cell_of(u0, shape)
-    end = _cell_of(u1, shape)
+def _traverse(origin: np.ndarray, endpoints: np.ndarray, lat: _Lattice,
+              stop: np.ndarray | None = None) -> np.ndarray:
+    """Flat indices of the cells that the rays from origin to each endpoint visit.
+
+    Each ray is clipped to the grid box first; rays that miss it visit
+    nothing. A ray ends at its endpoint's cell or, when `stop` (a flat bool
+    mask over the output array) is given, at the first stop cell it visits.
+    One ray's cells appear in traversal order; rays are interleaved.
+    """
+    q0, q1 = _clip(origin, endpoints, lat.lo, lat.hi)
+    u0 = (q0 - lat.lo) / lat.size
+    u1 = (q1 - lat.lo) / lat.size
+    cur = _cells(u0, lat)
     d = u1 - u0
-    step = [0] * ndim
-    tmax = [math.inf] * ndim
-    tdelta = [math.inf] * ndim
-    for i in range(ndim):
-        if d[i] > 0:
-            step[i] = 1
-            tmax[i] = (cur[i] + 1 - u0[i]) / d[i]
-            tdelta[i] = 1.0 / d[i]
-        elif d[i] < 0:
-            step[i] = -1
-            tmax[i] = (cur[i] - u0[i]) / d[i]
-            tdelta[i] = -1.0 / d[i]
+    step = np.sign(d).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tmax = np.where(step != 0, (cur + (step > 0) - u0) / d, np.inf)
+        tdelta = np.where(step != 0, np.abs(1.0 / d), np.inf)
+    flat = cur @ lat.strides
+    # per-axis state, one row per axis and one column per ray: steps left (a
+    # ray steps only towards its end cell, so `rem > 0` marks exactly the axes
+    # with cur != end and a nonzero step) and flat-index steps in `ints`; next
+    # crossings and crossing spacings in t in `floats`
+    k = len(lat.shape)
+    ints = np.vstack([np.abs(_cells(u1, lat) - cur).T, (step * lat.strides).T])
+    floats = np.vstack([tmax.T, tdelta.T])
+    bits = 1 << np.arange(k)
+    ties = _tie_subsets(k)
 
-    cells = [tuple(cur)]
-    while cur != end:
-        candidates = [i for i in range(ndim) if cur[i] != end[i] and step[i] != 0]
-        if not candidates:
-            break
-        tmin = min(tmax[i] for i in candidates)
-        tied = [i for i in candidates if tmax[i] <= tmin + _TIE_TOL]
-        if len(tied) > 1:
-            # corner/edge crossing: emit every partially-stepped neighbor
-            for size in range(1, len(tied)):
-                for subset in combinations(tied, size):
-                    cell = list(cur)
-                    for i in subset:
-                        cell[i] += step[i]
-                    cells.append(tuple(cell))
-        for i in tied:
-            cur[i] += step[i]
-            tmax[i] += tdelta[i]
-        cells.append(tuple(cur))
-    return cells
+    visited = [flat]
+    live = ints[:k].any(axis=0)
+    if stop is not None:
+        live &= ~stop[flat]
+    while live.any():
+        if not live.all():
+            flat = flat[live]
+            ints = np.compress(live, ints, axis=1)
+            floats = np.compress(live, floats, axis=1)
+        rem, fstep, tmax, tdelta = ints[:k], ints[k:], floats[:k], floats[k:]
+        cand = rem > 0
+        tmin = np.where(cand, tmax, np.inf).min(axis=0)
+        tied = cand & (tmax <= tmin + _TIE_TOL)
+        done = None
+        corner = np.flatnonzero(tied.sum(axis=0) > 1)
+        if corner.size:
+            code = bits @ tied[:, corner]
+            for c, subsets in ties:
+                rays = corner[code == c]
+                for axes in subsets:
+                    if not rays.size:
+                        break
+                    cell = flat[rays] + fstep[axes][:, rays].sum(axis=0)
+                    visited.append(cell)
+                    if stop is not None:
+                        hit = stop[cell]
+                        done = np.zeros(len(flat), dtype=bool) if done is None else done
+                        done[rays[hit]] = True
+                        rays = rays[~hit]
+        flat = flat + (fstep * tied).sum(axis=0)
+        # tied axes have a finite spacing, and x + 0.0 == x for every other one
+        tmax += np.where(tied, tdelta, 0.0)
+        rem -= tied
+        live = rem.any(axis=0)
+        if done is None:
+            visited.append(flat)
+        else:  # a ray that stopped at a corner neighbour ends there
+            visited.append(flat[~done])
+            live &= ~done
+        if stop is not None:
+            live &= ~stop[flat]
+    return np.concatenate(visited)
 
 
 def traverse_cells_2d(
@@ -127,133 +210,37 @@ def traverse_cells_2d(
 ) -> list[tuple[int, int]]:
     """Ordered (row, col) cells traversed by the segment, origin and endpoint included.
 
-    The segment is clipped to the grid extent first; a degenerate segment
-    yields its single cell.
-
-    Every cell whose closed rectangle meets the clipped segment is emitted,
-    including cells whose corner the segment clips with a chord of any
-    length. Crossings whose parameters t (in [0, 1] along the clipped
-    segment) differ by at most `_TIE_TOL` are treated as an exact corner
-    crossing, so an emitted cell may lie up to about `_TIE_TOL * |segment|`
-    from the segment; no emitted cell lies farther. The exceptions are cells
-    the segment meets only on a grid line it does not cross (it runs along
-    the line, or ends on it): those are emitted only when the floor
-    convention places the segment's points in them.
+    A one-segment view of the batched traversal (see the module docstring for
+    its contract). The segment is clipped to the grid extent first, and one
+    that misses the grid yields no cells; a degenerate segment yields its
+    single cell.
     """
-    lo = np.array([cfg.x_range[0], cfg.y_range[0]])
-    hi = np.array([cfg.x_range[1], cfg.y_range[1]])
-    clipped = _clip_segment(np.asarray(origin, dtype=np.float64),
-                            np.asarray(endpoint, dtype=np.float64), lo, hi)
-    if clipped is None:
-        return []
-    size = np.array([cfg.pillar_size[0], cfg.pillar_size[1]])
-    u0 = (clipped[0] - lo) / size
-    u1 = (clipped[1] - lo) / size
-    cells = _supercover(u0, u1, (cfg.width, cfg.height))
-    return [(cy, cx) for cx, cy in cells]
-
-
-def _batch_observability(origin_xy: np.ndarray, endpoints: np.ndarray, cfg: GridConfig) -> np.ndarray:
-    """Vectorized counterpart of per-point traverse_cells_2d accumulation.
-
-    Mirrors the scalar stepping rules expression-for-expression so both paths
-    agree bitwise; equivalence is covered by tests.
-    """
-    counts = np.zeros((cfg.height, cfg.width), dtype=np.int64)
-    if len(endpoints) == 0:
-        return counts
-    lo = np.array([cfg.x_range[0], cfg.y_range[0]])
-    size = np.array([cfg.pillar_size[0], cfg.pillar_size[1]])
-    shape = np.array([cfg.width, cfg.height])
-
-    u0 = (origin_xy - lo) / size
-    u1 = (endpoints - lo) / size
-    cur = np.clip(np.floor(u0).astype(np.int64), 0, shape - 1)
-    cur = np.broadcast_to(cur, u1.shape).copy()
-    end = np.clip(np.floor(u1).astype(np.int64), 0, shape - 1)
-    d = u1 - u0
-    step = np.sign(d).astype(np.int64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nb = cur + (step > 0)
-        tmax = np.where(step != 0, (nb - u0) / d, np.inf)
-        tdelta = np.where(step != 0, np.abs(1.0 / d), np.inf)
-
-    np.add.at(counts, (cur[:, 1], cur[:, 0]), 1)
-    active = (cur != end).any(axis=1)
-    while active.any():
-        cand = active[:, None] & (cur != end) & (step != 0)
-        t_eff = np.where(cand, tmax, np.inf)
-        tmin = t_eff.min(axis=1)
-        do_step = cand & (tmax <= (tmin + _TIE_TOL)[:, None])
-        both = do_step.all(axis=1)
-        if both.any():
-            bx = np.flatnonzero(both)
-            np.add.at(counts, (cur[bx, 1], cur[bx, 0] + step[bx, 0]), 1)
-            np.add.at(counts, (cur[bx, 1] + step[bx, 1], cur[bx, 0]), 1)
-        cur[do_step] += step[do_step]
-        tmax[do_step] += tdelta[do_step]
-        ai = np.flatnonzero(active)
-        np.add.at(counts, (cur[ai, 1], cur[ai, 0]), 1)
-        active = (cur != end).any(axis=1)
-    return counts
+    lat = _lattice(cfg, 2)
+    flat = _traverse(np.asarray(origin, dtype=np.float64),
+                     np.asarray([endpoint], dtype=np.float64), lat)
+    return [divmod(f, cfg.width) for f in flat.tolist()]
 
 
 def observability(cloud: PointCloud, cfg: GridConfig, origin=(0.0, 0.0, 0.0)) -> ObservabilityMap:
     """Per-cell count of laser rays from origin to each in-range point."""
-    ox, oy = float(origin[0]), float(origin[1])
-    keep = crop_mask(cloud.xyz, cfg)
-    endpoints = cloud.xyz[keep][:, :2].astype(np.float64)
-    inside = (cfg.x_range[0] <= ox <= cfg.x_range[1]) and (cfg.y_range[0] <= oy <= cfg.y_range[1])
-    if inside:
-        counts = _batch_observability(np.array([ox, oy]), endpoints, cfg)
-    else:
-        # origin outside the grid: per-ray clipping path
-        counts = np.zeros((cfg.height, cfg.width), dtype=np.int64)
-        for ex, ey in endpoints:
-            for r, c in traverse_cells_2d((ox, oy), (ex, ey), cfg):
-                counts[r, c] += 1
-    ocell = _cell_of(
-        np.array([(ox - cfg.x_range[0]) / cfg.pillar_size[0],
-                  (oy - cfg.y_range[0]) / cfg.pillar_size[1]]),
-        (cfg.width, cfg.height),
-    )
-    return ObservabilityMap(counts, (ocell[1], ocell[0]))
+    lat = _lattice(cfg, 2)
+    o = np.array([float(origin[0]), float(origin[1])])
+    endpoints = cloud.xyz[crop_mask(cloud.xyz, cfg)][:, :2].astype(np.float64)
+    flat = _traverse(o, endpoints, lat)
+    counts = np.bincount(flat, minlength=cfg.height * cfg.width).reshape(cfg.height, cfg.width)
+    ocol, orow = _cells((o - lat.lo) / lat.size, lat).tolist()
+    return ObservabilityMap(counts, (orow, ocol))
 
 
 def visibility(cloud: PointCloud, cfg: GridConfig, origin=(0.0, 0.0, 0.0)) -> VoxelStateGrid:
     """Three-state voxel grid from 3D rays that stop at the first point-bearing voxel."""
-    depth = cfg.depth
-    states = np.zeros((cfg.height, cfg.width, depth), dtype=np.uint8)
-    keep = crop_mask(cloud.xyz, cfg)
-    pts = cloud.xyz[keep].astype(np.float64)
-    if len(pts) == 0:
-        return VoxelStateGrid(states)
-
-    lo = np.array([cfg.x_range[0], cfg.y_range[0], cfg.z_range[0]])
-    hi = np.array([cfg.x_range[1], cfg.y_range[1], cfg.z_range[1]])
-    # z voxels tile the extent exactly even when it is not a multiple of dz
-    size = np.array([cfg.pillar_size[0], cfg.pillar_size[1],
-                     (cfg.z_range[1] - cfg.z_range[0]) / depth])
-    shape = (cfg.width, cfg.height, depth)
-
-    point_count = np.zeros(shape, dtype=np.int64)
-    u_pts = (pts - lo) / size
-    vox = np.clip(np.floor(u_pts).astype(np.int64), 0, np.array(shape) - 1)
-    np.add.at(point_count, (vox[:, 0], vox[:, 1], vox[:, 2]), 1)
-
-    o = np.asarray(origin, dtype=np.float64)
-    for p in pts:
-        clipped = _clip_segment(o, p, lo, hi)
-        if clipped is None:
-            continue
-        u0 = (clipped[0] - lo) / size
-        u1 = (clipped[1] - lo) / size
-        for cx, cy, cz in _supercover(u0, u1, shape):
-            if point_count[cx, cy, cz] > 0:
-                states[cy, cx, cz] = OCCUPIED
-                break
-            if states[cy, cx, cz] == UNKNOWN:
-                states[cy, cx, cz] = FREE
+    lat = _lattice(cfg, 3)
+    states = np.zeros((cfg.height, cfg.width, cfg.depth), dtype=np.uint8)
+    pts = cloud.xyz[crop_mask(cloud.xyz, cfg)].astype(np.float64)
+    holds_point = np.zeros(states.size, dtype=bool)
+    holds_point[_cells((pts - lat.lo) / lat.size, lat) @ lat.strides] = True
+    visited = _traverse(np.asarray(origin, dtype=np.float64), pts, lat, holds_point)
+    states.ravel()[visited] = np.where(holds_point[visited], OCCUPIED, FREE)
     return VoxelStateGrid(states)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,23 +167,32 @@ def evaluate(cfg: RunConfig, net: PillarSegNet, packs: list[FramePack],
     return losses_sum / max(1, len(packs)), acc.result()
 
 
+@contextmanager
+def model_dtype(cfg: RunConfig):
+    """Build and run tensors in the configured dtype; float64 again on exit."""
+    T.set_default_dtype(np.float64 if cfg.dtype == "f64" else np.float32)
+    try:
+        yield
+    finally:
+        T.set_default_dtype(np.float64)
+
+
 def train_toy(cfg: RunConfig, progress=None) -> TrainResult:
     """Adam training of the segmentation loss over synthetic frames.
 
     Deterministic for a fixed config and seed. Raises
     :class:`DivergenceError` on a non-finite loss.
     """
-    T.set_default_dtype(np.float64 if cfg.dtype == "f64" else np.float32)
-    try:
+    with model_dtype(cfg):
         return _train_toy_inner(cfg, progress)
-    finally:
-        T.set_default_dtype(np.float64)
 
 
 def _train_toy_inner(cfg: RunConfig, progress) -> TrainResult:
     train_idx = list(range(cfg.train_frames))
     val_idx = list(range(cfg.train_frames, cfg.train_frames + cfg.val_frames))
-    train_packs = prepare_frames(cfg, train_idx, threads=cfg.threads)
+    # with augmentation every epoch prepares its own transformed frames
+    train_packs = (None if cfg.augment.enabled
+                   else prepare_frames(cfg, train_idx, threads=cfg.threads))
     val_packs = prepare_frames(cfg, val_idx, threads=cfg.threads)
 
     net = PillarSegNet(model_config(cfg), seed=cfg.seed)

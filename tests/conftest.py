@@ -1,5 +1,13 @@
 import re
 
+from hypothesis import settings
+
+# one profile for every property test: the same examples on every run, no
+# wall-clock deadline on a loaded machine, and no example database to replay
+settings.register_profile("pillarseg", derandomize=True, deadline=None, max_examples=60,
+                          database=None)
+settings.load_profile("pillarseg")
+
 CRITERIA = {
     1: "gradient verification",
     2: "ray-cast oracle",

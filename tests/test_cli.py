@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pillarseg import cli, render
+from pillarseg import cli, dataio, occupancy, render
+from pillarseg.nn import tensor as T
 
 
 def run_cli(*args):
@@ -106,14 +107,28 @@ class TestRenderCommands:
         run_cli("synth", *micro_args(scene_file), "--frames", "2", "--out", str(out))
         return out
 
-    def test_occupancy_render(self, scene_file, synth_dir, tmp_path):
+    def test_occupancy_render(self, tmp_path):
+        # dense enough that the origin cell's count exceeds 510 rays while
+        # some cell is passed by a single one
+        scene_file = tmp_path / "dense_scene.txt"
+        scene_file.write_text("ground = -3.5 3.5 -3.5 3.5\nground_density = 10\n"
+                              "boxes = 2\nbox_size = 1.0 1.6 1.2\nposts = 1\n")
+        synth_dir = tmp_path / "synth"
+        run_cli("synth", *micro_args(str(scene_file)), "--frames", "1", "--out", str(synth_dir))
         out = tmp_path / "occ"
-        code = run_cli("occupancy", *micro_args(scene_file),
+        code = run_cli("occupancy", *micro_args(str(scene_file)),
                        "--scan", str(synth_dir / "velodyne" / "000000.bin"),
                        "--out", str(out))
         assert code == 0
         data = (out / "observability.pgm").read_bytes()
-        assert data.startswith(b"P5\n16 16\n255\n")
+        header = b"P5\n16 16\n255\n"
+        assert data.startswith(header)
+        # every observed cell is visible in the render, every unobserved one is 0
+        pixels = np.frombuffer(data[len(header):], dtype=np.uint8).reshape(16, 16)
+        cfg = cli._load_config(cli._split_overrides(micro_args(str(scene_file))))
+        cloud = dataio.parse_point_cloud((synth_dir / "velodyne" / "000000.bin").read_bytes())
+        counts = occupancy.observability(cloud, cfg.grid).counts
+        np.testing.assert_array_equal(pixels > 0, counts > 0)
         assert len(list(out.glob("visibility_z*.pgm"))) == 16  # 4 m extent / 0.25 m voxels
 
     def test_labels_sparse(self, scene_file, synth_dir, tmp_path):
@@ -168,6 +183,24 @@ class TestTrainEval:
         assert len(preds) == 2
         ppm = next(eval_out.glob("pred_*.ppm")).read_bytes()
         assert ppm.startswith(b"P6\n16 16\n255\n")
+
+    def test_eval_runs_in_configured_dtype(self, scene_file, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        assert run_cli("train", *micro_args(scene_file, "--epochs", "0"),
+                       "--out", str(out)) == 0
+        seen = []
+        load = cli.load_checkpoint
+
+        def spy(path, net):
+            load(path, net)
+            seen.extend(p.data.dtype for p in net.parameters().values())
+
+        monkeypatch.setattr(cli, "load_checkpoint", spy)
+        assert run_cli("eval", *micro_args(scene_file, "--dtype", "f32"),
+                       "--checkpoint", str(out / "model.ckpt"),
+                       "--out", str(tmp_path / "eval")) == 0
+        assert seen and all(dtype == np.float32 for dtype in seen)
+        assert T.default_dtype() == np.float64
 
     def test_train_deterministic_outputs(self, scene_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

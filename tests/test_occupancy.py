@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from oracles import segment_distance_to_cell
 from pillarseg import occupancy
 from pillarseg.dataio import PointCloud
@@ -29,6 +32,47 @@ def sampling_oracle_cells(origin, endpoint, cfg, samples=10_000):
     return set(zip(rows.tolist(), cols.tolist()))
 
 
+ORIGINS = ("vertex", "inside", "off")
+
+
+@st.composite
+def scenes(draw, origin_kind):
+    """A small 3D grid, in-crop points and a sensor origin of the given kind.
+
+    Most points lie on the half-cell lattice, and a "vertex" or "off" origin
+    on it too, so rays cross cell corners, voxel edges and voxel vertices
+    exactly and tie 2 or 3 ways; the other points are generic.
+    """
+    shape = np.array([draw(st.integers(1, 10)), draw(st.integers(1, 10)),
+                      draw(st.integers(1, 6))])
+    s = draw(st.sampled_from([0.5, 1.0]))
+    size = np.array([s, s, draw(st.sampled_from([0.25, 0.5]))])
+    lo = -size * [draw(st.integers(0, m)) for m in shape]
+    hi = lo + shape * size
+    cfg = GridConfig(*[(float(a), float(b)) for a, b in zip(lo, hi)], tuple(size.tolist()),
+                     20, 4096)
+    halves = draw(st.lists(st.tuples(*(st.integers(0, 2 * m - 1) for m in shape)),
+                           max_size=40))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    generic = draw(st.lists(st.tuples(unit, unit, unit), max_size=12))
+    pts = np.vstack([lo + np.reshape(halves, (-1, 3)) * size / 2,
+                     lo + np.reshape(generic, (-1, 3)) * (hi - lo)])
+    if origin_kind == "vertex":
+        origin = lo + size * [draw(st.integers(0, m)) for m in shape]
+    elif origin_kind == "inside":
+        origin = lo + np.array([draw(unit) for _ in shape]) * (hi - lo)
+    else:
+        k = np.array([draw(st.integers(-2 * m, 4 * m)) for m in shape])
+        if ((k >= 0) & (k <= 2 * shape)).all():  # inside the box: move one axis out
+            k[draw(st.integers(0, 2))] = -1
+        jitter = draw(unit) if draw(st.booleans()) else 0.0  # keeps the axis outside
+        origin = lo + (k + jitter) * size / 2
+    return cfg, pts, tuple(origin.tolist())
+
+
+any_scene = st.sampled_from(ORIGINS).flatmap(scenes)
+
+
 class TestTraverseCells2D:
     def test_axis_aligned(self):
         cfg = unit_grid()
@@ -38,6 +82,14 @@ class TestTraverseCells2D:
     def test_degenerate(self):
         cfg = unit_grid()
         assert occupancy.traverse_cells_2d((3.5, 3.5), (3.5, 3.5), cfg) == [(3, 3)]
+
+    def test_axis_parallel_segments_off_and_on_the_boundary(self):
+        cfg = unit_grid()
+        assert occupancy.traverse_cells_2d((-1.0, 9.0), (10.0, 9.0), cfg) == []
+        assert occupancy.traverse_cells_2d((9.0, -1.0), (9.0, 10.0), cfg) == []
+        # on the closed box's top edge: clipped to it, rows clamped to the last
+        assert occupancy.traverse_cells_2d((-1.0, 8.0), (10.0, 8.0), cfg) == \
+            [(7, c) for c in range(8)]
 
     def test_diagonal_through_corner_includes_both_neighbors(self):
         cfg = unit_grid()
@@ -56,6 +108,18 @@ class TestTraverseCells2D:
             assert oracle <= set(cells)
             for extra in set(cells) - oracle:
                 assert segment_distance_to_cell(a, b, *extra, cfg) < 1e-9
+
+    @given(any_scene)
+    def test_matches_scalar_oracle_in_order(self, scene):
+        # segments from the origin to each point, and from each point to the
+        # origin's mirror image, which may miss the grid altogether
+        cfg, pts, origin = scene
+        centre = np.array([sum(cfg.x_range), sum(cfg.y_range)]) / 2
+        for p in pts[:, :2]:
+            for a, b in ((origin[:2], p), (p, 2 * centre - np.array(origin[:2]))):
+                a, b = tuple(np.asarray(a, dtype=float)), tuple(b.tolist())
+                assert occupancy.traverse_cells_2d(a, b, cfg) == \
+                    oracles.traverse_cells_2d(a, b, cfg)
 
     def test_chain_connectivity(self):
         cfg = unit_grid(16)
@@ -106,17 +170,14 @@ class TestObservability:
                                         (8.0, 8.0, 0.0)).counts
         assert (after >= before).all()
 
-    def test_batch_matches_scalar_traversal(self):
-        cfg = unit_grid(16)
-        rng = np.random.default_rng(22)
-        pts = rng.uniform(0.0, 16.0, (200, 3)) * [1, 1, 0]
-        origin = (rng.uniform(1, 15), rng.uniform(1, 15), 0.0)
-        omap = occupancy.observability(make_cloud(pts), cfg, origin)
-        expected = np.zeros_like(omap.counts)
-        for p in pts:
-            for r, c in occupancy.traverse_cells_2d(origin[:2], (p[0], p[1]), cfg):
-                expected[r, c] += 1
-        np.testing.assert_array_equal(omap.counts, expected)
+    @given(any_scene)
+    def test_batch_matches_scalar_traversal(self, scene):
+        cfg, pts, origin = scene
+        cloud = make_cloud(pts)
+        omap = occupancy.observability(cloud, cfg, origin)
+        assert omap.counts.dtype == np.int64
+        np.testing.assert_array_equal(omap.counts,
+                                      oracles.observability_counts(cloud.xyz, cfg, origin))
 
     def test_normalized_range(self):
         cfg = unit_grid()
@@ -148,6 +209,15 @@ class TestVisibility:
         assert grid.states[0, 6, 0] == occupancy.UNKNOWN
         assert grid.states[0, 4, 0] == occupancy.UNKNOWN
         assert grid.states[0, 5, 0] == occupancy.UNKNOWN
+
+    @given(any_scene)
+    def test_matches_scalar_oracle(self, scene):
+        cfg, pts, origin = scene
+        cloud = make_cloud(pts)
+        states = occupancy.visibility(cloud, cfg, origin).states
+        assert states.dtype == np.uint8
+        np.testing.assert_array_equal(states, oracles.visibility_states(
+            cloud.xyz, cfg, origin, occupancy.UNKNOWN, occupancy.FREE, occupancy.OCCUPIED))
 
     def test_free_only_before_terminal(self):
         cfg = unit_grid(8, z=(0.0, 1.0), dz=1.0)

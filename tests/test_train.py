@@ -98,6 +98,22 @@ class TestTrainToy:
         result = train.train_toy(cfg)
         assert np.isfinite(result.history[-1]["val_miou"])
 
+    def test_augmented_training_prepares_each_frame_once_per_use(self, scene_file,
+                                                                monkeypatch):
+        calls = []
+        prepare = train.prepare_frame
+
+        def counting(cfg, index, augment_seed=None):
+            calls.append((index, augment_seed))
+            return prepare(cfg, index, augment_seed)
+
+        monkeypatch.setattr(train, "prepare_frame", counting)
+        cfg = micro_config(scene_file, augment=["flip_x"])
+        train.train_toy(cfg)
+        # the validation frames once, then every epoch's augmented training frames
+        assert len(calls) == cfg.val_frames + cfg.epochs * cfg.train_frames
+        assert all(seed is not None for index, seed in calls if index < cfg.train_frames)
+
     def test_default_dtype_restored_after_training(self, scene_file):
         cfg = micro_config(scene_file, epochs=["0"])
         train.train_toy(cfg)
