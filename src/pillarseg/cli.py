@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, labels as lab, occupancy as occ, render, train
+from . import dataio, labels as lab, metrics, occupancy as occ, render, train
 from .config import (RunConfig, build_run_config, echo_config, load_run_config,
                      packaged_text, parse_flat, resolve_text)
 from .container import read_container, write_container
@@ -297,7 +297,7 @@ def cmd_eval(overrides: dict[str, list[str]]) -> int:
                                           observed=pack.visible)
             render.write_ppm(out_dir / f"pred_{index:06d}.ppm", rgb)
 
-    acc = train._IoUAccumulator(supervised, cfg.class_map.unlabeled_index)
+    acc = metrics.IoUAccumulator(supervised, cfg.class_map.unlabeled_index)
     for pack, pred in zip(packs, preds):
         acc.add(pred, pack.label_grid, pack.visible)
     result = acc.result()

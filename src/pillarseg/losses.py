@@ -16,16 +16,10 @@ from .nn.tensor import Tensor
 
 @dataclass
 class SegLossConfig:
-    """Per-merged-class weights for the segmentation loss.
-
-    ``binary_form`` switches to the literal two-term reading of the loss
-    (true-class probability against its complement); the default multi-class
-    weighted cross entropy is what training uses.
-    """
+    """Per-merged-class weights for the segmentation loss."""
 
     class_weights: np.ndarray
     unlabeled_index: int
-    binary_form: bool = False
 
     def __post_init__(self):
         w = np.asarray(self.class_weights, dtype=np.float64)
@@ -64,12 +58,6 @@ def seg_loss(logits: Tensor, gt: SemanticGrid, cfg: SegLossConfig) -> Tensor:
     onehot = np.zeros((m, k))
     onehot[np.arange(m), channels] = 1.0
 
-    if cfg.binary_form:
-        probs = T.softmax(cells, axis=1)
-        p_true = T.tsum(T.mul(probs, T.constant(onehot)), axis=1)
-        pos = T.mul(T.log(p_true), T.constant(lam))
-        neg = T.mul(T.log(T.sub(1.0, p_true)), T.constant(1.0 - lam))
-        return T.mul(T.tsum(T.add(pos, neg)), -1.0 / m)
     log_probs = T.log_softmax(cells, axis=1)
     picked = T.tsum(T.mul(log_probs, T.constant(onehot)), axis=1)
     return T.mul(T.tsum(T.mul(picked, T.constant(lam))), -1.0 / m)
@@ -95,9 +83,6 @@ class Box3D:
             raise ConfigError(f"box dimensions must be positive: {self.w}, {self.l}, {self.h}")
 
 
-Anchor3D = Box3D
-
-
 @dataclass(frozen=True)
 class DetLossConfig:
     alpha: float = 0.25
@@ -114,7 +99,7 @@ class DetLossConfig:
             raise ConfigError("gamma and loss weights must be non-negative")
 
 
-def box_residuals(gt: Box3D, anchor: Anchor3D) -> np.ndarray:
+def box_residuals(gt: Box3D, anchor: Box3D) -> np.ndarray:
     """Seven regression targets (x, y, z, w, l, h, theta).
 
     Center offsets normalize by the anchor's ground diagonal (z by its

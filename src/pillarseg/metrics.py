@@ -20,31 +20,56 @@ class IoUResult:
         return {i: float(v) for i, v in enumerate(self.per_class) if np.isfinite(v)}
 
 
+class IoUAccumulator:
+    """Dataset-level IoU from a confusion matrix over visible labeled cells.
+
+    ``confusion[g, p]`` counts the cells of ground-truth class g predicted as
+    class p; each frame adds its counts. Classes absent from prediction and
+    ground truth are reported as NaN and excluded from the mean.
+    """
+
+    def __init__(self, supervised_indices, unlabeled_index: int):
+        self.supervised = np.asarray(list(supervised_indices), dtype=np.int64)
+        self.unlabeled = unlabeled_index
+        self.size = int(max(self.supervised.max(), unlabeled_index)) + 1
+        self.confusion = np.zeros((self.size, self.size), dtype=np.int64)
+
+    def add(self, pred: np.ndarray, gt: np.ndarray, visible: np.ndarray) -> None:
+        if pred.shape != gt.shape or pred.shape != visible.shape:
+            raise ShapeError(f"shape mismatch: pred {pred.shape}, gt {gt.shape}, "
+                             f"visible {visible.shape}")
+        mask = visible & (gt != self.unlabeled)
+        g = gt[mask].astype(np.int64)
+        p = pred[mask].astype(np.int64)
+        if g.size and (min(g.min(), p.min()) < 0 or max(g.max(), p.max()) >= self.size):
+            raise ConfigError(f"class ids must lie in [0, {self.size})")
+        counts = np.bincount(g * self.size + p, minlength=self.size * self.size)
+        self.confusion += counts.reshape(self.size, self.size)
+
+    def result(self) -> IoUResult:
+        inter = np.diagonal(self.confusion)
+        union = self.confusion.sum(axis=0) + self.confusion.sum(axis=1) - inter
+        per_class = np.full(self.size, np.nan)
+        k = self.supervised[union[self.supervised] > 0]
+        per_class[k] = inter[k] / union[k]
+        defined = per_class[np.isfinite(per_class)]
+        miou = float(defined.mean()) if defined.size else float("nan")
+        return IoUResult(per_class, miou, int(self.confusion.sum()))
+
+
 def iou(pred: np.ndarray, gt: np.ndarray, visible: np.ndarray,
         supervised_indices: list[int], unlabeled_index: int) -> IoUResult:
-    """Intersection over union per class, restricted to cells that are both
-    visible and labeled in the ground truth. Classes absent from prediction
-    and ground truth are reported as NaN and excluded from the mean."""
-    if pred.shape != gt.shape or pred.shape != visible.shape:
-        raise ShapeError(f"shape mismatch: pred {pred.shape}, gt {gt.shape}, "
-                         f"visible {visible.shape}")
-    mask = visible & (gt != unlabeled_index)
-    n_eval = int(mask.sum())
-    if n_eval == 0:
+    """Intersection over union per class of one frame, restricted to cells
+    that are both visible and labeled in the ground truth (see
+    :class:`IoUAccumulator`)."""
+    acc = IoUAccumulator(supervised_indices, unlabeled_index)
+    acc.add(pred, gt, visible)
+    result = acc.result()
+    if result.evaluated_cells == 0:
         raise ConfigError("no visible labeled cells to evaluate")
-    p = pred[mask]
-    g = gt[mask]
-    num_merged = max(max(supervised_indices), unlabeled_index) + 1
-    per_class = np.full(num_merged, np.nan)
-    for k in supervised_indices:
-        inter = int(np.sum((p == k) & (g == k)))
-        union = int(np.sum((p == k) | (g == k)))
-        if union > 0:
-            per_class[k] = inter / union
-    defined = per_class[np.isfinite(per_class)]
-    if defined.size == 0:
+    if not np.isfinite(result.miou):
         raise ConfigError("no class has a defined IoU")
-    return IoUResult(per_class, float(defined.mean()), n_eval)
+    return result
 
 
 def average_precision(matches, num_gt: int) -> float:

@@ -74,7 +74,8 @@ class BiLSTM:
     """Bidirectional LSTM sharing one cell across both directions.
 
     Output is the per-step concatenation of the forward and reverse passes,
-    (T, 2H). At T = 1 both halves coincide by construction.
+    (T, 2H), from one :func:`tensor.lstm` call whose single time loop runs
+    both directions. At T = 1 both halves coincide by construction.
     """
 
     def __init__(self, cin: int, hidden: int, rng: np.random.Generator):
@@ -87,9 +88,7 @@ class BiLSTM:
         self.hidden = hidden
 
     def __call__(self, x) -> Tensor:
-        fwd = T.lstm(x, self.w_ih, self.w_hh, self.bias, reverse=False)
-        bwd = T.lstm(x, self.w_ih, self.w_hh, self.bias, reverse=True)
-        return T.concat([fwd, bwd], axis=1)
+        return T.lstm(x, self.w_ih, self.w_hh, self.bias)
 
     def params(self) -> dict[str, Tensor]:
         return {"w_ih": self.w_ih, "w_hh": self.w_hh, "bias": self.bias}

@@ -370,17 +370,29 @@ def tmax(x, axis: int, keepdims: bool = False) -> Tensor:
 
 
 def softmax(x, axis: int = -1) -> Tensor:
+    """Softmax along `axis`.
+
+    The max and sum run over the leading axis of a C-contiguous copy with
+    `axis` moved first; numpy reduces such slabs elementwise, far faster than
+    a short strided axis. Output and input gradient come back C-contiguous,
+    so later reductions over them keep their order. Slabs are summed in
+    sequence, as numpy sums a contiguous axis shorter than 8 elements: the
+    result equals a reduction along `axis` itself bitwise when that axis is
+    shorter than 8 or not the last one, and to rounding otherwise.
+    """
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    lead = np.ascontiguousarray(np.moveaxis(x.data, axis, 0))
+    e = np.exp(lead - lead.max(axis=0))
+    s = np.ascontiguousarray(np.moveaxis(e / e.sum(axis=0), 0, axis))
     out = Tensor(s)
     if not _recording(x):
         return out
 
     def backward(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        _accum(x, s * (g - dot))
+        s_lead = np.ascontiguousarray(np.moveaxis(s, axis, 0))
+        g_lead = np.ascontiguousarray(np.moveaxis(g, axis, 0))
+        dot = (g_lead * s_lead).sum(axis=0)
+        _accum(x, np.ascontiguousarray(np.moveaxis(s_lead * (g_lead - dot), 0, axis)))
 
     return _record(out, backward)
 
@@ -516,34 +528,31 @@ def segment_max(x, segments, num_segments: int) -> Tensor:
     """Per-segment max over rows; empty segments yield zero rows (no gradient).
 
     Ties route the gradient to the first row of the segment attaining the max.
+    Segment ids may come in any order. A stable sort groups the rows; each
+    non-empty segment's rows then fill one row of a (C, segments, longest)
+    slab padded with -inf, whose argmax is the first row at the max.
     """
     x = as_tensor(x)
     segments = np.asarray(segments, dtype=np.int64)
     n, width = x.data.shape
     data = np.zeros((num_segments, width), dtype=x.data.dtype)
-    arg = np.full((num_segments, width), -1, dtype=np.int64)
     order = np.argsort(segments, kind="stable")
     sorted_seg = segments[order]
-    boundaries = np.flatnonzero(np.diff(sorted_seg)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [n]])
-    for s, e in zip(starts, ends):
-        rows = order[s:e]
-        seg_id = sorted_seg[s]
-        block = x.data[rows]
-        local = np.argmax(block, axis=0)
-        data[seg_id] = block[local, np.arange(width)]
-        arg[seg_id] = rows[local]
+    starts = np.flatnonzero(np.diff(sorted_seg, prepend=sorted_seg[:1] - 1))
+    seg_ids = sorted_seg[starts]
+    counts = np.diff(starts, append=n)
+    slab = np.full((width, len(starts), counts.max(initial=1)), -np.inf, dtype=x.data.dtype)
+    slab[:, np.repeat(np.arange(len(starts)), counts),
+         np.arange(n) - np.repeat(starts, counts)] = x.data[order].T
+    arg = order[starts + slab.argmax(axis=2)].T  # source row per (non-empty segment, column)
+    data[seg_ids] = np.take_along_axis(x.data, arg, axis=0)
     out = Tensor(data)
     if not _recording(x):
         return out
 
     def backward(g):
         gx = np.zeros_like(x.data)
-        valid = arg >= 0
-        rows = arg[valid]
-        cols = np.nonzero(valid)[1]
-        np.add.at(gx, (rows, cols), g[valid])
+        gx[arg, np.arange(width)] += g[seg_ids]  # added to zeros: -0.0 turns +0.0, as summed
         _accum(x, gx)
 
     return _record(out, backward)
@@ -760,13 +769,20 @@ def batch_norm(
 # ---------------------------------------------------------------------------
 
 
-def lstm(x, w_ih, w_hh, b, reverse: bool = False) -> Tensor:
-    """Single-direction LSTM over a (T, Cin) sequence; returns (T, H).
+def lstm(x, w_ih, w_hh, b) -> Tensor:
+    """Bidirectional LSTM of one shared cell over a (T, Cin) sequence; returns (T, 2H).
 
-    Gates are packed (input, forget, output, candidate) along the last axis of
-    the (Cin, 4H) / (H, 4H) weights, so one sigmoid covers the first three
-    blocks. Initial hidden and cell states are zero. Backward is a manual
-    backprop-through-time pass.
+    Columns ``[:H]`` run forward in time and ``[H:]`` in reverse, each from
+    zero hidden and cell states. One time loop carries a (2, H) state: step s
+    advances the forward direction at t = s and the reverse one at
+    t = T - 1 - s, with the recurrent product as one batched (2, 1, H) @ (H, 4H)
+    matmul. Gates are packed (input, forget, output, candidate) along the last
+    axis of the (Cin, 4H) / (H, 4H) weights, so one sigmoid covers the first
+    three blocks.
+
+    Backward is a manual backprop-through-time pass in the same single loop.
+    Each of x, w_ih, w_hh and b receives two gradient terms, the reverse
+    direction's first, so the sums equal those of two single-direction passes.
     """
     x, w_ih, w_hh, b = as_tensor(x), as_tensor(w_ih), as_tensor(w_hh), as_tensor(b)
     t_len, cin = x.data.shape
@@ -776,69 +792,68 @@ def lstm(x, w_ih, w_hh, b, reverse: bool = False) -> Tensor:
             f"lstm parameter shapes {w_ih.data.shape}/{w_hh.data.shape}/{b.data.shape} "
             f"inconsistent for input {x.data.shape}"
         )
-    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
     h3 = 3 * hidden
+    dtype = x.data.dtype
 
     pre = x.data @ w_ih.data + b.data  # (T, 4H)
-    acts = np.empty((t_len, 4 * hidden), dtype=x.data.dtype)  # post-activation gates
-    cells = np.empty((t_len, hidden), dtype=x.data.dtype)
-    tanh_cells = np.empty_like(cells)
-    h_prev_all = np.empty_like(cells)
-    outputs = np.zeros((t_len, hidden), dtype=x.data.dtype)
+    pre_steps = np.stack([pre, pre[::-1]], axis=1)  # (T, 2, 4H): times s and T-1-s
+    # per step s: post-activation gates and tanh(cell); cells[s] and states[s]
+    # are the cell and hidden state entering step s, zero at s = 0
+    acts = np.empty((t_len, 2, 4 * hidden), dtype=dtype)
+    tanh_cells = np.empty((t_len, 2, hidden), dtype=dtype)
+    cells = np.zeros((t_len + 1, 2, hidden), dtype=dtype)
+    states = np.zeros((t_len + 1, 2, 1, hidden), dtype=dtype)
+    for s in range(t_len):
+        a = acts[s]
+        np.matmul(states[s], w_hh.data, out=a[:, None])
+        a += pre_steps[s]
+        sig = a[:, :h3]
+        np.negative(sig, out=sig)
+        np.exp(sig, out=sig)
+        sig += 1.0
+        np.reciprocal(sig, out=sig)  # sigmoid of i, f, o
+        np.tanh(a[:, h3:], out=a[:, h3:])
+        c = cells[s + 1]
+        np.multiply(a[:, hidden:2 * hidden], cells[s], out=c)
+        c += a[:, :hidden] * a[:, h3:]
+        np.tanh(c, out=tanh_cells[s])
+        np.multiply(a[:, 2 * hidden:h3], tanh_cells[s], out=states[s + 1, :, 0])
 
-    h = np.zeros(hidden, dtype=x.data.dtype)
-    c = np.zeros(hidden, dtype=x.data.dtype)
-    for t in order:
-        z = pre[t] + h @ w_hh.data
-        a = acts[t]
-        np.negative(z[:h3], out=a[:h3])
-        np.exp(a[:h3], out=a[:h3])
-        a[:h3] += 1.0
-        np.reciprocal(a[:h3], out=a[:h3])  # sigmoid of i, f, o
-        np.tanh(z[h3:], out=a[h3:])
-        h_prev_all[t] = h
-        c = a[hidden:2 * hidden] * c
-        c += a[:hidden] * a[h3:]
-        tc = np.tanh(c)
-        h = a[2 * hidden:h3] * tc
-        cells[t] = c
-        tanh_cells[t] = tc
-        outputs[t] = h
-
-    out = Tensor(outputs)
+    out = Tensor(np.concatenate([states[1:, 0, 0], states[:0:-1, 1, 0]], axis=1))
     if not _recording(x, w_ih, w_hh, b):
         return out
 
     def backward(g_out):
-        dpre = np.zeros((t_len, 4 * hidden), dtype=x.data.dtype)
-        w_hh_t = w_hh.data.T
-        dh_next = np.zeros(hidden, dtype=x.data.dtype)
-        dc_next = np.zeros(hidden, dtype=x.data.dtype)
-        zeros_c = np.zeros(hidden, dtype=x.data.dtype)
-        steps = list(order)
-        for k in range(t_len - 1, -1, -1):
-            t = steps[k]
-            c_prev = cells[steps[k - 1]] if k > 0 else zeros_c
-            a = acts[t]
-            i = a[:hidden]
-            f = a[hidden:2 * hidden]
-            o = a[2 * hidden:h3]
-            g_ = a[h3:]
-            tc = tanh_cells[t]
-            dh = g_out[t] + dh_next
-            dc = dc_next + dh * o * (1.0 - tc * tc)
-            dz = dpre[t]
-            dz[:hidden] = dc * g_
-            dz[hidden:2 * hidden] = dc * c_prev
-            dz[2 * hidden:h3] = dh * tc
-            dz[h3:] = dc * i
-            dz[:h3] *= a[:h3] * (1.0 - a[:h3])  # sigmoid derivative
-            dz[h3:] *= 1.0 - g_ * g_
-            dh_next = dz @ w_hh_t
-            dc_next = dc * f
-        _accum(x, dpre @ w_ih.data.T)
-        _accum(w_ih, x.data.T @ dpre)
-        _accum(w_hh, h_prev_all.T @ dpre)
-        _accum(b, dpre.sum(axis=0))
+        g_steps = np.stack([g_out[:, :hidden], g_out[::-1, hidden:]], axis=1)  # (T, 2, H)
+        # gate blocks (i, f, o, g): the gradient of each is dc * partner, except
+        # o's, dh * tanh(cell), times the activation derivative
+        gates = acts.reshape(t_len, 2, 4, hidden)
+        partner = gates[:, :, [3, 1, 2, 0]]
+        partner[:, :, 1] = cells[:-1]
+        deriv = np.empty_like(gates)
+        np.multiply(gates[:, :, :3], 1.0 - gates[:, :, :3], out=deriv[:, :, :3])
+        np.subtract(1.0, gates[:, :, 3] * gates[:, :, 3], out=deriv[:, :, 3])
+        tanh_deriv = 1.0 - tanh_cells * tanh_cells
+        dpre = np.empty((t_len, 2, 4, hidden), dtype=dtype)
+        dh_next = dc_next = np.zeros((2, hidden), dtype=dtype)
+        for s in range(t_len - 1, -1, -1):
+            dh = g_steps[s] + dh_next
+            dc = dh * gates[s, :, 2]
+            dc *= tanh_deriv[s]
+            dc += dc_next
+            dz = dpre[s]
+            np.multiply(dc[:, None], partner[s], out=dz)
+            np.multiply(dh, tanh_cells[s], out=dz[:, 2])
+            dz *= deriv[s]
+            dh_next = np.matmul(dz.reshape(2, 1, 4 * hidden), w_hh.data.T)[:, 0]
+            dc_next = dc * gates[s, :, 1]
+        # per direction in time order, reverse first
+        dpre = dpre.reshape(t_len, 2, 4 * hidden)
+        for d, h_prev in ((dpre[::-1, 1], states[-2::-1, 1, 0]), (dpre[:, 0], states[:-1, 0, 0])):
+            d = np.ascontiguousarray(d)
+            _accum(x, d @ w_ih.data.T)
+            _accum(w_ih, x.data.T @ d)
+            _accum(w_hh, np.ascontiguousarray(h_prev).T @ d)
+            _accum(b, d.sum(axis=0))
 
     return _record(out, backward)

@@ -17,7 +17,7 @@ from .config import RunConfig
 from .dataio import PointCloud, generate_synthetic_frame
 from .errors import DivergenceError
 from .losses import SegLossConfig, seg_loss
-from .metrics import IoUResult
+from .metrics import IoUAccumulator, IoUResult
 from .model import ModelConfig, PillarSegNet
 from .nn import Adam, Tape
 from .nn import tensor as T
@@ -120,41 +120,12 @@ def _loss_config(cfg: RunConfig) -> SegLossConfig:
     return SegLossConfig(cfg.loss_weights.copy(), cfg.class_map.unlabeled_index)
 
 
-class _IoUAccumulator:
-    """Dataset-level IoU from per-frame confusion counts."""
-
-    def __init__(self, supervised_indices, unlabeled_index):
-        self.supervised = list(supervised_indices)
-        self.unlabeled = unlabeled_index
-        size = max(self.supervised) + 1
-        self.inter = np.zeros(size, dtype=np.int64)
-        self.union = np.zeros(size, dtype=np.int64)
-        self.cells = 0
-
-    def add(self, pred: np.ndarray, gt: np.ndarray, visible: np.ndarray):
-        mask = visible & (gt != self.unlabeled)
-        p, g = pred[mask], gt[mask]
-        self.cells += int(mask.sum())
-        for k in self.supervised:
-            self.inter[k] += int(np.sum((p == k) & (g == k)))
-            self.union[k] += int(np.sum((p == k) | (g == k)))
-
-    def result(self) -> IoUResult:
-        per_class = np.full(len(self.inter), np.nan)
-        for k in self.supervised:
-            if self.union[k] > 0:
-                per_class[k] = self.inter[k] / self.union[k]
-        defined = per_class[np.isfinite(per_class)]
-        miou = float(defined.mean()) if defined.size else float("nan")
-        return IoUResult(per_class, miou, self.cells)
-
-
 def evaluate(cfg: RunConfig, net: PillarSegNet, packs: list[FramePack],
              indices) -> tuple[float, IoUResult]:
     """Mean validation loss plus dataset-level IoU on visible labeled cells."""
     loss_cfg = _loss_config(cfg)
     supervised = cfg.class_map.supervised_indices
-    acc = _IoUAccumulator(supervised, cfg.class_map.unlabeled_index)
+    acc = IoUAccumulator(supervised, cfg.class_map.unlabeled_index)
     losses_sum = 0.0
     for pack, index in zip(packs, indices):
         pset = frame_pset(cfg, pack, index)

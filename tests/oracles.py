@@ -1,10 +1,16 @@
-"""Exact geometric oracles and the scalar reference traversal shared by the
-traversal tests.
+"""Reference implementations that tests compare the program against.
 
-They are written independently of `pillarseg.occupancy`, so a test that
-compares the traversal against them does not reuse the code it checks. The
-scalar traversal steps one ray at a time with plain Python floats; the
-batched engine in `pillarseg.occupancy` must reproduce it bitwise.
+Exact geometric oracles and the scalar reference traversal serve the
+traversal tests. They are written independently of `pillarseg.occupancy`, so
+a test that compares the traversal against them does not reuse the code it
+checks. The scalar traversal steps one ray at a time with plain Python
+floats; the batched engine in `pillarseg.occupancy` must reproduce it bitwise.
+
+The taped references at the end are the direct forms of three autograd ops:
+one LSTM direction per time loop, a Python loop over segments for the
+segment max, and a softmax reducing along its own axis. The fused and
+loop-free ops in `pillarseg.nn.tensor` must reproduce their outputs and
+gradients bitwise.
 """
 
 import math
@@ -12,6 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
+from pillarseg.nn.tensor import Tensor, _accum, _record, _recording, as_tensor, concat
 from pillarseg.pillars import crop_mask
 
 
@@ -193,3 +200,131 @@ def visibility_states(xyz, cfg, origin, unknown=0, free=1, occupied=2):
             if states[cy, cx, cz] == unknown:
                 states[cy, cx, cz] = free
     return states
+
+
+def lstm_direction(x, w_ih, w_hh, b, reverse=False):
+    """One LSTM direction over a (T, Cin) sequence, one gemv per step; returns (T, H)."""
+    x, w_ih, w_hh, b = as_tensor(x), as_tensor(w_ih), as_tensor(w_hh), as_tensor(b)
+    t_len = x.data.shape[0]
+    hidden = w_hh.data.shape[0]
+    order = range(t_len - 1, -1, -1) if reverse else range(t_len)
+    h3 = 3 * hidden
+
+    pre = x.data @ w_ih.data + b.data
+    acts = np.empty((t_len, 4 * hidden), dtype=x.data.dtype)
+    cells = np.empty((t_len, hidden), dtype=x.data.dtype)
+    tanh_cells = np.empty_like(cells)
+    h_prev_all = np.empty_like(cells)
+    outputs = np.zeros((t_len, hidden), dtype=x.data.dtype)
+
+    h = np.zeros(hidden, dtype=x.data.dtype)
+    c = np.zeros(hidden, dtype=x.data.dtype)
+    for t in order:
+        z = pre[t] + h @ w_hh.data
+        a = acts[t]
+        np.negative(z[:h3], out=a[:h3])
+        np.exp(a[:h3], out=a[:h3])
+        a[:h3] += 1.0
+        np.reciprocal(a[:h3], out=a[:h3])
+        np.tanh(z[h3:], out=a[h3:])
+        h_prev_all[t] = h
+        c = a[hidden:2 * hidden] * c
+        c += a[:hidden] * a[h3:]
+        tc = np.tanh(c)
+        h = a[2 * hidden:h3] * tc
+        cells[t] = c
+        tanh_cells[t] = tc
+        outputs[t] = h
+
+    out = Tensor(outputs)
+    if not _recording(x, w_ih, w_hh, b):
+        return out
+
+    def backward(g_out):
+        dpre = np.zeros((t_len, 4 * hidden), dtype=x.data.dtype)
+        w_hh_t = w_hh.data.T
+        dh_next = np.zeros(hidden, dtype=x.data.dtype)
+        dc_next = np.zeros(hidden, dtype=x.data.dtype)
+        zeros_c = np.zeros(hidden, dtype=x.data.dtype)
+        steps = list(order)
+        for k in range(t_len - 1, -1, -1):
+            t = steps[k]
+            c_prev = cells[steps[k - 1]] if k > 0 else zeros_c
+            a = acts[t]
+            i = a[:hidden]
+            f = a[hidden:2 * hidden]
+            o = a[2 * hidden:h3]
+            g_ = a[h3:]
+            tc = tanh_cells[t]
+            dh = g_out[t] + dh_next
+            dc = dc_next + dh * o * (1.0 - tc * tc)
+            dz = dpre[t]
+            dz[:hidden] = dc * g_
+            dz[hidden:2 * hidden] = dc * c_prev
+            dz[2 * hidden:h3] = dh * tc
+            dz[h3:] = dc * i
+            dz[:h3] *= a[:h3] * (1.0 - a[:h3])
+            dz[h3:] *= 1.0 - g_ * g_
+            dh_next = dz @ w_hh_t
+            dc_next = dc * f
+        _accum(x, dpre @ w_ih.data.T)
+        _accum(w_ih, x.data.T @ dpre)
+        _accum(w_hh, h_prev_all.T @ dpre)
+        _accum(b, dpre.sum(axis=0))
+
+    return _record(out, backward)
+
+
+def bilstm(x, w_ih, w_hh, b):
+    """Forward and reverse directions as two taped ops, concatenated: (T, 2H)."""
+    return concat([lstm_direction(x, w_ih, w_hh, b), lstm_direction(x, w_ih, w_hh, b, True)],
+                  axis=1)
+
+
+def segment_max(x, segments, num_segments):
+    """Per-segment max, one numpy argmax per non-empty segment; zero rows for empty ones."""
+    x = as_tensor(x)
+    segments = np.asarray(segments, dtype=np.int64)
+    n, width = x.data.shape
+    data = np.zeros((num_segments, width), dtype=x.data.dtype)
+    arg = np.full((num_segments, width), -1, dtype=np.int64)
+    order = np.argsort(segments, kind="stable")
+    sorted_seg = segments[order]
+    boundaries = np.flatnonzero(np.diff(sorted_seg)) + 1
+    starts = np.concatenate([[0], boundaries])
+    ends = np.concatenate([boundaries, [n]])
+    for s, e in zip(starts, ends):
+        rows = order[s:e]
+        seg_id = sorted_seg[s]
+        block = x.data[rows]
+        local = np.argmax(block, axis=0)
+        data[seg_id] = block[local, np.arange(width)]
+        arg[seg_id] = rows[local]
+    out = Tensor(data)
+    if not _recording(x):
+        return out
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        valid = arg >= 0
+        np.add.at(gx, (arg[valid], np.nonzero(valid)[1]), g[valid])
+        _accum(x, gx)
+
+    return _record(out, backward)
+
+
+def softmax(x, axis=-1):
+    """Softmax with its max and sum reduced along `axis` itself."""
+    x = as_tensor(x)
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=axis, keepdims=True)
+    out = Tensor(s)
+    if not _recording(x):
+        return out
+
+    def backward(g):
+        dot = (g * s).sum(axis=axis, keepdims=True)
+        _accum(x, s * (g - dot))
+
+    return _record(out, backward)

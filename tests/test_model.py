@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from pillarseg import losses, metrics, model, nn, pillars
 from pillarseg.dataio import PointCloud
 from pillarseg.errors import ConfigError, ShapeError
@@ -146,10 +147,43 @@ def make_gt(labels, unlabeled=0):
     return SemanticGrid(np.asarray(labels, dtype=np.int16), unlabeled)
 
 
+class TestOracleOps:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ma_training_step_gradients_match_oracle_ops(self, rng, monkeypatch, dtype):
+        # the fused LSTM, loop-free segment max and slab softmax against their
+        # direct forms, through one multi-attention step over two frames
+        grid = toy_grid()
+        frames = [(make_cloud(rng, n=120), make_gt(rng.integers(0, 4, (16, 16))))
+                  for _ in range(2)]
+        loss_cfg = losses.SegLossConfig(np.ones(4), 0)
+
+        def gradients():
+            T.set_default_dtype(dtype)
+            try:
+                net = toy_model(grid, use_ma=True, seed=3)
+                for cloud, gt in frames:
+                    with T.Tape() as tape:
+                        logits = net.forward_cloud(cloud, grid, training=True)
+                        tape.backward(losses.seg_loss(logits, gt, loss_cfg))
+                return {k: p.grad for k, p in net.parameters().items()}
+            finally:
+                T.set_default_dtype(np.float64)
+
+        fused = gradients()
+        monkeypatch.setattr(T, "lstm", oracles.bilstm)
+        monkeypatch.setattr(T, "segment_max", oracles.segment_max)
+        monkeypatch.setattr(T, "softmax", oracles.softmax)
+        direct = gradients()
+        assert fused.keys() == direct.keys()
+        for name, g in direct.items():
+            assert g is not None and g.dtype == dtype, name
+            assert fused[name].tobytes() == g.tobytes(), name
+
+
 class TestSegLoss:
-    def make_cfg(self, k=3, weights=None, binary=False):
+    def make_cfg(self, k=3, weights=None):
         w = np.ones(k + 1) if weights is None else np.asarray(weights, dtype=float)
-        return losses.SegLossConfig(w, unlabeled_index=0, binary_form=binary)
+        return losses.SegLossConfig(w, unlabeled_index=0)
 
     def test_uniform_logits_equals_log_k(self):
         k = 12
@@ -214,12 +248,6 @@ class TestSegLoss:
             gt.labels[0, 0] = 1
         err = nn.grad_check(lambda x: losses.seg_loss(x, gt, cfg), rng.normal(size=(3, 4, 4)))
         assert err < 1e-7
-
-    def test_binary_form_flag_runs(self, rng):
-        cfg = self.make_cfg(binary=True)
-        gt = make_gt([[1, 2]])
-        loss = losses.seg_loss(T.constant(rng.normal(size=(3, 1, 2))), gt, cfg)
-        assert np.isfinite(loss.item())
 
 
 class TestBoxResiduals:
@@ -341,6 +369,23 @@ class TestIoU:
         gt = np.zeros((2, 2), dtype=np.int16)
         with pytest.raises(ConfigError):
             metrics.iou(gt, gt, np.ones((2, 2), dtype=bool), [1], 0)
+
+    def test_accumulated_frames_equal_one_pooled_frame(self, rng):
+        frames = [(rng.integers(1, 4, (6, 6)), rng.integers(0, 4, (6, 6)),
+                   rng.uniform(size=(6, 6)) > 0.3) for _ in range(3)]
+        acc = metrics.IoUAccumulator([1, 2, 3], 0)
+        for pred, gt, visible in frames:
+            acc.add(pred, gt, visible)
+        got = acc.result()
+        pooled = metrics.iou(*(np.concatenate(a) for a in zip(*frames)), [1, 2, 3], 0)
+        np.testing.assert_array_equal(got.per_class, pooled.per_class)
+        assert (got.miou, got.evaluated_cells) == (pooled.miou, pooled.evaluated_cells)
+
+    def test_class_id_outside_the_map_rejected(self):
+        gt = np.array([[1, 2]], dtype=np.int16)
+        with pytest.raises(ConfigError):
+            metrics.iou(np.array([[1, 4]], dtype=np.int16), gt, np.ones((1, 2), dtype=bool),
+                        [1, 2], 0)
 
 
 class TestAveragePrecision:

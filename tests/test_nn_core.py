@@ -1,6 +1,11 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from pillarseg import nn
 from pillarseg.errors import ShapeError, VerificationError
 from pillarseg.nn import tensor as T
@@ -14,6 +19,47 @@ def rng():
 def check_op(f, x, tol=1e-7, eps=1e-5):
     err = nn.grad_check(f, x, eps=eps)
     assert err < tol, f"grad error {err}"
+
+
+@contextmanager
+def default_dtype(dtype):
+    T.set_default_dtype(dtype)
+    try:
+        yield
+    finally:
+        T.set_default_dtype(np.float64)
+
+
+def taped_run(op, inputs, weights, seed):
+    """Output of `op` and the gradients of every input, for the loss
+    sum(op(*inputs) * weights) plus a random linear term per input. Those terms
+    are recorded after `op`, so its backward adds to gradients already there,
+    which exposes the order in which it adds its own terms."""
+    rng = np.random.default_rng(seed)
+    params = [T.parameter(a) for a in inputs]
+    with T.Tape() as tape:
+        out = op(*params)
+        loss = T.tsum(T.mul(out, T.constant(weights)))
+        for p in params:
+            loss = T.add(loss, T.tsum(T.mul(p, T.constant(rng.normal(size=p.data.shape)))))
+        tape.backward(loss)
+    return [out.data] + [p.grad for p in params]
+
+
+def assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes(), f"max abs diff {np.abs(a - b).max()}"
+
+
+def sample(rng, shape, kind):
+    """Generic normals, small integers (ties), or signed zeros, -inf and ones."""
+    if kind == "normal":
+        return rng.normal(size=shape) * 2.0
+    if kind == "integer":
+        return rng.integers(-2, 3, size=shape).astype(np.float64)
+    return rng.choice(np.array([0.0, -0.0, -np.inf, 1.0]), size=shape)
 
 
 class TestElementwiseGrads:
@@ -54,6 +100,32 @@ class TestElementwiseGrads:
     def test_softmax_rows_sum_to_one(self, rng):
         s = T.softmax(T.constant(rng.normal(size=(6, 9)) * 5), axis=1)
         np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(shape=st.lists(st.integers(1, 7), min_size=1, max_size=3), axis=st.integers(-3, 2),
+           kind=st.sampled_from(["normal", "integer"]), seed=st.integers(0, 2**32 - 1))
+    def test_softmax_matches_direct_form(self, dtype, shape, axis, kind, seed):
+        # below 8 elements along the axis both forms sum in sequence: bitwise equal
+        axis %= len(shape)
+        rng = np.random.default_rng(seed)
+        x = sample(rng, shape, kind)
+        weights = rng.normal(size=shape)
+        with default_dtype(dtype):
+            got = taped_run(lambda t: T.softmax(t, axis=axis), [x], weights, seed)
+            want = taped_run(lambda t: oracles.softmax(t, axis=axis), [x], weights, seed)
+        assert_bitwise(got, want)
+        assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
+
+    def test_softmax_long_axis_within_rounding(self, rng):
+        # from 8 elements on numpy sums a contiguous axis pairwise
+        x = rng.normal(size=(6, 5, 19)) * 3
+        weights = rng.normal(size=x.shape)
+        got = taped_run(lambda t: T.softmax(t, axis=2), [x], weights, 0)
+        want = taped_run(lambda t: oracles.softmax(t, axis=2), [x], weights, 0)
+        for a, b in zip(got, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
+        w = T.constant(rng.normal(size=(2, 3, 9)))
+        check_op(lambda t: T.tsum(T.mul(T.softmax(t, axis=2), w)), rng.normal(size=(2, 3, 9)))
 
     def test_softmax_log_softmax_grads(self, rng):
         w = T.constant(rng.normal(size=(3, 4)))
@@ -99,6 +171,31 @@ class TestShapeOps:
         np.testing.assert_array_equal(out.data[1], x[2:].max(axis=0))
         np.testing.assert_array_equal(out.data[2], 0.0)
         check_op(lambda t: T.tsum(T.segment_max(t, seg, 3)), x)
+
+    def test_segment_max_empty_input(self):
+        x = T.parameter(np.zeros((0, 3)))
+        with T.Tape() as tape:
+            out = T.segment_max(x, np.zeros(0, dtype=np.int64), 2)
+            tape.backward(T.tsum(out))
+        np.testing.assert_array_equal(out.data, np.zeros((2, 3)))
+        assert x.grad.shape == (0, 3)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # -inf inputs in the loss
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(n=st.integers(1, 30), width=st.integers(1, 5), segments=st.integers(1, 12),
+           used=st.integers(1, 12), kind=st.sampled_from(["normal", "integer", "special"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_segment_max_matches_loop_oracle(self, dtype, n, width, segments, used, kind, seed):
+        # ids drawn from a random subset of the segments, unsorted: some stay empty
+        rng = np.random.default_rng(seed)
+        ids = rng.choice(segments, size=min(used, segments), replace=False)
+        seg = ids[rng.integers(0, len(ids), n)]
+        x = sample(rng, (n, width), kind)
+        weights = rng.normal(size=(segments, width))
+        with default_dtype(dtype):
+            got = taped_run(lambda t: T.segment_max(t, seg, segments), [x], weights, seed)
+            want = taped_run(lambda t: oracles.segment_max(t, seg, segments), [x], weights, seed)
+        assert_bitwise(got, want)
 
     def test_masked_max_pool(self, rng):
         mask = np.array([[True, True, False], [True, False, False], [False, False, False]])
@@ -281,11 +378,25 @@ class TestLSTM:
         w_ih = rng.normal(size=(cin, 4 * hidden))
         w_hh = rng.normal(size=(hidden, 4 * hidden))
         b = rng.normal(size=4 * hidden)
-        for reverse in (False, True):
-            fused = T.lstm(T.constant(x), T.constant(w_ih), T.constant(w_hh),
-                           T.constant(b), reverse=reverse)
-            oracle = scalar_lstm_oracle(x, w_ih, w_hh, b, reverse=reverse)
-            np.testing.assert_allclose(fused.data, oracle, atol=1e-10)
+        fused = T.lstm(T.constant(x), T.constant(w_ih), T.constant(w_hh), T.constant(b)).data
+        np.testing.assert_allclose(fused[:, :hidden],
+                                   scalar_lstm_oracle(x, w_ih, w_hh, b, reverse=False), atol=1e-10)
+        np.testing.assert_allclose(fused[:, hidden:],
+                                   scalar_lstm_oracle(x, w_ih, w_hh, b, reverse=True), atol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t_len", [1, 2, 9])
+    @given(cin=st.integers(1, 5), hidden=st.integers(1, 5),
+           kind=st.sampled_from(["normal", "integer"]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_two_direction_oracle(self, dtype, t_len, cin, hidden, kind, seed):
+        rng = np.random.default_rng(seed)
+        inputs = [sample(rng, shape, kind) * 0.5 for shape in
+                  ((t_len, cin), (cin, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,))]
+        weights = rng.normal(size=(t_len, 2 * hidden))
+        with default_dtype(dtype):
+            got = taped_run(T.lstm, inputs, weights, seed)
+            want = taped_run(oracles.bilstm, inputs, weights, seed)
+        assert_bitwise(got, want)
 
     def test_bilstm_single_step_halves_equal(self, rng):
         layer = nn.BiLSTM(3, 4, rng)
