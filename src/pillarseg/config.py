@@ -104,6 +104,9 @@ class RunConfig:
             raise ConfigError("dense-train pairs only with dense-eval")
         if self.dtype not in ("f32", "f64"):
             raise ConfigError(f"dtype must be f32 or f64, got {self.dtype!r}")
+        for name in ("batch_size", "train_frames", "threads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if sorted(self.ma_order) != ["G", "L", "P"]:
             raise ConfigError(f"ma_order must be a permutation of L G P, got {self.ma_order}")
         if self.label_weights is None:

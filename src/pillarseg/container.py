@@ -17,6 +17,7 @@ Checkpoints store parameters as 32-bit floats; caches may use any listed dtype.
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -75,8 +76,13 @@ def read_container(path: str | Path) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", data, off)
             off += 2
-            name = data[off : off + name_len].decode("utf-8")
+            try:
+                name = data[off : off + name_len].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"entry name at byte {off} is not UTF-8") from exc
             off += name_len
+            if name in out:
+                raise FormatError(f"duplicate entry {name!r}")
             code, ndim = struct.unpack_from("<BB", data, off)
             off += 2
             dims = struct.unpack_from(f"<{ndim}I", data, off)
@@ -84,12 +90,15 @@ def read_container(path: str | Path) -> dict[str, np.ndarray]:
             if code not in _DTYPE_CODES:
                 raise FormatError(f"unknown dtype code {code} for entry {name!r}")
             dtype = _DTYPE_CODES[code]
-            nbytes = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-            arr = np.frombuffer(data[off : off + nbytes], dtype=dtype)
-            if arr.size != int(np.prod(dims, dtype=np.int64)):
+            nbytes = math.prod(dims) * dtype.itemsize
+            if off + nbytes > len(data):
                 raise FormatError(f"truncated payload for entry {name!r}")
+            payload = np.frombuffer(data[off : off + nbytes], dtype=dtype)
+            try:
+                out[name] = payload.reshape(dims).copy()
+            except ValueError as exc:  # more dims than numpy supports
+                raise FormatError(f"entry {name!r} has {ndim} dims") from exc
             off += nbytes
-            out[name] = arr.reshape(dims).copy()
     except struct.error as exc:
         raise FormatError(f"truncated container file: {path}") from exc
     return out

@@ -114,7 +114,7 @@ def serialize_labels(raw_ids: np.ndarray) -> bytes:
 
 
 def parse_poses(text: str) -> list[Pose]:
-    """Parse a pose file: 12 floats per nonempty line, row-major 3x4.
+    """Parse a pose file: 12 finite floats per nonempty line, row-major 3x4.
 
     Rotation blocks deviating from orthonormality by more than 1e-3 (Frobenius)
     trigger a warning; beyond 1e-1, or with non-positive determinant, the line
@@ -131,6 +131,8 @@ def parse_poses(text: str) -> list[Pose]:
             values = np.array([float(t) for t in tokens], dtype=np.float64)
         except ValueError as exc:
             raise FormatError(f"pose line {lineno}: {exc}") from exc
+        if not np.isfinite(values).all():
+            raise FormatError(f"pose line {lineno}: non-finite value")
         mat = values.reshape(3, 4)
         pose = Pose(mat[:, :3].copy(), mat[:, 3].copy())
         err = pose.orthonormality_error()

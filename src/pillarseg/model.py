@@ -142,17 +142,16 @@ class PillarSegNet:
                      training: bool) -> Tensor:
         """(pfn_channels, H, W) scatter of encoded pillars; MA applied first
         when enabled. Unaffected by the occupancy flag."""
-        v = pset.valid_pillars
-        if v == 0:
+        if pset.valid_pillars == 0:
             return T.constant(np.zeros((self.cfg.pfn_channels, grid.height, grid.width)))
-        feats = T.constant(pset.features[:v])
-        mask = pset.mask[:v]
+        feats = T.constant(pset.features)
+        mask = pset.mask
         if self.ma is not None:
             centers = pil.pillar_centers(pset, grid)
             feats, _ = self.ma(feats, mask, centers[:, :2], centers)
         pooled = self.pfn_forward(feats, mask, training)
-        return T.scatter_to_image(pooled, pset.pillar_coords[:v, 0],
-                                  pset.pillar_coords[:v, 1], grid.height, grid.width)
+        return T.scatter_to_image(pooled, pset.pillar_coords[:, 0], pset.pillar_coords[:, 1],
+                                  grid.height, grid.width)
 
     def forward_pillars(self, pset: pil.PillarSet, grid: pil.GridConfig,
                         occ_channel: np.ndarray | None, training: bool) -> Tensor:

@@ -7,7 +7,7 @@ Row index follows y, column index follows x.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,21 +70,21 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class PillarSet:
-    """Fixed-size pillar tensor.
+    """The occupied pillars of a frame, one row each.
 
-    ``features`` is (max_pillars, max_points, C); rows `[0, valid_pillars)` are
-    populated in ascending (row, col) order, everything beyond the valid counts
-    is exactly zero.
+    ``features`` is (valid_pillars, max_points, C) with rows in ascending
+    (row, col) order; slots at or beyond a row's ``valid_points`` are exactly
+    zero.
     """
 
     features: np.ndarray
-    pillar_coords: np.ndarray  # (max_pillars, 2) int, (row, col)
-    valid_points: np.ndarray  # (max_pillars,) int
+    pillar_coords: np.ndarray  # (valid_pillars, 2) int, (row, col)
+    valid_points: np.ndarray  # (valid_pillars,) int
     valid_pillars: int
 
     @property
     def mask(self) -> np.ndarray:
-        """(max_pillars, max_points) bool validity mask."""
+        """(valid_pillars, max_points) bool validity mask."""
         n = self.features.shape[1]
         return np.arange(n)[None, :] < self.valid_points[:, None]
 
@@ -107,56 +107,47 @@ def cell_indices(xyz: np.ndarray, cfg: GridConfig) -> tuple[np.ndarray, np.ndarr
 
 
 def pillarize(cloud: PointCloud, cfg: GridConfig, rng_seed: int = 0) -> PillarSet:
-    """Crop and rasterize a cloud into pillars of raw (x, y, z, r) channels.
+    """Crop and rasterize a cloud into its occupied pillars of raw (x, y, z, r)
+    channels; see :class:`PillarSet`.
 
-    Per-pillar overflow beyond ``max_points`` and pillar overflow beyond
-    ``max_pillars`` are resolved by seeded uniform sampling without
-    replacement; when nothing overflows the output is seed-independent.
+    Pillar overflow beyond ``max_pillars`` and then, in output order, each
+    pillar's overflow beyond ``max_points`` are resolved by seeded uniform
+    sampling without replacement; when nothing overflows the output is
+    seed-independent.
     """
     n_max = cfg.max_points
-    p_max = cfg.max_pillars
-    features = np.zeros((p_max, n_max, 4), dtype=np.float64)
-    coords = np.zeros((p_max, 2), dtype=np.int64)
-    valid_points = np.zeros(p_max, dtype=np.int64)
-
     keep = crop_mask(cloud.xyz, cfg)
-    if not keep.any():
-        return PillarSet(features, coords, valid_points, 0)
-
-    xyz = cloud.xyz[keep].astype(np.float64)
-    refl = cloud.reflectance[keep].astype(np.float64)
-    rows, cols = cell_indices(xyz, cfg)
-    keys = rows * cfg.width + cols
-
-    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    pts = np.column_stack([cloud.xyz[keep], cloud.reflectance[keep]]).astype(np.float64)
+    rows, cols = cell_indices(pts, cfg)
+    uniq, inverse, counts = np.unique(rows * cfg.width + cols, return_inverse=True,
+                                      return_counts=True)
     rng: np.random.Generator | None = None
 
     pillar_ids = np.arange(len(uniq))
-    if len(uniq) > p_max:
+    if len(uniq) > cfg.max_pillars:
         rng = np.random.default_rng(rng_seed)
-        pillar_ids = np.sort(rng.choice(len(uniq), size=p_max, replace=False))
-    n_valid = len(pillar_ids)
+        pillar_ids = np.sort(rng.choice(len(uniq), size=cfg.max_pillars, replace=False))
 
-    # stable grouping: points of each pillar in original cloud order
+    # stable grouping: points of each pillar in cloud order; a point's slot is
+    # its rank there, or the rank of its draw in an overflowing pillar
     order = np.argsort(inverse, kind="stable")
-    starts = np.zeros(len(uniq) + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
+    starts = np.cumsum(counts) - counts
+    slot = np.arange(len(order)) - np.repeat(starts, counts)
+    for pid in pillar_ids[counts[pillar_ids] > n_max]:
+        if rng is None:
+            rng = np.random.default_rng(rng_seed)
+        sel = np.sort(rng.choice(int(counts[pid]), size=n_max, replace=False))
+        slot[starts[pid] : starts[pid] + counts[pid]] = n_max
+        slot[starts[pid] + sel] = np.arange(n_max)
 
-    pts = np.column_stack([xyz, refl])
-    for out_idx, pid in enumerate(pillar_ids):
-        members = order[starts[pid] : starts[pid + 1]]
-        if len(members) > n_max:
-            if rng is None:
-                rng = np.random.default_rng(rng_seed)
-            sel = np.sort(rng.choice(len(members), size=n_max, replace=False))
-            members = members[sel]
-        k = len(members)
-        features[out_idx, :k] = pts[members]
-        valid_points[out_idx] = k
-        coords[out_idx, 0] = uniq[pid] // cfg.width
-        coords[out_idx, 1] = uniq[pid] % cfg.width
-
-    return PillarSet(features, coords, valid_points, n_valid)
+    out_row = np.full(len(uniq), -1)
+    out_row[pillar_ids] = np.arange(len(pillar_ids))
+    row = out_row[inverse[order]]
+    take = (slot < n_max) & (row >= 0)
+    features = np.zeros((len(pillar_ids), n_max, 4))
+    features[row[take], slot[take]] = pts[order[take]]
+    coords = np.column_stack([uniq[pillar_ids] // cfg.width, uniq[pillar_ids] % cfg.width])
+    return PillarSet(features, coords, np.minimum(counts[pillar_ids], n_max), len(pillar_ids))
 
 
 def augment_points(pset: PillarSet, cfg: GridConfig) -> PillarSet:
@@ -168,63 +159,27 @@ def augment_points(pset: PillarSet, cfg: GridConfig) -> PillarSet:
     """
     if pset.features.shape[2] != 4:
         raise ShapeError(f"expected raw 4-channel features, got {pset.features.shape[2]}")
-    p_max, n_max, _ = pset.features.shape
-    out = np.zeros((p_max, n_max, AUGMENTED_CHANNELS), dtype=pset.features.dtype)
+    v, n_max, _ = pset.features.shape
+    out = np.zeros((v, n_max, AUGMENTED_CHANNELS), dtype=pset.features.dtype)
     out[:, :, :4] = pset.features
 
     mask = pset.mask
     counts = np.maximum(pset.valid_points, 1).astype(np.float64)
     xyz = pset.features[:, :, :3]
     means = xyz.sum(axis=1) / counts[:, None]
-    centers = np.zeros((p_max, 3))
-    centers[:, :2] = cfg.cell_centers_xy(pset.pillar_coords[:, 0], pset.pillar_coords[:, 1])
-    centers[:, 2] = cfg.z_center
+    centers = pillar_centers(pset, cfg)
 
     out[:, :, 4:7] = np.where(mask[:, :, None], xyz - means[:, None, :], 0.0)
     out[:, :, 7:10] = np.where(mask[:, :, None], xyz - centers[:, None, :], 0.0)
-    out[pset.valid_pillars :] = 0.0
-    return PillarSet(out, pset.pillar_coords, pset.valid_points, pset.valid_pillars)
+    return replace(pset, features=out)
 
 
-def compact(pset: PillarSet, dtype=np.float32) -> PillarSet:
-    """Storage form trimmed to the valid pillar rows (cache use only; the
-    fixed-size contract form keeps max_pillars rows)."""
-    v = pset.valid_pillars
-    return PillarSet(
-        np.ascontiguousarray(pset.features[:v], dtype=dtype),
-        pset.pillar_coords[:v].copy(),
-        pset.valid_points[:v].copy(),
-        v,
-    )
+def compact(pset: PillarSet) -> PillarSet:
+    """Storage form of a cached pillar set: the features cast to float32."""
+    return replace(pset, features=pset.features.astype(np.float32))
 
 
 def pillar_centers(pset: PillarSet, cfg: GridConfig) -> np.ndarray:
-    """(valid_pillars, 3) geometric cell centers of the valid pillars."""
-    v = pset.valid_pillars
-    xy = cfg.cell_centers_xy(pset.pillar_coords[:v, 0], pset.pillar_coords[:v, 1])
-    return np.column_stack([xy, np.full(v, cfg.z_center)])
-
-
-def scatter(features_per_pillar: np.ndarray, pset: PillarSet, cfg: GridConfig) -> np.ndarray:
-    """Scatter per-pillar feature rows into a dense (C, H, W) pseudo image."""
-    v = pset.valid_pillars
-    if features_per_pillar.shape[0] < v:
-        raise ShapeError(
-            f"feature rows {features_per_pillar.shape[0]} < valid pillars {v}"
-        )
-    rows = pset.pillar_coords[:v, 0]
-    cols = pset.pillar_coords[:v, 1]
-    if v and (rows.max() >= cfg.height or cols.max() >= cfg.width):
-        raise AssertionError("pillar coordinate outside grid bounds")
-    image = np.zeros((features_per_pillar.shape[1], cfg.height, cfg.width),
-                     dtype=features_per_pillar.dtype)
-    image[:, rows, cols] = features_per_pillar[:v].T
-    return image
-
-
-def gather(image: np.ndarray, pset: PillarSet) -> np.ndarray:
-    """Per-pillar feature rows read back from a pseudo image at the valid coords."""
-    v = pset.valid_pillars
-    rows = pset.pillar_coords[:v, 0]
-    cols = pset.pillar_coords[:v, 1]
-    return image[:, rows, cols].T
+    """(valid_pillars, 3) geometric cell centers of the pillars."""
+    xy = cfg.cell_centers_xy(pset.pillar_coords[:, 0], pset.pillar_coords[:, 1])
+    return np.column_stack([xy, np.full(len(xy), cfg.z_center)])

@@ -6,6 +6,10 @@ a test that compares the traversal against them does not reuse the code it
 checks. The scalar traversal steps one ray at a time with plain Python
 floats; the batched engine in `pillarseg.occupancy` must reproduce it bitwise.
 
+`pillarize_padded` fills the fixed `max_pillars x max_points` pillar tensor
+with a Python loop over the pillars; the loop-free `pillarseg.pillars.pillarize`
+must reproduce its valid rows bitwise, seeded sampling included.
+
 The taped references at the end are the direct forms of three autograd ops:
 one LSTM direction per time loop, a Python loop over segments for the
 segment max, and a softmax reducing along its own axis. The fused and
@@ -19,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from pillarseg.nn.tensor import Tensor, _accum, _record, _recording, as_tensor, concat
-from pillarseg.pillars import crop_mask
+from pillarseg.pillars import PillarSet, cell_indices, crop_mask
 
 
 def segment_meets_box(p0, p1, lo, hi):
@@ -200,6 +204,59 @@ def visibility_states(xyz, cfg, origin, unknown=0, free=1, occupied=2):
             if states[cy, cx, cz] == unknown:
                 states[cy, cx, cz] = free
     return states
+
+
+def pillarize_padded(cloud, cfg, rng_seed=0):
+    """Pillars of raw (x, y, z, r) channels in a zero-padded (max_pillars,
+    max_points, 4) tensor, filled pillar by pillar.
+
+    Draws from one generator seeded with `rng_seed`: first the kept pillars
+    when they overflow `max_pillars`, then the kept points of each pillar
+    over `max_points`, in output order.
+    """
+    n_max = cfg.max_points
+    p_max = cfg.max_pillars
+    features = np.zeros((p_max, n_max, 4), dtype=np.float64)
+    coords = np.zeros((p_max, 2), dtype=np.int64)
+    valid_points = np.zeros(p_max, dtype=np.int64)
+
+    keep = crop_mask(cloud.xyz, cfg)
+    if not keep.any():
+        return PillarSet(features, coords, valid_points, 0)
+
+    xyz = cloud.xyz[keep].astype(np.float64)
+    refl = cloud.reflectance[keep].astype(np.float64)
+    rows, cols = cell_indices(xyz, cfg)
+    keys = rows * cfg.width + cols
+
+    uniq, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    rng = None
+
+    pillar_ids = np.arange(len(uniq))
+    if len(uniq) > p_max:
+        rng = np.random.default_rng(rng_seed)
+        pillar_ids = np.sort(rng.choice(len(uniq), size=p_max, replace=False))
+    n_valid = len(pillar_ids)
+
+    order = np.argsort(inverse, kind="stable")
+    starts = np.zeros(len(uniq) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+
+    pts = np.column_stack([xyz, refl])
+    for out_idx, pid in enumerate(pillar_ids):
+        members = order[starts[pid] : starts[pid + 1]]
+        if len(members) > n_max:
+            if rng is None:
+                rng = np.random.default_rng(rng_seed)
+            sel = np.sort(rng.choice(len(members), size=n_max, replace=False))
+            members = members[sel]
+        k = len(members)
+        features[out_idx, :k] = pts[members]
+        valid_points[out_idx] = k
+        coords[out_idx, 0] = uniq[pid] // cfg.width
+        coords[out_idx, 1] = uniq[pid] % cfg.width
+
+    return PillarSet(features, coords, valid_points, n_valid)
 
 
 def lstm_direction(x, w_ih, w_hh, b, reverse=False):

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,12 @@ class TestFlatConfig:
         text = config.echo_config({"b": ["2"], "a": ["1", "3"]})
         assert text == "a = 1 3\nb = 2\n"
 
+    @pytest.mark.parametrize("key", ["batch_size", "train_frames", "threads"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_below_one_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be at least 1"):
+            config.load_run_config(None, {key: [value]})
+
     def test_semantickitti_reference_config_parses(self):
         cfg = config.load_run_config("semantickitti.cfg")
         assert cfg.grid.width == 1000 and cfg.grid.height == 500
@@ -94,6 +102,30 @@ class TestContainer:
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(FormatError):
+            container.read_container(path)
+
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        path = tmp_path / "name.pstc"
+        container.write_container(path, {"ab": np.ones(2, dtype=np.float32)})
+        path.write_bytes(path.read_bytes().replace(b"ab", b"\xff\xfe", 1))
+        with pytest.raises(FormatError, match="not UTF-8"):
+            container.read_container(path)
+
+    @pytest.mark.parametrize("dims", [(1,) * 70, (65536,) * 4])  # too many; 2**64 elements
+    def test_impossible_shape_rejected(self, tmp_path, dims):
+        path = tmp_path / "shape.pstc"
+        path.write_bytes(container.MAGIC + struct.pack("<IIH", container.VERSION, 1, 1) + b"a"
+                         + struct.pack(f"<BB{len(dims)}I", 5, len(dims), *dims) + b"\x00")
+        with pytest.raises(FormatError, match="entry 'a'"):
+            container.read_container(path)
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        path = tmp_path / "twice.pstc"
+        container.write_container(path, {"ab": np.ones(2, dtype=np.float32),
+                                         "cd": np.zeros(3, dtype=np.float32)})
+        path.write_bytes(path.read_bytes().replace(b"cd", b"ab", 1))
+        with pytest.raises(FormatError, match="duplicate entry 'ab'"):
             container.read_container(path)
 
 

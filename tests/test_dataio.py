@@ -89,6 +89,19 @@ class TestParsePoses:
         with pytest.raises(FormatError):
             dataio.parse_poses(line)
 
+    def test_nan_translation_rejected(self):
+        with pytest.raises(FormatError, match="non-finite"):
+            dataio.parse_poses("1 0 0 nan 0 1 0 0 0 0 1 0")
+
+    def test_nan_rotation_rejected(self):
+        # NaN compares False in both the orthonormality and the determinant test
+        with pytest.raises(FormatError, match="non-finite"):
+            dataio.parse_poses("nan 0 0 0 0 1 0 0 0 0 1 0")
+
+    def test_infinite_value_rejected(self):
+        with pytest.raises(FormatError, match="line 2: non-finite"):
+            dataio.parse_poses("1 0 0 0 0 1 0 0 0 0 1 0\n1 0 0 0 0 1 0 -inf 0 0 1 0")
+
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         # random rotation via QR with positive determinant

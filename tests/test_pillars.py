@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import oracles
 from pillarseg import pillars
 from pillarseg.dataio import PointCloud
 from pillarseg.errors import ConfigError
+from pillarseg.nn import tensor as T
 
 
 def make_cloud(xyz, refl=None):
@@ -61,7 +65,8 @@ class TestPillarize:
     def test_empty_cloud(self, cfg):
         pset = pillars.pillarize(make_cloud(np.zeros((0, 3))), cfg)
         assert pset.valid_pillars == 0
-        assert not pset.features.any()
+        assert pset.features.shape == (0, cfg.max_points, 4)
+        assert pset.pillar_coords.shape == (0, 2) and pset.valid_points.shape == (0,)
 
     def test_seed_independent_when_no_overflow(self, cfg):
         rng = np.random.default_rng(0)
@@ -142,22 +147,82 @@ class TestAugmentPoints:
     def test_padded_slots_zero(self, cfg):
         pset = pillars.pillarize(make_cloud([[0.11, 0.11, 0.2]]), cfg)
         aug = pillars.augment_points(pset, cfg)
+        assert aug.features.shape == (1, cfg.max_points, 10)
         assert not aug.features[0, 1:].any()
-        assert not aug.features[1:].any()
+
+
+def lattice_scene(max_points, max_pillars, cells):
+    """A 4 x 4 grid of 0.25 m cells over x in [0, 1), y in [-0.5, 0.5), z in
+    [-1, 1), and a cloud of points at (i, j, k) * (1/16, 1/16, 1/4) m offset to
+    the grid's low corner: a multiple of 4 in i or j lies on a cell boundary,
+    i or j outside [0, 16) or k outside [-4, 4) outside the crop box.
+    Reflectances are distinct, so every point can be told apart."""
+    cfg = pillars.GridConfig((0.0, 1.0), (-0.5, 0.5), (-1.0, 1.0), (0.25, 0.25, 2.0),
+                             max_points, max_pillars)
+    xyz = np.reshape(cells, (-1, 3)) * [1 / 16, 1 / 16, 0.25] + [0.0, -0.5, 0.0]
+    return cfg, make_cloud(xyz, np.arange(len(xyz)) / 64)
+
+
+# lattice points, each repeated 1 to 6 times, so pillars often overflow
+scenes = st.builds(
+    lattice_scene, st.integers(1, 4), st.integers(1, 8),
+    st.lists(st.tuples(st.integers(-2, 17), st.integers(-2, 17), st.integers(-5, 4),
+                       st.integers(1, 6)), max_size=24)
+    .map(lambda bunches: [(i, j, k) for i, j, k, n in bunches for _ in range(n)]))
+
+CELL_CORNERS = [(4 * i, 4 * j, 0) for i in range(5) for j in range(5)]
+CROWDED = [(1 + i % 3, 5, i % 4 - 2) for i in range(7)] + [(9, 13, 0)] * 3 + [(14, 2, 1)] * 6
+EVERY_CELL_THRICE = [(4 * i + 1 + k, 4 * j + 2, k - 1) for i in range(4) for j in range(4)
+                     for k in range(3)]
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestPillarizeAgainstPaddedOracle:
+    """The valid rows of the padded per-pillar loop, bit for bit, with the
+    same seeded draws."""
+
+    @given(scene=scenes, seed=st.integers(0, 2**32 - 1))
+    @example(scene=lattice_scene(3, 12, []), seed=0)  # empty cloud
+    @example(scene=lattice_scene(4, 12, CELL_CORNERS), seed=1)  # cell and crop boundaries
+    @example(scene=lattice_scene(2, 12, CROWDED), seed=2)  # max_points overflow in 3 pillars
+    @example(scene=lattice_scene(2, 3, CROWDED + CELL_CORNERS), seed=3)  # and max_pillars
+    @example(scene=lattice_scene(2, 5, EVERY_CELL_THRICE), seed=4)  # both, in every pillar
+    def test_valid_rows_match(self, scene, seed):
+        cfg, cloud = scene
+        got = pillars.pillarize(cloud, cfg, seed)
+        want = oracles.pillarize_padded(cloud, cfg, seed)
+        v = want.valid_pillars
+        assert got.valid_pillars == v
+        assert_bitwise(got.features, want.features[:v])
+        assert_bitwise(got.pillar_coords, want.pillar_coords[:v])
+        assert_bitwise(got.valid_points, want.valid_points[:v])
+        got, want = pillars.augment_points(got, cfg), pillars.augment_points(want, cfg)
+        assert got.valid_pillars == v
+        assert_bitwise(got.features, want.features[:v])
 
 
 class TestScatter:
+    """The model's scatter of per-pillar rows into the top-view image."""
+
+    def scatter(self, feats, pset, cfg):
+        return T.scatter_to_image(feats, pset.pillar_coords[:, 0], pset.pillar_coords[:, 1],
+                                  cfg.height, cfg.width).data
+
     def test_single_pillar(self, cfg):
         pset = pillars.pillarize(make_cloud([[0.05, 0.05, 0.0]]), cfg)
-        feats = np.array([[1.0, 2.0, 3.0]])
-        image = pillars.scatter(feats, pset, cfg)
+        image = self.scatter(np.array([[1.0, 2.0, 3.0]]), pset, cfg)
         assert image.shape == (3, cfg.height, cfg.width)
         np.testing.assert_array_equal(image[:, 0, 0], [1, 2, 3])
         assert np.count_nonzero(image) == 3
 
     def test_empty_set(self, cfg):
         pset = pillars.pillarize(make_cloud(np.zeros((0, 3))), cfg)
-        image = pillars.scatter(np.zeros((0, 4)), pset, cfg)
+        image = self.scatter(np.zeros((0, 4)), pset, cfg)
+        assert image.shape == (4, cfg.height, cfg.width)
         assert not image.any()
 
     def test_scatter_gather_round_trip(self, cfg):
@@ -165,5 +230,6 @@ class TestScatter:
         xyz = np.column_stack([rng.uniform(0, 1, 100), rng.uniform(0, 1, 100), np.zeros(100)])
         pset = pillars.pillarize(make_cloud(xyz), cfg)
         feats = rng.normal(size=(pset.valid_pillars, 8))
-        image = pillars.scatter(feats, pset, cfg)
-        np.testing.assert_array_equal(pillars.gather(image, pset), feats)
+        image = self.scatter(feats, pset, cfg)
+        rows, cols = pset.pillar_coords.T
+        np.testing.assert_array_equal(image[:, rows, cols].T, feats)
