@@ -192,24 +192,31 @@ def feast_conv_shared(x, key_idx: np.ndarray, p: FeaStParams) -> Tensor:
 
 class DRLSTMAttention:
     """Bidirectional-LSTM attention over pillars ordered by their 1D spatial
-    embedding; ties in the embedding keep the original pillar order."""
+    embedding; ties in the embedding keep the original pillar order.
+
+    Takes a chunk of frames: the embedding order, the gather and the sigmoid
+    head run per frame, and one :class:`~pillarseg.nn.layers.BiLSTM` call
+    runs every frame's ordered sequence in one time loop (shorter sequences
+    zero-padded past their end), so each frame's weights are bitwise those of
+    a chunk of one.
+    """
 
     def __init__(self, channels: int, hidden: int, rng: np.random.Generator):
         self.lstm = L.BiLSTM(channels, hidden, rng)
         self.head = L.Affine(2 * hidden, 1, rng)
 
-    def __call__(self, pillar_feats, positions: np.ndarray) -> AttentionMap:
-        pillar_feats = T.as_tensor(pillar_feats)
-        p = pillar_feats.data.shape[0]
-        scores = pca_1d(positions)
-        order = np.argsort(scores, kind="stable")
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(p)
-        seq = T.gather_rows(pillar_feats, order)
-        hidden = self.lstm(seq)
-        raw = T.sigmoid(self.head(hidden))  # (P, 1) in sorted order
-        weights = T.reshape(T.gather_rows(raw, inverse), (p,))
-        return AttentionMap(weights, order)
+    def __call__(self, pillar_feats, positions) -> list[AttentionMap]:
+        feats = [T.as_tensor(f) for f in pillar_feats]
+        orders = [np.argsort(pca_1d(pos), kind="stable") for pos in positions]
+        hidden = self.lstm([T.gather_rows(f, order) for f, order in zip(feats, orders)])
+        maps = []
+        for h, order in zip(hidden, orders):
+            inverse = np.empty_like(order)
+            inverse[order] = np.arange(len(order))
+            raw = T.sigmoid(self.head(h))  # (P, 1) in sorted order
+            weights = T.reshape(T.gather_rows(raw, inverse), (len(order),))
+            maps.append(AttentionMap(weights, order))
+        return maps
 
     def params(self) -> dict[str, Tensor]:
         return L.collect_params(lstm=self.lstm, head=self.head)
@@ -274,13 +281,16 @@ class PillarAttention:
 
 
 class MultiAttentionFuse:
-    """Compose the three attentions over the augmented point tensor.
+    """Compose the three attentions over the augmented point tensors of a
+    chunk of frames.
 
     The default order is LSTM -> graph -> pillar (local-global-local). Before
     the pillar stage, the LSTM-weighted pooled features are concatenated
     channel-wise into its input and passed through two shared affine+ReLU
     layers; the resulting per-pillar weights then scale the running stream, so
-    the output keeps the input shape.
+    the output keeps the input shape. Only the LSTM stage runs the chunk's
+    frames together; every other op runs per frame, so each frame's output is
+    bitwise that of a chunk of one.
     """
 
     ORDERS = ("L", "G", "P")
@@ -299,28 +309,34 @@ class MultiAttentionFuse:
         self.fuse1 = L.Affine(2 * channels, mid, rng)
         self.fuse2 = L.Affine(mid, channels, rng)
 
-    def __call__(self, aug_feats, mask: np.ndarray, positions: np.ndarray,
-                 centers: np.ndarray) -> tuple[Tensor, dict[str, AttentionMap]]:
-        stream = T.as_tensor(aug_feats)
-        n = stream.data.shape[1]
-        maps: dict[str, AttentionMap] = {}
-        lstm_weighted = None
+    def __call__(self, aug_feats, masks, positions, centers
+                 ) -> tuple[list[Tensor], list[dict[str, AttentionMap]]]:
+        """Attend over a chunk of frames, stage by stage: each argument is a
+        list with one entry per frame, and so are the outputs."""
+        streams = [T.as_tensor(f) for f in aug_feats]
+        maps: list[dict[str, AttentionMap]] = [{} for _ in streams]
+        lstm_weighted = [None] * len(streams)
 
         for stage in self.order:
-            pooled = T.masked_max_pool(stream, mask)
+            pooled = [T.masked_max_pool(s, m) for s, m in zip(streams, masks)]
             if stage == "L":
-                amap = self.lstm_attn(pooled, positions)
-                lstm_weighted = T.mul(pooled, T.reshape(amap.weights, (-1, 1)))
+                amaps = self.lstm_attn(pooled, positions)
+                lstm_weighted = [T.mul(p, T.reshape(a.weights, (-1, 1)))
+                                 for p, a in zip(pooled, amaps)]
             elif stage == "G":
-                amap = self.graph_attn(pooled)
+                amaps = [self.graph_attn(p) for p in pooled]
             else:
-                partner = lstm_weighted if lstm_weighted is not None else pooled
-                cat = T.concat([stream, T.broadcast_middle(partner, n)], axis=2)
-                fused = T.relu(self.fuse2(T.relu(self.fuse1(cat))))
-                amap = self.pillar_attn(fused, centers)
-            maps[stage] = amap
-            stream = T.mul(stream, T.reshape(amap.weights, (-1, 1, 1)))
-        return stream, maps
+                amaps = []
+                for stream, p, partner, c in zip(streams, pooled, lstm_weighted, centers):
+                    partner = partner if partner is not None else p
+                    cat = T.concat([stream, T.broadcast_middle(partner, stream.data.shape[1])],
+                                   axis=2)
+                    fused = T.relu(self.fuse2(T.relu(self.fuse1(cat))))
+                    amaps.append(self.pillar_attn(fused, c))
+            for frame_maps, amap in zip(maps, amaps):
+                frame_maps[stage] = amap
+            streams = [T.mul(s, T.reshape(a.weights, (-1, 1, 1))) for s, a in zip(streams, amaps)]
+        return streams, maps
 
     def params(self) -> dict[str, Tensor]:
         return L.collect_params(

@@ -286,10 +286,7 @@ def cmd_eval(overrides: dict[str, list[str]]) -> int:
         packs = train.prepare_frames(cfg, val_idx, threads=cfg.threads)
 
         # prediction pass first: labels are only read afterwards for metrics
-        for pack, index in zip(packs, val_idx):
-            pset = train.frame_pset(cfg, pack, index)
-            occ_channel = pack.obs_norm if cfg.use_occupancy else None
-            logits = net.forward_pillars(pset, cfg.grid, occ_channel, training=False)
+        for pack, index, logits in train.infer_chunks(cfg, net, packs, val_idx):
             pred = net.predict(logits, supervised)
             preds.append(pred)
             render.write_raw16(out_dir / f"pred_{index:06d}.raw", pred)

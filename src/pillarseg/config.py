@@ -19,8 +19,10 @@ from .dataio import ClassMap, SceneSpec
 from .errors import ConfigError, FormatError
 from .pillars import GridConfig
 
-TRAIN_MODES = ("sparse-train", "dense-train")
-EVAL_MODES = ("sparse-eval", "dense-eval")
+# dense-train and dense-eval are rejected until dense labels are wired into
+# training and evaluation
+TRAIN_MODES = ("sparse-train",)
+EVAL_MODES = ("sparse-eval",)
 
 
 def packaged_text(name: str) -> str:
@@ -80,7 +82,7 @@ class RunConfig:
     eval_mode: str = "sparse-eval"
     # training
     epochs: int = 6
-    batch_size: int = 2
+    batch_size: int = 2  # frames per optimiser step, and per inference chunk
     learning_rate: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
@@ -100,8 +102,6 @@ class RunConfig:
             raise ConfigError(f"mode must be one of {TRAIN_MODES}, got {self.mode!r}")
         if self.eval_mode not in EVAL_MODES:
             raise ConfigError(f"eval_mode must be one of {EVAL_MODES}, got {self.eval_mode!r}")
-        if self.mode == "dense-train" and self.eval_mode != "dense-eval":
-            raise ConfigError("dense-train pairs only with dense-eval")
         if self.dtype not in ("f32", "f64"):
             raise ConfigError(f"dtype must be f32 or f64, got {self.dtype!r}")
         for name in ("batch_size", "train_frames", "threads"):

@@ -118,7 +118,9 @@ def parse_poses(text: str) -> list[Pose]:
 
     Rotation blocks deviating from orthonormality by more than 1e-3 (Frobenius)
     trigger a warning; beyond 1e-1, or with non-positive determinant, the line
-    is rejected.
+    is rejected. An error of at most 1e-1 bounds every row norm by
+    sqrt(1.1) < 1.05, so a rotation entry above 1.05 in magnitude is rejected
+    first, before its products can overflow.
     """
     poses = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -134,6 +136,8 @@ def parse_poses(text: str) -> list[Pose]:
         if not np.isfinite(values).all():
             raise FormatError(f"pose line {lineno}: non-finite value")
         mat = values.reshape(3, 4)
+        if np.abs(mat[:, :3]).max() > 1.05:
+            raise FormatError(f"pose line {lineno}: rotation entry above 1.05 in magnitude")
         pose = Pose(mat[:, :3].copy(), mat[:, 3].copy())
         err = pose.orthonormality_error()
         if err > 1e-1:
@@ -390,15 +394,3 @@ def generate_synthetic_frame(
     merged = np.concatenate(classes).astype(np.int64)
     reflectance = rng.uniform(0.0, 1.0, len(xyz)).astype(np.float32)
     return PointCloud(xyz, reflectance), merged
-
-
-TOY_CLASS_MAP_TEXT = """\
-0 = unlabeled
-1 = ground
-2 = vehicle
-3 = object
-"""
-
-
-def toy_class_map() -> ClassMap:
-    return ClassMap.parse(TOY_CLASS_MAP_TEXT)

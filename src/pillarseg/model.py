@@ -138,31 +138,50 @@ class PillarSegNet:
         h = T.relu(self.pfn_bn(self.pfn_affine(pts), training))
         return T.segment_max(h, idx // n, p)
 
-    def pseudo_image(self, pset: pil.PillarSet, grid: pil.GridConfig,
-                     training: bool) -> Tensor:
-        """(pfn_channels, H, W) scatter of encoded pillars; MA applied first
-        when enabled. Unaffected by the occupancy flag."""
-        if pset.valid_pillars == 0:
-            return T.constant(np.zeros((self.cfg.pfn_channels, grid.height, grid.width)))
-        feats = T.constant(pset.features)
-        mask = pset.mask
-        if self.ma is not None:
-            centers = pil.pillar_centers(pset, grid)
-            feats, _ = self.ma(feats, mask, centers[:, :2], centers)
-        pooled = self.pfn_forward(feats, mask, training)
-        return T.scatter_to_image(pooled, pset.pillar_coords[:, 0], pset.pillar_coords[:, 1],
-                                  grid.height, grid.width)
+    def pseudo_images(self, psets: list[pil.PillarSet], grid: pil.GridConfig,
+                      training: bool) -> list[Tensor]:
+        """(pfn_channels, H, W) scatter of encoded pillars per frame; MA runs
+        first, over the chunk's non-empty frames together, when enabled.
+        Unaffected by the occupancy flag."""
+        feats = [T.constant(pset.features) for pset in psets]
+        live = [i for i, pset in enumerate(psets) if pset.valid_pillars]
+        if self.ma is not None and live:
+            centers = [pil.pillar_centers(psets[i], grid) for i in live]
+            streams, _ = self.ma([feats[i] for i in live], [psets[i].mask for i in live],
+                                 [c[:, :2] for c in centers], centers)
+            for i, stream in zip(live, streams):
+                feats[i] = stream
+        images = []
+        for pset, f in zip(psets, feats):
+            if pset.valid_pillars == 0:
+                images.append(T.constant(np.zeros((self.cfg.pfn_channels, grid.height,
+                                                   grid.width))))
+                continue
+            pooled = self.pfn_forward(f, pset.mask, training)
+            images.append(T.scatter_to_image(pooled, pset.pillar_coords[:, 0],
+                                             pset.pillar_coords[:, 1], grid.height, grid.width))
+        return images
+
+    def forward_frames(self, psets: list[pil.PillarSet], grid: pil.GridConfig,
+                       occ_channels: list, training: bool) -> list[Tensor]:
+        """Logits (num_classes, H, W) per frame of a chunk, from its augmented
+        pillar set plus its normalized observability channel (None when the
+        model has no occupancy input). Only the multi-attention stages see the
+        chunk's frames together; PFN, scatter and UNet run per frame, and each
+        frame's logits are bitwise those of a chunk of one."""
+        logits = []
+        for image, occ_channel in zip(self.pseudo_images(psets, grid, training), occ_channels):
+            if self.cfg.use_occupancy:
+                if occ_channel is None:
+                    raise ShapeError("model was built with use_occupancy but no channel given")
+                image = T.concat([image, T.constant(occ_channel[None])], axis=0)
+            logits.append(self.unet(image, training))
+        return logits
 
     def forward_pillars(self, pset: pil.PillarSet, grid: pil.GridConfig,
                         occ_channel: np.ndarray | None, training: bool) -> Tensor:
-        """Logits (num_classes, H, W) from an augmented pillar set plus the
-        normalized observability channel."""
-        image = self.pseudo_image(pset, grid, training)
-        if self.cfg.use_occupancy:
-            if occ_channel is None:
-                raise ShapeError("model was built with use_occupancy but no channel given")
-            image = T.concat([image, T.constant(occ_channel[None])], axis=0)
-        return self.unet(image, training)
+        """Logits (num_classes, H, W) of one frame: a chunk of one."""
+        return self.forward_frames([pset], grid, [occ_channel], training)[0]
 
     def forward_cloud(self, cloud: PointCloud, grid: pil.GridConfig,
                       origin=(0.0, 0.0, 0.0), seed: int = 0,

@@ -73,9 +73,12 @@ class BatchNorm:
 class BiLSTM:
     """Bidirectional LSTM sharing one cell across both directions.
 
-    Output is the per-step concatenation of the forward and reverse passes,
-    (T, 2H), from one :func:`tensor.lstm` call whose single time loop runs
-    both directions. At T = 1 both halves coincide by construction.
+    Takes a chunk of frames' (T_b, Cin) sequences and returns their (T_b, 2H)
+    outputs, the per-step concatenation of the forward and reverse passes. One
+    :func:`tensor.lstm` call runs the whole chunk: the sequences are
+    concatenated, shorter ones are zero-padded past their end inside one time
+    loop, and each output is bitwise that of a chunk of one. At T = 1 both
+    halves coincide by construction.
     """
 
     def __init__(self, cin: int, hidden: int, rng: np.random.Generator):
@@ -87,8 +90,11 @@ class BiLSTM:
         self.bias = T.parameter(b)
         self.hidden = hidden
 
-    def __call__(self, x) -> Tensor:
-        return T.lstm(x, self.w_ih, self.w_hh, self.bias)
+    def __call__(self, xs) -> list[Tensor]:
+        lengths = [T.as_tensor(x).data.shape[0] for x in xs]
+        out = T.lstm(T.concat(xs, axis=0), self.w_ih, self.w_hh, self.bias, lengths)
+        starts = np.cumsum(lengths) - lengths
+        return [T.narrow(out, 0, s, n) for s, n in zip(starts.tolist(), lengths)]
 
     def params(self) -> dict[str, Tensor]:
         return {"w_ih": self.w_ih, "w_hh": self.w_hh, "bias": self.bias}

@@ -339,12 +339,6 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
     return _record(out, backward)
 
 
-def tmean(x, axis=None, keepdims: bool = False) -> Tensor:
-    x = as_tensor(x)
-    count = x.data.size if axis is None else x.data.shape[axis]
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
 def tmax(x, axis: int, keepdims: bool = False) -> Tensor:
     """Max over one axis; gradient flows to the first maximum along the axis."""
     x = as_tensor(x)
@@ -769,91 +763,138 @@ def batch_norm(
 # ---------------------------------------------------------------------------
 
 
-def lstm(x, w_ih, w_hh, b) -> Tensor:
-    """Bidirectional LSTM of one shared cell over a (T, Cin) sequence; returns (T, 2H).
+def lstm(x, w_ih, w_hh, b, lengths=None) -> Tensor:
+    """Bidirectional LSTM of one shared cell over a chunk of sequences; returns (N, 2H).
 
-    Columns ``[:H]`` run forward in time and ``[H:]`` in reverse, each from
-    zero hidden and cell states. One time loop carries a (2, H) state: step s
-    advances the forward direction at t = s and the reverse one at
-    t = T - 1 - s, with the recurrent product as one batched (2, 1, H) @ (H, 4H)
-    matmul. Gates are packed (input, forget, output, candidate) along the last
-    axis of the (Cin, 4H) / (H, 4H) weights, so one sigmoid covers the first
-    three blocks.
+    ``x`` (N, Cin) is the concatenation of the chunk's sequences, whose row
+    counts are ``lengths`` (default: one sequence of all N rows). Columns
+    ``[:H]`` of each sequence run forward in time and ``[H:]`` in reverse,
+    each from zero hidden and cell states.
 
-    Backward is a manual backprop-through-time pass in the same single loop.
+    One time loop of ``max(lengths)`` steps carries a (2B, 1, H) state, a
+    forward and a reverse row per sequence: step s advances the forward rows
+    at t = s and the reverse rows at t = L - 1 - s, with the recurrent product
+    as one batched (2B, 1, H) @ (H, 4H) matmul. Past the end of a shorter
+    sequence its rows see zero inputs; a padded row feeds only itself and is
+    never read, so no mask is needed. The input projection runs per sequence,
+    since a row-concatenated product is not bitwise equal to per-sequence
+    ones. So each sequence's output equals that of a chunk of one bitwise.
+
+    Gates are packed (input, forget, output, candidate) along the last axis of
+    the (Cin, 4H) / (H, 4H) weights. The loop works on the negated i, f and o
+    columns of the input projection and of ``w_hh``, so exp, add-one and
+    reciprocal give their sigmoid 1 / (1 + exp(-z)) with no negation per
+    step; negation is exact, so the gates are bitwise unchanged.
+
+    Backward is a manual backprop-through-time pass in one reverse loop over
+    the same steps. A padded step has no output gradient, so a shorter
+    sequence's rows enter its last step with zero gradients (up to sign).
     Each of x, w_ih, w_hh and b receives two gradient terms, the reverse
-    direction's first, so the sums equal those of two single-direction passes.
+    direction's first, so for one sequence the sums equal those of two
+    single-direction passes. Over several sequences each term is one product
+    over all rows, equal to per-sequence sums only to rounding.
     """
     x, w_ih, w_hh, b = as_tensor(x), as_tensor(w_ih), as_tensor(w_hh), as_tensor(b)
-    t_len, cin = x.data.shape
+    n, cin = x.data.shape
     hidden = w_hh.data.shape[0]
     if w_ih.data.shape != (cin, 4 * hidden) or b.data.shape != (4 * hidden,):
         raise ShapeError(
             f"lstm parameter shapes {w_ih.data.shape}/{w_hh.data.shape}/{b.data.shape} "
             f"inconsistent for input {x.data.shape}"
         )
+    lengths = np.array([n] if lengths is None else lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.size == 0 or (lengths < 0).any() or lengths.sum() != n:
+        raise ShapeError(f"lstm lengths {lengths.tolist()} do not split {n} rows")
+    nseq, steps, rows = len(lengths), int(lengths.max()), 2 * len(lengths)
     h3 = 3 * hidden
     dtype = x.data.dtype
+    starts = np.cumsum(lengths) - lengths
+    seq = np.repeat(np.arange(nseq), lengths)  # sequence of each row of x
+    fwd = np.arange(n) - starts[seq]  # the step that reads a row forward: its time
+    rev = lengths[seq] - 1 - fwd  # and in reverse
 
-    pre = x.data @ w_ih.data + b.data  # (T, 4H)
-    pre_steps = np.stack([pre, pre[::-1]], axis=1)  # (T, 2, 4H): times s and T-1-s
+    pre = np.concatenate([x.data[s:s + k] @ w_ih.data + b.data for s, k in zip(starts, lengths)])
+    pre_steps = np.zeros((steps, nseq, 2, 1, 4 * hidden), dtype=pre.dtype)
+    pre_steps[fwd, seq, 0, 0] = pre
+    pre_steps[rev, seq, 1, 0] = pre
+    pre_steps = pre_steps.reshape(steps, rows, 1, 4 * hidden)
+    np.negative(pre_steps[..., :h3], out=pre_steps[..., :h3])
+    w_fold = w_hh.data.copy()
+    np.negative(w_fold[:, :h3], out=w_fold[:, :h3])
+
     # per step s: post-activation gates and tanh(cell); cells[s] and states[s]
     # are the cell and hidden state entering step s, zero at s = 0
-    acts = np.empty((t_len, 2, 4 * hidden), dtype=dtype)
-    tanh_cells = np.empty((t_len, 2, hidden), dtype=dtype)
-    cells = np.zeros((t_len + 1, 2, hidden), dtype=dtype)
-    states = np.zeros((t_len + 1, 2, 1, hidden), dtype=dtype)
-    for s in range(t_len):
-        a = acts[s]
-        np.matmul(states[s], w_hh.data, out=a[:, None])
-        a += pre_steps[s]
-        sig = a[:, :h3]
-        np.negative(sig, out=sig)
+    acts = np.empty((steps, rows, 1, 4 * hidden), dtype=dtype)
+    gates = acts[:, :, 0]
+    tanh_cells = np.empty((steps, rows, hidden), dtype=dtype)
+    cells = np.zeros((steps + 1, rows, hidden), dtype=dtype)
+    states = np.zeros((steps + 1, rows, 1, hidden), dtype=dtype)
+    ig = np.empty((rows, hidden), dtype=dtype)
+    ones = np.ones((rows, h3), dtype=dtype)  # an array adds faster than a Python float
+    # iterating the arrays builds every step's views in C, before any step runs
+    for a, p, sig, g, i, f, o, c_in, c, tc, h_in, h in zip(
+            acts, pre_steps, gates[..., :h3], gates[..., h3:], gates[..., :hidden],
+            gates[..., hidden:2 * hidden], gates[..., 2 * hidden:h3], cells[:-1], cells[1:],
+            tanh_cells, states[:-1], states[1:, :, 0]):
+        np.matmul(h_in, w_fold, out=a)
+        np.add(a, p, out=a)
         np.exp(sig, out=sig)
-        sig += 1.0
+        np.add(sig, ones, out=sig)
         np.reciprocal(sig, out=sig)  # sigmoid of i, f, o
-        np.tanh(a[:, h3:], out=a[:, h3:])
-        c = cells[s + 1]
-        np.multiply(a[:, hidden:2 * hidden], cells[s], out=c)
-        c += a[:, :hidden] * a[:, h3:]
-        np.tanh(c, out=tanh_cells[s])
-        np.multiply(a[:, 2 * hidden:h3], tanh_cells[s], out=states[s + 1, :, 0])
+        np.tanh(g, out=g)
+        np.multiply(f, c_in, out=c)
+        np.multiply(i, g, out=ig)
+        np.add(c, ig, out=c)
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=h)
 
-    out = Tensor(np.concatenate([states[1:, 0, 0], states[:0:-1, 1, 0]], axis=1))
+    by_seq = states.reshape(steps + 1, nseq, 2, hidden)
+    out = Tensor(np.concatenate([by_seq[fwd + 1, seq, 0], by_seq[rev + 1, seq, 1]], axis=1))
     if not _recording(x, w_ih, w_hh, b):
         return out
 
     def backward(g_out):
-        g_steps = np.stack([g_out[:, :hidden], g_out[::-1, hidden:]], axis=1)  # (T, 2, H)
+        g_steps = np.zeros((steps, nseq, 2, hidden), dtype=g_out.dtype)
+        g_steps[fwd, seq, 0] = g_out[:, :hidden]
+        g_steps[rev, seq, 1] = g_out[:, hidden:]
+        g_steps = g_steps.reshape(steps, rows, hidden)
         # gate blocks (i, f, o, g): the gradient of each is dc * partner, except
         # o's, dh * tanh(cell), times the activation derivative
-        gates = acts.reshape(t_len, 2, 4, hidden)
-        partner = gates[:, :, [3, 1, 2, 0]]
+        blocks = gates.reshape(steps, rows, 4, hidden)
+        partner = blocks[:, :, [3, 1, 2, 0]]
         partner[:, :, 1] = cells[:-1]
-        deriv = np.empty_like(gates)
-        np.multiply(gates[:, :, :3], 1.0 - gates[:, :, :3], out=deriv[:, :, :3])
-        np.subtract(1.0, gates[:, :, 3] * gates[:, :, 3], out=deriv[:, :, 3])
+        deriv = np.empty_like(blocks)
+        np.multiply(blocks[:, :, :3], 1.0 - blocks[:, :, :3], out=deriv[:, :, :3])
+        np.subtract(1.0, blocks[:, :, 3] * blocks[:, :, 3], out=deriv[:, :, 3])
         tanh_deriv = 1.0 - tanh_cells * tanh_cells
-        dpre = np.empty((t_len, 2, 4, hidden), dtype=dtype)
-        dh_next = dc_next = np.zeros((2, hidden), dtype=dtype)
-        for s in range(t_len - 1, -1, -1):
-            dh = g_steps[s] + dh_next
-            dc = dh * gates[s, :, 2]
-            dc *= tanh_deriv[s]
-            dc += dc_next
-            dz = dpre[s]
-            np.multiply(dc[:, None], partner[s], out=dz)
-            np.multiply(dh, tanh_cells[s], out=dz[:, 2])
-            dz *= deriv[s]
-            dh_next = np.matmul(dz.reshape(2, 1, 4 * hidden), w_hh.data.T)[:, 0]
-            dc_next = dc * gates[s, :, 1]
+        dpre = np.empty((steps, rows, 1, 4 * hidden), dtype=dtype)
+        dz_blocks = dpre.reshape(steps, rows, 4, hidden)
+        dh = np.empty((rows, hidden), dtype=dtype)
+        dc = np.empty((rows, 1, hidden), dtype=dtype)
+        dh_next = np.zeros((rows, 1, hidden), dtype=dtype)
+        dc_next = np.zeros((rows, hidden), dtype=dtype)
+        dc_flat, dh_next_flat = dc[:, 0], dh_next[:, 0]
+        w_hh_t = w_hh.data.T
+        for g, o, td, dz_row, dz, dz_o, part, dv, tc, f in zip(
+                g_steps[::-1], blocks[::-1, :, 2], tanh_deriv[::-1], dpre[::-1],
+                dz_blocks[::-1], dz_blocks[::-1, :, 2], partner[::-1], deriv[::-1],
+                tanh_cells[::-1], blocks[::-1, :, 1]):
+            np.add(g, dh_next_flat, out=dh)
+            np.multiply(dh, o, out=dc_flat)
+            np.multiply(dc_flat, td, out=dc_flat)
+            np.add(dc_flat, dc_next, out=dc_flat)
+            np.multiply(dc, part, out=dz)
+            np.multiply(dh, tc, out=dz_o)
+            np.multiply(dz, dv, out=dz)
+            np.matmul(dz_row, w_hh_t, out=dh_next)
+            np.multiply(dc_flat, f, out=dc_next)
         # per direction in time order, reverse first
-        dpre = dpre.reshape(t_len, 2, 4 * hidden)
-        for d, h_prev in ((dpre[::-1, 1], states[-2::-1, 1, 0]), (dpre[:, 0], states[:-1, 0, 0])):
-            d = np.ascontiguousarray(d)
-            _accum(x, d @ w_ih.data.T)
-            _accum(w_ih, x.data.T @ d)
-            _accum(w_hh, np.ascontiguousarray(h_prev).T @ d)
-            _accum(b, d.sum(axis=0))
+        dpre_by_seq = dpre.reshape(steps, nseq, 2, 4 * hidden)
+        for d, step in ((1, rev), (0, fwd)):
+            dz = dpre_by_seq[step, seq, d]
+            _accum(x, dz @ w_ih.data.T)
+            _accum(w_ih, x.data.T @ dz)
+            _accum(w_hh, by_seq[step, seq, d].T @ dz)
+            _accum(b, dz.sum(axis=0))
 
     return _record(out, backward)

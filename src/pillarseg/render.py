@@ -49,13 +49,6 @@ def write_raw16(path: str | Path, values: np.ndarray) -> None:
     Path(path).write_bytes(np.asarray(values).astype("<u2").tobytes())
 
 
-def read_raw16(path: str | Path, shape: tuple[int, int]) -> np.ndarray:
-    data = np.frombuffer(Path(path).read_bytes(), dtype="<u2")
-    if data.size != shape[0] * shape[1]:
-        raise FormatError(f"raw dump size {data.size} does not match shape {shape}")
-    return data.reshape(shape)
-
-
 def write_legend(path: str | Path, class_names: list[str]) -> None:
     lines = [f"{i} {name}" for i, name in enumerate(class_names)]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -120,6 +120,20 @@ def _loss_config(cfg: RunConfig) -> SegLossConfig:
     return SegLossConfig(cfg.loss_weights.copy(), cfg.class_map.unlabeled_index)
 
 
+def infer_chunks(cfg: RunConfig, net: PillarSegNet, packs: list[FramePack], indices):
+    """(pack, index, logits) per frame, inferred ``batch_size`` frames at a
+    time; a chunk runs its multi-attention LSTM in one time loop, and each
+    frame's logits are bitwise those of a chunk of one."""
+    for start in range(0, len(packs), cfg.batch_size):
+        chunk = list(zip(packs[start:start + cfg.batch_size],
+                         indices[start:start + cfg.batch_size]))
+        psets = [frame_pset(cfg, pack, index) for pack, index in chunk]
+        occs = [pack.obs_norm if cfg.use_occupancy else None for pack, _ in chunk]
+        logits = net.forward_frames(psets, cfg.grid, occs, training=False)
+        for (pack, index), frame_logits in zip(chunk, logits):
+            yield pack, index, frame_logits
+
+
 def evaluate(cfg: RunConfig, net: PillarSegNet, packs: list[FramePack],
              indices) -> tuple[float, IoUResult]:
     """Mean validation loss plus dataset-level IoU on visible labeled cells."""
@@ -127,10 +141,7 @@ def evaluate(cfg: RunConfig, net: PillarSegNet, packs: list[FramePack],
     supervised = cfg.class_map.supervised_indices
     acc = IoUAccumulator(supervised, cfg.class_map.unlabeled_index)
     losses_sum = 0.0
-    for pack, index in zip(packs, indices):
-        pset = frame_pset(cfg, pack, index)
-        occ_channel = pack.obs_norm if cfg.use_occupancy else None
-        logits = net.forward_pillars(pset, cfg.grid, occ_channel, training=False)
+    for pack, _, logits in infer_chunks(cfg, net, packs, indices):
         gt = lab.SemanticGrid(pack.label_grid, cfg.class_map.unlabeled_index)
         losses_sum += seg_loss(logits, gt, loss_cfg).item()
         pred = net.predict(logits, supervised)

@@ -40,7 +40,29 @@ def check_bilstm() -> float:
     rng = _rng(2)
     layer = BiLSTM(4, 3, rng)
     w = T.constant(rng.normal(size=(5, 6)))
-    return grad_check(lambda x: T.tsum(T.mul(layer(x), w)), rng.normal(size=(5, 4)))
+    return grad_check(lambda x: T.tsum(T.mul(layer([x])[0], w)), rng.normal(size=(5, 4)))
+
+
+def check_bilstm_ragged() -> float:
+    """A chunk of two sequences of unequal lengths (5 and 3) in one time loop,
+    differentiated through the input and through the recurrent weight."""
+    rng = _rng(11)
+    layer = BiLSTM(4, 3, rng)
+    w = T.constant(rng.normal(size=(8, 6)))
+    x0 = rng.normal(size=(8, 4))
+
+    def f(x):
+        out = layer([T.narrow(x, 0, 0, 5), T.narrow(x, 0, 5, 3)])
+        return T.tsum(T.mul(T.concat(out, axis=0), w))
+
+    def f_w_hh(w_hh):
+        saved, layer.w_hh = layer.w_hh, w_hh
+        try:
+            return f(T.constant(x0))
+        finally:
+            layer.w_hh = saved
+
+    return max(grad_check(f, x0.copy()), grad_check(f_w_hh, layer.w_hh.data.copy()))
 
 
 def check_conv_block_down() -> float:
@@ -94,7 +116,7 @@ def check_dr_lstm_attention() -> float:
     pos = rng.normal(size=(6, 2))
 
     def f(x):
-        amap = attn(x, pos)
+        amap = attn([x], [pos])[0]
         return T.tsum(T.mul(x, T.reshape(amap.weights, (-1, 1))))
 
     return grad_check(f, rng.normal(size=(6, 3)))
@@ -121,8 +143,8 @@ def check_ma_fuse() -> float:
     centers = rng.normal(size=(4, 3))
 
     def f(x):
-        out, _ = fuse(x, mask, pos, centers)
-        return T.tsum(out)
+        out, _ = fuse([x], [mask], [pos], [centers])
+        return T.tsum(out[0])
 
     x = resample_until_smooth(lambda a: np.random.default_rng(500 + a).normal(size=(4, 2, 3)), f)
     return grad_check(f, x)
@@ -159,6 +181,7 @@ SUITE = [
     ("affine", check_affine),
     ("batch_norm", check_batch_norm),
     ("bilstm", check_bilstm),
+    ("bilstm_ragged", check_bilstm_ragged),
     ("conv_block_down", check_conv_block_down),
     ("conv_block_up", check_conv_block_up),
     ("feast_conv", check_feast_conv),

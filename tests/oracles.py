@@ -11,8 +11,8 @@ with a Python loop over the pillars; the loop-free `pillarseg.pillars.pillarize`
 must reproduce its valid rows bitwise, seeded sampling included.
 
 The taped references at the end are the direct forms of three autograd ops:
-one LSTM direction per time loop, a Python loop over segments for the
-segment max, and a softmax reducing along its own axis. The fused and
+one LSTM direction per time loop and one sequence at a time, a Python loop
+over segments for the segment max, and a softmax reducing along its own axis. The fused and
 loop-free ops in `pillarseg.nn.tensor` must reproduce their outputs and
 gradients bitwise.
 """
@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from pillarseg.nn.tensor import Tensor, _accum, _record, _recording, as_tensor, concat
+from pillarseg.nn.tensor import Tensor, _accum, _record, _recording, as_tensor, concat, narrow
 from pillarseg.pillars import PillarSet, cell_indices, crop_mask
 
 
@@ -332,10 +332,18 @@ def lstm_direction(x, w_ih, w_hh, b, reverse=False):
     return _record(out, backward)
 
 
-def bilstm(x, w_ih, w_hh, b):
-    """Forward and reverse directions as two taped ops, concatenated: (T, 2H)."""
-    return concat([lstm_direction(x, w_ih, w_hh, b), lstm_direction(x, w_ih, w_hh, b, True)],
-                  axis=1)
+def bilstm(x, w_ih, w_hh, b, lengths=None):
+    """Forward and reverse directions as two taped ops, concatenated: (T, 2H).
+
+    ``lengths`` splits the rows of x into sequences that each run on their
+    own, with their outputs stacked in row order.
+    """
+    if lengths is None:
+        return concat([lstm_direction(x, w_ih, w_hh, b), lstm_direction(x, w_ih, w_hh, b, True)],
+                      axis=1)
+    starts = np.cumsum(lengths) - lengths
+    return concat([bilstm(narrow(x, 0, s, n), w_ih, w_hh, b)
+                   for s, n in zip(starts.tolist(), lengths)], axis=0)
 
 
 def segment_max(x, segments, num_segments):

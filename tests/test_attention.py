@@ -201,7 +201,7 @@ class TestFeaStConv:
 class TestDRLSTMAttention:
     def test_single_pillar(self, rng):
         attn = A.DRLSTMAttention(4, 3, rng)
-        amap = attn(T.constant(rng.normal(size=(1, 4))), np.array([[0.0, 0.0]]))
+        amap = attn([T.constant(rng.normal(size=(1, 4)))], [np.array([[0.0, 0.0]])])[0]
         assert amap.weights.data.shape == (1,)
         assert 0.0 < amap.weights.data[0] < 1.0
 
@@ -209,23 +209,23 @@ class TestDRLSTMAttention:
         attn = A.DRLSTMAttention(4, 3, rng)
         for p in attn.params().values():
             p.data[:] = 0.0
-        amap = attn(T.constant(rng.normal(size=(6, 4))), rng.normal(size=(6, 2)))
+        amap = attn([T.constant(rng.normal(size=(6, 4)))], [rng.normal(size=(6, 2))])[0]
         np.testing.assert_allclose(amap.weights.data, 0.5, atol=1e-15)
 
     def test_permutation_invariance(self, rng):
         attn = A.DRLSTMAttention(4, 3, rng)
         feats = rng.normal(size=(8, 4))
         pos = rng.normal(size=(8, 2))
-        base = attn(T.constant(feats), pos).weights.data
+        base = attn([T.constant(feats)], [pos])[0].weights.data
         perm = rng.permutation(8)
-        permuted = attn(T.constant(feats[perm]), pos[perm]).weights.data
+        permuted = attn([T.constant(feats[perm])], [pos[perm]])[0].weights.data
         np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
     def test_gradcheck(self, rng):
         attn = A.DRLSTMAttention(3, 2, rng)
         pos = rng.normal(size=(5, 2))
         err = nn.grad_check(
-            lambda x: T.tsum(T.mul(x, T.reshape(attn(x, pos).weights, (-1, 1)))),
+            lambda x: T.tsum(T.mul(x, T.reshape(attn([x], [pos])[0].weights, (-1, 1)))),
             rng.normal(size=(5, 3)))
         assert err < 1e-6
 
@@ -304,6 +304,12 @@ class TestPillarAttention:
         assert nn.grad_check(f, x) < 1e-6
 
 
+def fuse_one(fuse, feats, mask, pos, centers):
+    """Stream and maps of a chunk of one frame."""
+    streams, maps = fuse([feats], [mask], [pos], [centers])
+    return streams[0], maps[0]
+
+
 class TestMultiAttentionFuse:
     def make(self, rng, order=("L", "G", "P"), channels=4, max_points=3):
         return A.MultiAttentionFuse(channels, max_points, rng, lstm_hidden=2,
@@ -315,8 +321,8 @@ class TestMultiAttentionFuse:
             p.data[:] = 0.0
         feats = rng.normal(size=(5, 3, 4))
         mask = np.ones((5, 3), dtype=bool)
-        out, maps = fuse(T.constant(feats), mask, rng.normal(size=(5, 2)),
-                         rng.normal(size=(5, 3)))
+        out, maps = fuse_one(fuse, T.constant(feats), mask, rng.normal(size=(5, 2)),
+                             rng.normal(size=(5, 3)))
         np.testing.assert_allclose(out.data, feats / 8.0, atol=1e-12)
         assert set(maps) == {"L", "G", "P"}
 
@@ -326,12 +332,12 @@ class TestMultiAttentionFuse:
         mask = np.array([[True, True, False]])
         pos = np.zeros((1, 2))
         centers = rng.normal(size=(1, 3))
-        out, maps = fuse(T.constant(feats), mask, pos, centers)
+        out, maps = fuse_one(fuse, T.constant(feats), mask, pos, centers)
 
         # compose the three blocks by hand in L, G, P order
         stream = feats.copy()
         pooled = np.where(mask[:, :, None], stream, -np.inf).max(axis=1)
-        wl = fuse.lstm_attn(T.constant(pooled), pos).weights.data
+        wl = fuse.lstm_attn([T.constant(pooled)], [pos])[0].weights.data
         lstm_weighted = pooled * wl[:, None]
         stream = stream * wl[:, None, None]
         pooled = np.where(mask[:, :, None], stream, -np.inf).max(axis=1)
@@ -350,8 +356,8 @@ class TestMultiAttentionFuse:
         for p, n in ((2, 3), (7, 3)):
             feats = rng.normal(size=(p, n, 4))
             mask = np.ones((p, n), dtype=bool)
-            out, _ = fuse(T.constant(feats), mask, rng.normal(size=(p, 2)),
-                          rng.normal(size=(p, 3)))
+            out, _ = fuse_one(fuse, T.constant(feats), mask, rng.normal(size=(p, 2)),
+                              rng.normal(size=(p, 3)))
             assert out.data.shape == (p, n, 4)
 
     def test_order_permutations_run(self, rng):
@@ -361,7 +367,7 @@ class TestMultiAttentionFuse:
         centers = rng.normal(size=(6, 3))
         for order in (("G", "L", "P"), ("L", "P", "G"), ("P", "L", "G")):
             fuse = self.make(np.random.default_rng(1), order=order)
-            out, maps = fuse(T.constant(feats), mask, pos, centers)
+            out, maps = fuse_one(fuse, T.constant(feats), mask, pos, centers)
             assert out.data.shape == feats.shape
             assert list(maps) == list(order)
 
@@ -369,8 +375,8 @@ class TestMultiAttentionFuse:
         fuse = self.make(rng)
         feats = rng.normal(size=(6, 3, 4))
         mask = np.ones((6, 3), dtype=bool)
-        _, maps = fuse(T.constant(feats), mask, rng.normal(size=(6, 2)),
-                       rng.normal(size=(6, 3)))
+        _, maps = fuse_one(fuse, T.constant(feats), mask, rng.normal(size=(6, 2)),
+                           rng.normal(size=(6, 3)))
         for amap in maps.values():
             assert (amap.weights.data > 0).all() and (amap.weights.data < 1).all()
 
@@ -381,7 +387,7 @@ class TestMultiAttentionFuse:
         centers = rng.normal(size=(4, 3))
 
         def f(x):
-            out, _ = fuse(x, mask, pos, centers)
+            out, _ = fuse_one(fuse, x, mask, pos, centers)
             return T.tsum(out)
 
         x = nn.resample_until_smooth(

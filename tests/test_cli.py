@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pillarseg import cli, dataio, occupancy, render
+from pillarseg import cli, dataio, occupancy
 from pillarseg.nn import tensor as T
 
 
@@ -139,7 +139,7 @@ class TestRenderCommands:
                        "--out", str(out))
         assert code == 0
         assert (out / "labels_000000.pgm").read_bytes().startswith(b"P5\n16 16\n65535\n")
-        raw = render.read_raw16(out / "labels_000000.raw", (16, 16))
+        raw = np.fromfile(out / "labels_000000.raw", dtype="<u2").reshape(16, 16)
         assert raw.max() <= 3
         legend = (out / "legend.txt").read_text()
         assert "1 ground" in legend
@@ -210,6 +210,23 @@ class TestTrainEval:
         assert (a / "metrics.txt").read_bytes() == (b / "metrics.txt").read_bytes()
         assert (a / "model.ckpt").read_bytes() == (b / "model.ckpt").read_bytes()
         assert (a / "run.log").read_bytes() == (b / "run.log").read_bytes()
+
+    @pytest.mark.parametrize("dtype", ["f32", "f64"])
+    def test_eval_outputs_independent_of_chunk_size(self, scene_file, tmp_path, dtype):
+        # eval infers batch_size frames per chunk, their multi-attention LSTMs
+        # in one time loop; 3 over 8 frames leaves a short last chunk
+        args = micro_args(scene_file, "--use_ma", "true", "--val_frames", "8", "--dtype", dtype)
+        out = tmp_path / "run"
+        assert run_cli("train", *args, "--out", str(out)) == 0
+        outputs = []
+        for batch_size in ("1", "2", "3"):
+            eval_out = tmp_path / f"eval{batch_size}"
+            assert run_cli("eval", *args, "--batch_size", batch_size,
+                           "--checkpoint", str(out / "model.ckpt"), "--out", str(eval_out)) == 0
+            files = sorted(eval_out.glob("pred_*.raw")) + [eval_out / "metrics.txt"]
+            outputs.append({path.name: path.read_bytes() for path in files})
+        assert len(outputs[0]) == 9
+        assert outputs[0] == outputs[1] == outputs[2]
 
     def test_eval_deterministic_outputs(self, scene_file, tmp_path):
         out = tmp_path / "run"

@@ -1,10 +1,16 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
 from pillarseg import dataio
+from pillarseg.config import packaged_text
 from pillarseg.errors import ConfigError, FormatError
+
+
+def toy_class_map():
+    return dataio.ClassMap.parse(packaged_text("toy.map"))
 
 
 def pack_points(points):
@@ -93,6 +99,13 @@ class TestParsePoses:
         with pytest.raises(FormatError, match="non-finite"):
             dataio.parse_poses("1 0 0 nan 0 1 0 0 0 0 1 0")
 
+    def test_huge_rotation_entry_rejected_without_warning(self):
+        # r @ r.T of a 1e200 entry overflows; the entry bound rejects it first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="above 1.05"):
+                dataio.parse_poses("1e200 0 0 0 0 1 0 0 0 0 1 0")
+
     def test_nan_rotation_rejected(self):
         # NaN compares False in both the orthonormality and the determinant test
         with pytest.raises(FormatError, match="non-finite"):
@@ -155,26 +168,26 @@ class TestSyntheticFrames:
         return dataio.SceneSpec(ground_extent=(-8, 8, -8, 8), num_boxes=2, num_posts=2)
 
     def test_deterministic(self, spec):
-        cmap = dataio.toy_class_map()
+        cmap = toy_class_map()
         cloud_a, classes_a = dataio.generate_synthetic_frame(7, spec, cmap)
         cloud_b, classes_b = dataio.generate_synthetic_frame(7, spec, cmap)
         np.testing.assert_array_equal(cloud_a.xyz, cloud_b.xyz)
         np.testing.assert_array_equal(classes_a, classes_b)
 
     def test_seeds_differ(self, spec):
-        cmap = dataio.toy_class_map()
+        cmap = toy_class_map()
         cloud_a, _ = dataio.generate_synthetic_frame(1, spec, cmap)
         cloud_b, _ = dataio.generate_synthetic_frame(2, spec, cmap)
         assert cloud_a.xyz.shape != cloud_b.xyz.shape or not np.array_equal(cloud_a.xyz, cloud_b.xyz)
 
     def test_ground_only_single_class(self):
-        cmap = dataio.toy_class_map()
+        cmap = toy_class_map()
         spec = dataio.SceneSpec(ground_extent=(-4, 4, -4, 4), num_boxes=0, num_posts=0)
         _, classes = dataio.generate_synthetic_frame(0, spec, cmap)
         assert set(classes.tolist()) == {cmap.index_of("ground")}
 
     def test_empty_spec_errors(self):
-        cmap = dataio.toy_class_map()
+        cmap = toy_class_map()
         spec = dataio.SceneSpec(ground_extent=(-4, 4, -4, 4), ground_density=0,
                                 num_boxes=0, num_posts=0)
         with pytest.raises(ConfigError):

@@ -116,8 +116,8 @@ class TestSegNetForward:
         with_occ = toy_model(grid, use_occupancy=True, seed=3)
         without = toy_model(grid, use_occupancy=False, seed=3)
         pset = pillars.augment_points(pillars.pillarize(cloud, grid, 0), grid)
-        img_a = with_occ.pseudo_image(pset, grid, training=False).data
-        img_b = without.pseudo_image(pset, grid, training=False).data
+        img_a = with_occ.pseudo_images([pset], grid, training=False)[0].data
+        img_b = without.pseudo_images([pset], grid, training=False)[0].data
         np.testing.assert_array_equal(img_a, img_b)  # bit-identical upstream
         assert with_occ.unet.downs[0].conv1.weight.data.shape[1] == 9
         assert without.unet.downs[0].conv1.weight.data.shape[1] == 8

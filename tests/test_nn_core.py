@@ -84,7 +84,8 @@ class TestElementwiseGrads:
 
     def test_sum_axes_and_mean(self, rng):
         check_op(lambda x: T.tsum(T.tsum(x, axis=1)), rng.normal(size=(3, 4)))
-        check_op(lambda x: T.tsum(T.tmean(x, axis=0)), rng.normal(size=(3, 4)))
+        # the mean over axis 0 as the model would take it: a sum times 1 / count
+        check_op(lambda x: T.tsum(T.mul(T.tsum(x, axis=0), 1.0 / 3)), rng.normal(size=(3, 4)))
 
     def test_max_reduce(self, rng):
         x = rng.normal(size=(4, 5))
@@ -398,18 +399,49 @@ class TestLSTM:
             want = taped_run(oracles.bilstm, inputs, weights, seed)
         assert_bitwise(got, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(lengths=st.lists(st.integers(0, 9), min_size=1, max_size=5),
+           cin=st.integers(1, 5), hidden=st.integers(1, 5),
+           kind=st.sampled_from(["normal", "integer"]), seed=st.integers(0, 2**32 - 1))
+    def test_ragged_chunk_matches_per_sequence_oracle(self, dtype, lengths, cin, hidden, kind,
+                                                      seed):
+        # one time loop over a chunk of sequences, shorter ones zero-padded:
+        # each sequence's output is bitwise its own run; the gradients sum the
+        # sequences in one product rather than one by one, so they agree to
+        # rounding, within 1e-5 (f32) or 1e-12 (f64) of the largest gradient
+        rng = np.random.default_rng(seed)
+        n = sum(lengths)
+        inputs = [sample(rng, shape, kind) * 0.5 for shape in
+                  ((n, cin), (cin, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,))]
+        weights = rng.normal(size=(n, 2 * hidden))
+        with default_dtype(dtype):
+            got = taped_run(lambda *a: T.lstm(*a, lengths=lengths), inputs, weights, seed)
+            want = taped_run(lambda *a: oracles.bilstm(*a, lengths=lengths), inputs, weights,
+                             seed)
+        assert_bitwise(got[:1], want[:1])
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        for g, w in zip(got[1:], want[1:]):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=0, atol=tol * np.abs(w).max(initial=1.0))
+
+    def test_lengths_must_split_rows(self):
+        x, w_ih, w_hh, b = (T.constant(np.zeros(s)) for s in ((4, 3), (3, 8), (2, 8), (8,)))
+        for lengths in ([3], [2, 3], [5, -1], []):
+            with pytest.raises(ShapeError):
+                T.lstm(x, w_ih, w_hh, b, lengths=lengths)
+
     def test_bilstm_single_step_halves_equal(self, rng):
         layer = nn.BiLSTM(3, 4, rng)
-        out = layer(T.constant(rng.normal(size=(1, 3)))).data
+        out = layer([T.constant(rng.normal(size=(1, 3)))])[0].data
         np.testing.assert_array_equal(out[0, :4], out[0, 4:])
 
     def test_bilstm_shape(self, rng):
         layer = nn.BiLSTM(3, 4, rng)
-        assert layer(T.constant(rng.normal(size=(5, 3)))).data.shape == (5, 8)
+        assert layer([T.constant(rng.normal(size=(5, 3)))])[0].data.shape == (5, 8)
 
     def test_lstm_input_grad(self, rng):
         layer = nn.BiLSTM(3, 2, rng)
-        check_op(lambda x: T.tsum(layer(x)), rng.normal(size=(4, 3)), tol=1e-6)
+        check_op(lambda x: T.tsum(layer([x])[0]), rng.normal(size=(4, 3)), tol=1e-6)
 
     def test_lstm_parameter_grads(self, rng):
         cin, hidden = 2, 2
