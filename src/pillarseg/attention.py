@@ -28,10 +28,9 @@ _EIG_TIE_TOL = 1e-12
 
 @dataclass
 class AttentionMap:
-    """Per-pillar weights in (0, 1) plus the index alignment back to input order."""
+    """Per-pillar weights in (0, 1), in input order."""
 
     weights: Tensor  # (P,)
-    alignment: np.ndarray  # permutation of [0, P)
 
 
 def pca_1d(positions: np.ndarray) -> np.ndarray:
@@ -215,7 +214,7 @@ class DRLSTMAttention:
             inverse[order] = np.arange(len(order))
             raw = T.sigmoid(self.head(h))  # (P, 1) in sorted order
             weights = T.reshape(T.gather_rows(raw, inverse), (len(order),))
-            maps.append(AttentionMap(weights, order))
+            maps.append(AttentionMap(weights))
         return maps
 
     def params(self) -> dict[str, Tensor]:
@@ -247,7 +246,7 @@ class GraphAttention:
         for layer in self.encoder + self.decoder:
             h = T.relu(feast_conv_shared(h, keys, layer))
         weights = T.reshape(T.sigmoid(self.head(h)), (p,))
-        return AttentionMap(weights, np.arange(p))
+        return AttentionMap(weights)
 
     def params(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -274,7 +273,7 @@ class PillarAttention:
         per_point = T.relu(self.channel_fc(cat))  # (P, N, 1)
         per_pillar = self.point_fc(T.transpose(per_point, (0, 2, 1)))  # (P, 1, 1)
         weights = T.reshape(T.sigmoid(per_pillar), (p,))
-        return AttentionMap(weights, np.arange(p))
+        return AttentionMap(weights)
 
     def params(self) -> dict[str, Tensor]:
         return L.collect_params(channel_fc=self.channel_fc, point_fc=self.point_fc)

@@ -8,7 +8,7 @@ never touched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,18 +43,13 @@ class AugmentConfig:
 
 @dataclass(frozen=True)
 class AugmentParams:
-    """One concrete sampled transform; suitable for echoing into the run log."""
+    """One concrete sampled transform."""
 
     flip_x: bool = False
     flip_y: bool = False
     rotation: float = 0.0
     scale: float = 1.0
     translation: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def log_line(self) -> str:
-        t = " ".join(f"{v:.6f}" for v in self.translation)
-        return (f"augment flip_x={int(self.flip_x)} flip_y={int(self.flip_y)} "
-                f"rotation={self.rotation:.6f} scale={self.scale:.6f} translation={t}")
 
 
 def sample_params(cfg: AugmentConfig, seed: int) -> AugmentParams:

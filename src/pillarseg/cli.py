@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio, labels as lab, metrics, occupancy as occ, render, train
-from .config import (RunConfig, build_run_config, echo_config, load_run_config,
-                     packaged_text, parse_flat, resolve_text)
-from .container import read_container, write_container
+from .config import DEFAULT_CLASSMAP, RunConfig, echo_config, load_run_config, resolve_text
+from .container import write_container
 from .errors import ConfigError, DivergenceError, FormatError, PillarSegError
+from .flat import Count, read_value
 from .model import PillarSegNet, load_checkpoint, save_checkpoint
 
 USAGE = """\
@@ -34,9 +34,6 @@ subcommands:
 common flags: --config PATH, --out DIR, --seed N, --threads N, plus any
 config key as an override, e.g. --epochs 3 --unet_widths 16 32
 """
-
-_PATH_FLAGS = ("config", "out", "scans", "labels", "poses", "checkpoint", "scan",
-               "frames", "cache")
 
 
 def _split_overrides(tokens: list[str]) -> dict[str, list[str]]:
@@ -58,28 +55,12 @@ def _split_overrides(tokens: list[str]) -> dict[str, list[str]]:
     return out
 
 
-def _pop_path(overrides: dict[str, list[str]], name: str, default=None):
-    if name in overrides:
-        return Path(overrides.pop(name)[0])
-    return Path(default) if default is not None else None
-
-
-def _pop_scalar(overrides: dict[str, list[str]], name: str, cast, default):
-    if name in overrides:
-        token = overrides.pop(name)[0]
-        if cast is bool:
-            return token.lower() in ("true", "1")
-        return cast(token)
-    return default
-
-
-def _load_config(overrides: dict[str, list[str]]) -> RunConfig:
-    config_path = overrides.pop("config", None)
-    values: dict[str, list[str]] = {}
-    if config_path is not None:
-        values.update(parse_flat(resolve_text(config_path[0])))
-    values.update(overrides)
-    return build_run_config(values)
+def _pop(overrides: dict[str, list[str]], name: str, hint, default=None):
+    """Remove flag ``--name`` from the overrides and read its value by type
+    hint ``hint``, or give ``default`` when the flag is absent."""
+    if name not in overrides:
+        return default
+    return read_value(name, overrides.pop(name), hint)
 
 
 def _write_run_log(out_dir: Path, cfg: RunConfig, extra_lines: list[str]) -> None:
@@ -94,10 +75,10 @@ def _write_run_log(out_dir: Path, cfg: RunConfig, extra_lines: list[str]) -> Non
 
 
 def cmd_synth(overrides: dict[str, list[str]]) -> int:
-    out_dir = _pop_path(overrides, "out", "synth_out")
-    frames = _pop_scalar(overrides, "frames", int, 8)
-    spacing = _pop_scalar(overrides, "spacing", float, 2.0)
-    cfg = _load_config(overrides)
+    out_dir = _pop(overrides, "out", Path, Path("synth_out"))
+    frames = _pop(overrides, "frames", Count, 8)
+    spacing = _pop(overrides, "spacing", float, 2.0)
+    cfg = load_run_config(_pop(overrides, "config", str), overrides)
     scans_dir = out_dir / "velodyne"
     labels_dir = out_dir / "labels"
     scans_dir.mkdir(parents=True, exist_ok=True)
@@ -112,7 +93,7 @@ def cmd_synth(overrides: dict[str, list[str]]) -> int:
             dataio.serialize_labels(classes.astype(np.uint32)))
         poses.append(dataio.Pose(np.eye(3), np.array([i * spacing, 0.0, 0.0])))
     (out_dir / "poses.txt").write_text(dataio.serialize_poses(poses))
-    map_name = cfg.raw.get("classmap", ["toy.map"])[0]
+    map_name = cfg.raw.get("classmap", [DEFAULT_CLASSMAP])[0]
     (out_dir / "classmap.map").write_text(resolve_text(map_name))
     _write_run_log(out_dir, cfg, [f"frames {frames}", f"spacing {spacing}"])
     print(f"wrote {frames} synthetic frames to {out_dir}")
@@ -153,13 +134,13 @@ def _load_frames(scans: Path, labels_dir: Path | None, poses_path: Path | None,
 
 
 def cmd_ingest(overrides: dict[str, list[str]]) -> int:
-    scans = _pop_path(overrides, "scans")
-    labels_dir = _pop_path(overrides, "labels")
-    poses_path = _pop_path(overrides, "poses")
-    out_dir = _pop_path(overrides, "out", "cache_out")
+    scans = _pop(overrides, "scans", Path)
+    labels_dir = _pop(overrides, "labels", Path)
+    poses_path = _pop(overrides, "poses", Path)
+    out_dir = _pop(overrides, "out", Path, Path("cache_out"))
     if scans is None:
         raise ConfigError("ingest needs --scans DIR")
-    cfg = _load_config(overrides)
+    cfg = load_run_config(_pop(overrides, "config", str), overrides)
     frames = _load_frames(scans, labels_dir, poses_path, cfg.class_map)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = []
@@ -183,11 +164,11 @@ def cmd_ingest(overrides: dict[str, list[str]]) -> int:
 
 
 def cmd_occupancy(overrides: dict[str, list[str]]) -> int:
-    scan = _pop_path(overrides, "scan")
-    out_dir = _pop_path(overrides, "out", "occupancy_out")
+    scan = _pop(overrides, "scan", Path)
+    out_dir = _pop(overrides, "out", Path, Path("occupancy_out"))
     if scan is None:
         raise ConfigError("occupancy needs --scan FILE")
-    cfg = _load_config(overrides)
+    cfg = load_run_config(_pop(overrides, "config", str), overrides)
     cloud = dataio.parse_point_cloud(Path(scan).read_bytes())
     out_dir.mkdir(parents=True, exist_ok=True)
     omap = occ.observability(cloud, cfg.grid)
@@ -204,16 +185,16 @@ def cmd_occupancy(overrides: dict[str, list[str]]) -> int:
 
 
 def cmd_labels(overrides: dict[str, list[str]]) -> int:
-    scans = _pop_path(overrides, "scans")
-    labels_dir = _pop_path(overrides, "labels")
-    poses_path = _pop_path(overrides, "poses")
-    out_dir = _pop_path(overrides, "out", "labels_out")
-    dense = _pop_scalar(overrides, "dense", bool, False)
+    scans = _pop(overrides, "scans", Path)
+    labels_dir = _pop(overrides, "labels", Path)
+    poses_path = _pop(overrides, "poses", Path)
+    out_dir = _pop(overrides, "out", Path, Path("labels_out"))
+    dense = _pop(overrides, "dense", bool, False)
     if scans is None or labels_dir is None:
         raise ConfigError("labels needs --scans DIR and --labels DIR")
     if dense and poses_path is None:
         raise ConfigError("dense labels need --poses FILE")
-    cfg = _load_config(overrides)
+    cfg = load_run_config(_pop(overrides, "config", str), overrides)
     frames = _load_frames(scans, labels_dir, poses_path, cfg.class_map)
     lcfg = train.label_config(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -232,8 +213,9 @@ def cmd_labels(overrides: dict[str, list[str]]) -> int:
 
 
 def cmd_gradcheck(overrides: dict[str, list[str]]) -> int:
-    out_dir = _pop_path(overrides, "out")
-    _load_config(dict(overrides))  # validate config keys; suite sizes are fixed
+    out_dir = _pop(overrides, "out", Path)
+    # validate the config keys; the suite's sizes are fixed
+    load_run_config(_pop(overrides, "config", str), overrides)
     from .verification import run_gradcheck_suite
 
     results = run_gradcheck_suite()
@@ -253,8 +235,8 @@ def cmd_gradcheck(overrides: dict[str, list[str]]) -> int:
 
 
 def cmd_train(overrides: dict[str, list[str]]) -> int:
-    out_dir = _pop_path(overrides, "out", "train_out")
-    cfg = _load_config(overrides)
+    out_dir = _pop(overrides, "out", Path, Path("train_out"))
+    cfg = load_run_config(_pop(overrides, "config", str), overrides)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         result = train.train_toy(cfg, progress=print)
@@ -270,11 +252,11 @@ def cmd_train(overrides: dict[str, list[str]]) -> int:
 
 
 def cmd_eval(overrides: dict[str, list[str]]) -> int:
-    checkpoint = _pop_path(overrides, "checkpoint")
-    out_dir = _pop_path(overrides, "out", "eval_out")
+    checkpoint = _pop(overrides, "checkpoint", Path)
+    out_dir = _pop(overrides, "out", Path, Path("eval_out"))
     if checkpoint is None:
         raise ConfigError("eval needs --checkpoint FILE")
-    cfg = _load_config(overrides)
+    cfg = load_run_config(_pop(overrides, "config", str), overrides)
     val_idx = list(range(cfg.train_frames, cfg.train_frames + cfg.val_frames))
     palette = render.parse_palette(resolve_text(cfg.palette))
     supervised = cfg.class_map.supervised_indices

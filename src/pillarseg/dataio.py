@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .flat import Count, parse_flat, read_fields
 
 POINT_RECORD_BYTES = 16
 LABEL_RECORD_BYTES = 4
@@ -74,7 +74,6 @@ class Frame:
     cloud: PointCloud
     classes: np.ndarray | None = None
     pose: Pose | None = None
-    origin: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
 def parse_point_cloud(data: bytes) -> PointCloud:
@@ -221,10 +220,6 @@ class ClassMap:
             raise FormatError("class map is empty")
         return cls(entries)
 
-    @classmethod
-    def load(cls, path: str | Path) -> "ClassMap":
-        return cls.parse(Path(path).read_text())
-
 
 # ---------------------------------------------------------------------------
 # Synthetic scenes
@@ -235,17 +230,18 @@ class ClassMap:
 class SceneSpec:
     """Synthetic scene description: a ground plane plus boxes and posts.
 
-    Densities are points per square meter of surface. Box and post placement
-    is sampled uniformly inside the ground extent per frame.
+    Each field is the scene-file key of its name. Densities are points per
+    square meter of surface. Box and post placement is sampled uniformly
+    inside the ground extent per frame.
     """
 
-    ground_extent: tuple[float, float, float, float]  # x_min x_max y_min y_max
+    ground: tuple[float, float, float, float]  # x_min x_max y_min y_max
     ground_density: float = 1.5
     ground_z_sigma: float = 0.02
-    num_boxes: int = 8
+    boxes: Count = 8
     box_size: tuple[float, float, float] = (1.8, 4.2, 1.6)  # w l h
     box_density: float = 12.0
-    num_posts: int = 8
+    posts: Count = 8
     post_radius: float = 0.15
     post_height: float = 2.5
     post_density: float = 60.0
@@ -253,52 +249,28 @@ class SceneSpec:
     box_class: str = "vehicle"
     post_class: str = "object"
 
-    @classmethod
-    def parse(cls, text: str) -> "SceneSpec":
-        values: dict[str, list[str]] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"scene line {lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key] = value.split()
-        if "ground" not in values:
-            raise ConfigError("scene spec lists no ground plane")
-        g = [float(v) for v in values.pop("ground")]
-        if len(g) != 4:
-            raise ConfigError("ground extent needs 4 values: x_min x_max y_min y_max")
-        spec = cls(ground_extent=(g[0], g[1], g[2], g[3]))
-        scalars = {
-            "ground_density": float,
-            "ground_z_sigma": float,
-            "box_density": float,
-            "post_radius": float,
-            "post_height": float,
-            "post_density": float,
-            "boxes": int,
-            "posts": int,
-        }
-        renames = {"boxes": "num_boxes", "posts": "num_posts"}
-        for key, tokens in values.items():
-            if key in scalars:
-                setattr(spec, renames.get(key, key), scalars[key](tokens[0]))
-            elif key == "box_size":
-                spec.box_size = tuple(float(t) for t in tokens)  # type: ignore[assignment]
-            elif key in ("ground_class", "box_class", "post_class"):
-                setattr(spec, key, tokens[0])
-            else:
-                raise ConfigError(f"unknown scene key {key!r}")
-        return spec
+    def __post_init__(self):
+        x0, x1, y0, y1 = self.ground
+        room = min(x1 - x0, y1 - y0)
+        if room < 0:
+            raise ConfigError(f"ground extent max must not be below min, got {self.ground}")
+        if self.ground_z_sigma < 0 or self.post_height < 0:
+            raise ConfigError("ground_z_sigma and post_height must be non-negative")
+        if (self.boxes and max(self.box_size[:2]) > room) or \
+                (self.posts and 2 * self.post_radius > room):
+            raise ConfigError(f"boxes or posts do not fit the ground extent {self.ground}")
 
     @classmethod
-    def load(cls, path: str | Path) -> "SceneSpec":
-        return cls.parse(Path(path).read_text())
+    def parse(cls, text: str) -> "SceneSpec":
+        values = parse_flat(text)
+        spec = read_fields(cls, values)
+        if values:
+            raise ConfigError(f"unknown scene key {next(iter(values))!r}")
+        return spec
 
 
 def _sample_ground(rng: np.random.Generator, spec: SceneSpec) -> np.ndarray:
-    x0, x1, y0, y1 = spec.ground_extent
+    x0, x1, y0, y1 = spec.ground
     area = (x1 - x0) * (y1 - y0)
     n = max(1, int(round(area * spec.ground_density)))
     pts = np.empty((n, 3))
@@ -360,10 +332,10 @@ def generate_synthetic_frame(
     The simulated sensor sits at the origin; every point carries the class of
     the surface it was sampled from.
     """
-    if spec.ground_density <= 0 and spec.num_boxes == 0 and spec.num_posts == 0:
+    if spec.ground_density <= 0 and spec.boxes == 0 and spec.posts == 0:
         raise ConfigError("scene spec produces no surfaces")
     rng = np.random.default_rng(seed)
-    x0, x1, y0, y1 = spec.ground_extent
+    x0, x1, y0, y1 = spec.ground
     chunks: list[np.ndarray] = []
     classes: list[np.ndarray] = []
 
@@ -373,7 +345,7 @@ def generate_synthetic_frame(
         classes.append(np.full(len(ground), class_map.index_of(spec.ground_class)))
 
     margin = max(spec.box_size[:2]) / 2
-    for _ in range(spec.num_boxes):
+    for _ in range(spec.boxes):
         cx = rng.uniform(x0 + margin, x1 - margin)
         cy = rng.uniform(y0 + margin, y1 - margin)
         yaw = rng.uniform(-math.pi, math.pi)
@@ -383,7 +355,7 @@ def generate_synthetic_frame(
         chunks.append(box)
         classes.append(np.full(len(box), class_map.index_of(spec.box_class)))
 
-    for _ in range(spec.num_posts):
+    for _ in range(spec.posts):
         cx = rng.uniform(x0 + spec.post_radius, x1 - spec.post_radius)
         cy = rng.uniform(y0 + spec.post_radius, y1 - spec.post_radius)
         post = _sample_post(rng, cx, cy, spec.post_radius, spec.post_height, spec.post_density)

@@ -40,23 +40,21 @@ class LabelGenConfig:
         if self.pose_threshold is not None and self.pose_threshold <= 0:
             raise ConfigError("pose_threshold must be positive")
 
-    @classmethod
-    def for_class_map(
-        cls,
-        class_map: ClassMap,
-        weights_by_name: dict[str, float] | None = None,
-        movable_names: tuple[str, ...] = ("vehicle", "person", "two-wheel", "rider"),
-        pose_threshold: float | None = None,
-    ) -> "LabelGenConfig":
-        w = np.ones(class_map.num_merged)
-        for name, value in (weights_by_name or {}).items():
-            w[class_map.index_of(name)] = value
-        static = frozenset(
-            i
-            for i, name in enumerate(class_map.class_names)
-            if name not in movable_names and i != class_map.unlabeled_index
-        )
-        return cls(w, class_map.unlabeled_index, pose_threshold, static)
+
+# merged classes whose objects can move between frames, so densification
+# imports none of their points: the SemanticKITTI merge's and the moving
+# classes of nuScenes-LidarSeg
+MOVABLE_CLASSES = frozenset({
+    "vehicle", "person", "two-wheel", "rider",
+    "car", "bus", "truck", "trailer", "const-vehicle", "motorcycle", "bicycle", "pedestrian",
+})
+
+
+def static_classes(class_map: ClassMap) -> frozenset[int]:
+    """Merged indices that densification imports from nearby frames: every
+    class but the unlabeled one and the movable ones."""
+    return frozenset(i for i, name in enumerate(class_map.class_names)
+                     if name not in MOVABLE_CLASSES and i != class_map.unlabeled_index)
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,12 @@ no channel, so the model always commits to a known class everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import occupancy as occ
 from . import pillars as pil
 from .attention import MultiAttentionFuse
-from .dataio import PointCloud
 from .errors import ConfigError, ShapeError
 from .nn import layers as L
 from .nn import tensor as T
@@ -24,17 +22,17 @@ from .nn.tensor import Tensor
 class ModelConfig:
     num_classes: int  # supervised classes = logits channels
     max_points: int
+    pfn_channels: int
+    unet_widths: tuple[int, ...]
+    lstm_hidden: int
+    fusion_hidden: int | None  # None: the input channel count
     in_channels: int = pil.AUGMENTED_CHANNELS
-    pfn_channels: int = 64
-    unet_widths: tuple[int, ...] = (64, 128, 256, 512)
     use_occupancy: bool = True
     use_ma: bool = False
     ma_order: tuple[str, ...] = ("L", "G", "P")
-    lstm_hidden: int = 32
     graph_hidden: int = 16
     feast_heads: int = 4
     fps_rate: float = 0.05
-    fusion_hidden: int | None = None
     bn_momentum: float = 0.9
 
     def __post_init__(self):
@@ -50,22 +48,18 @@ class MUNet:
     through skip concatenation; a 1x1 convolution emits the class logits."""
 
     def __init__(self, cin: int, widths: tuple[int, ...], num_classes: int,
-                 rng: np.random.Generator, bn_momentum: float = 0.9):
+                 rng: np.random.Generator, bn_momentum: float):
         self.downs: list[L.DownBlock] = []
         self.ups: list[L.UpBlock] = []
         prev = cin
         for w in widths:
-            self.downs.append(L.DownBlock(prev, w, rng))
+            self.downs.append(L.DownBlock(prev, w, rng, bn_momentum))
             prev = w
         current = widths[-1]
         out_widths = [widths[0]] + list(widths[:-1])  # up block at level j emits w_{j-1}
         for skip_w, out_w in zip(reversed(widths), reversed(out_widths)):
-            self.ups.append(L.UpBlock(current, skip_w, out_w, rng))
+            self.ups.append(L.UpBlock(current, skip_w, out_w, rng, bn_momentum))
             current = out_w
-        for block in self.downs + self.ups:
-            for conv in (block.conv1, block.conv2):
-                if conv.bn is not None:
-                    conv.bn.momentum = bn_momentum
         self.head_weight = T.parameter(
             rng.normal(0.0, np.sqrt(2.0 / widths[0]), (num_classes, widths[0], 1, 1)))
         self.head_bias = T.parameter(np.zeros(num_classes))
@@ -93,8 +87,7 @@ class MUNet:
         for i, block in enumerate(self.downs + self.ups):
             kind = f"down{i}" if i < len(self.downs) else f"up{i - len(self.downs)}"
             for cname, conv in (("conv1", block.conv1), ("conv2", block.conv2)):
-                if conv.bn is not None:
-                    yield f"{kind}.{cname}.bn", conv.bn
+                yield f"{kind}.{cname}.bn", conv.bn
 
 
 class PillarSegNet:
@@ -182,16 +175,6 @@ class PillarSegNet:
                         occ_channel: np.ndarray | None, training: bool) -> Tensor:
         """Logits (num_classes, H, W) of one frame: a chunk of one."""
         return self.forward_frames([pset], grid, [occ_channel], training)[0]
-
-    def forward_cloud(self, cloud: PointCloud, grid: pil.GridConfig,
-                      origin=(0.0, 0.0, 0.0), seed: int = 0,
-                      training: bool = False) -> Tensor:
-        """Full pipeline from a raw cloud: rasterize, augment, encode, segment."""
-        pset = pil.augment_points(pil.pillarize(cloud, grid, seed), grid)
-        occ_channel = None
-        if self.cfg.use_occupancy:
-            occ_channel = occ.observability(cloud, grid, origin).normalized()
-        return self.forward_pillars(pset, grid, occ_channel, training)
 
     # ------------------------------------------------------------------
     # parameters and buffers

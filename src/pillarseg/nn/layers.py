@@ -24,12 +24,8 @@ def collect_params(**children) -> dict[str, Tensor]:
 class Affine:
     """y = x @ W + b with shared weights over all leading axes."""
 
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator, zero_init: bool = False):
-        if zero_init:
-            w = np.zeros((cin, cout))
-        else:
-            w = rng.normal(0.0, np.sqrt(2.0 / cin), (cin, cout))
-        self.weight = T.parameter(w)
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator):
+        self.weight = T.parameter(rng.normal(0.0, np.sqrt(2.0 / cin), (cin, cout)))
         self.bias = T.parameter(np.zeros(cout))
 
     def __call__(self, x) -> Tensor:
@@ -101,34 +97,26 @@ class BiLSTM:
 
 
 class ConvBNReLU:
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator, kernel_size: int = 3,
-                 use_bn: bool = True):
-        fan_in = cin * kernel_size * kernel_size
-        self.weight = T.parameter(rng.normal(0.0, np.sqrt(2.0 / fan_in),
-                                             (cout, cin, kernel_size, kernel_size)))
+    """3x3 convolution, per-channel BatchNorm, ReLU."""
+
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator, bn_momentum: float = 0.9):
+        self.weight = T.parameter(rng.normal(0.0, np.sqrt(2.0 / (cin * 9)), (cout, cin, 3, 3)))
         self.bias = T.parameter(np.zeros(cout))
-        self.bn = BatchNorm(cout, channel_axis=0) if use_bn else None
+        self.bn = BatchNorm(cout, momentum=bn_momentum, channel_axis=0)
 
     def __call__(self, x, training: bool) -> Tensor:
-        y = T.conv2d(x, self.weight, self.bias)
-        if self.bn is not None:
-            y = self.bn(y, training)
-        return T.relu(y)
+        return T.relu(self.bn(T.conv2d(x, self.weight, self.bias), training))
 
     def params(self) -> dict[str, Tensor]:
-        out = {"weight": self.weight, "bias": self.bias}
-        if self.bn is not None:
-            out.update({f"bn.{k}": v for k, v in self.bn.params().items()})
-        return out
+        return {"weight": self.weight, "bias": self.bias, **collect_params(bn=self.bn)}
 
 
 class DownBlock:
     """Two 3x3 conv+BN+ReLU, then 2x2 max pool. Returns (skip, pooled)."""
 
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator, kernel_size: int = 3,
-                 use_bn: bool = True):
-        self.conv1 = ConvBNReLU(cin, cout, rng, kernel_size, use_bn)
-        self.conv2 = ConvBNReLU(cout, cout, rng, kernel_size, use_bn)
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator, bn_momentum: float = 0.9):
+        self.conv1 = ConvBNReLU(cin, cout, rng, bn_momentum)
+        self.conv2 = ConvBNReLU(cout, cout, rng, bn_momentum)
 
     def __call__(self, x, training: bool) -> tuple[Tensor, Tensor]:
         skip = self.conv2(self.conv1(x, training), training)
@@ -142,9 +130,9 @@ class UpBlock:
     """2x nearest upsample, skip concat, then two 3x3 conv+BN+ReLU."""
 
     def __init__(self, cin: int, skip_channels: int, cout: int, rng: np.random.Generator,
-                 kernel_size: int = 3, use_bn: bool = True):
-        self.conv1 = ConvBNReLU(cin + skip_channels, cout, rng, kernel_size, use_bn)
-        self.conv2 = ConvBNReLU(cout, cout, rng, kernel_size, use_bn)
+                 bn_momentum: float = 0.9):
+        self.conv1 = ConvBNReLU(cin + skip_channels, cout, rng, bn_momentum)
+        self.conv2 = ConvBNReLU(cout, cout, rng, bn_momentum)
 
     def __call__(self, x, skip, training: bool) -> Tensor:
         up = T.upsample2x(x)

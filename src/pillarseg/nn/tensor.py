@@ -105,9 +105,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
 
@@ -213,19 +210,6 @@ def mul(a, b) -> Tensor:
     return _record(out, backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data / b.data)
-    if not _recording(a, b):
-        return out
-
-    def backward(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _record(out, backward)
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2:
@@ -272,44 +256,6 @@ def sigmoid(x) -> Tensor:
 
     def backward(g):
         _accum(x, g * s * (1.0 - s))
-
-    return _record(out, backward)
-
-
-def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    t = np.tanh(x.data)
-    out = Tensor(t)
-    if not _recording(x):
-        return out
-
-    def backward(g):
-        _accum(x, g * (1.0 - t * t))
-
-    return _record(out, backward)
-
-
-def exp(x) -> Tensor:
-    x = as_tensor(x)
-    e = np.exp(x.data)
-    out = Tensor(e)
-    if not _recording(x):
-        return out
-
-    def backward(g):
-        _accum(x, g * e)
-
-    return _record(out, backward)
-
-
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    out = Tensor(np.log(x.data))
-    if not _recording(x):
-        return out
-
-    def backward(g):
-        _accum(x, g / x.data)
 
     return _record(out, backward)
 

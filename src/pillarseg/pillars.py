@@ -21,12 +21,12 @@ AUGMENTED_CHANNELS = 10  # x, y, z, r, dxyz to pillar mean, dxyz to cell center
 class GridConfig:
     """Crop ranges and pillar geometry of the top-view grid."""
 
-    x_range: tuple[float, float]
-    y_range: tuple[float, float]
-    z_range: tuple[float, float]
-    pillar_size: tuple[float, float, float]
-    max_points: int
-    max_pillars: int
+    x_range: tuple[float, float] = (-16.0, 16.0)
+    y_range: tuple[float, float] = (-16.0, 16.0)
+    z_range: tuple[float, float] = (-1.0, 3.0)
+    pillar_size: tuple[float, float, float] = (0.5, 0.5, 0.25)
+    max_points: int = 20
+    max_pillars: int = 4096
 
     def __post_init__(self):
         for name, (lo, hi) in (("x", self.x_range), ("y", self.y_range), ("z", self.z_range)):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,26 +51,16 @@ def frame_seed(base: int, index: int) -> int:
 
 
 def model_config(cfg: RunConfig) -> ModelConfig:
-    return ModelConfig(
-        num_classes=cfg.class_map.num_supervised,
-        max_points=cfg.grid.max_points,
-        pfn_channels=cfg.pfn_channels,
-        unet_widths=tuple(cfg.unet_widths),
-        use_occupancy=cfg.use_occupancy,
-        use_ma=cfg.use_ma,
-        ma_order=cfg.ma_order,
-        lstm_hidden=cfg.lstm_hidden,
-        graph_hidden=cfg.graph_hidden,
-        feast_heads=cfg.feast_heads,
-        fps_rate=cfg.fps_rate,
-        fusion_hidden=cfg.fusion_hidden,
-        bn_momentum=cfg.bn_momentum,
-    )
+    """The model of a run: every field that ``ModelConfig`` shares with
+    ``RunConfig`` is copied by name."""
+    shared = {f.name for f in fields(ModelConfig)} & {f.name for f in fields(RunConfig)}
+    return ModelConfig(num_classes=cfg.class_map.num_supervised, max_points=cfg.grid.max_points,
+                       **{name: getattr(cfg, name) for name in shared})
 
 
 def label_config(cfg: RunConfig) -> lab.LabelGenConfig:
-    weights = cfg.label_weights.copy()
-    return lab.LabelGenConfig(weights, cfg.class_map.unlabeled_index, cfg.pose_threshold)
+    return lab.LabelGenConfig(cfg.label_weights.copy(), cfg.class_map.unlabeled_index,
+                              cfg.pose_threshold, lab.static_classes(cfg.class_map))
 
 
 def prepare_frame(cfg: RunConfig, index: int, augment_seed: int | None = None) -> FramePack:

@@ -155,7 +155,8 @@ class TestCriterion6PFNInvariance:
         grid = pillars.GridConfig((0.0, 16.0), (0.0, 16.0), (-2.0, 2.0),
                                   (1.0, 1.0, 4.0), 12, 512)
         cfg = model.ModelConfig(num_classes=3, max_points=12, pfn_channels=16,
-                                unet_widths=(4,), use_occupancy=False)
+                                unet_widths=(4,), lstm_hidden=32, fusion_hidden=None,
+                                use_occupancy=False)
         net = model.PillarSegNet(cfg, seed=6)
         for _ in range(20):
             p = int(rng.integers(1, 6))
@@ -299,7 +300,8 @@ class TestCriterion10OccupancyAblation:
         cloud = PointCloud(xyz, rng.uniform(0, 1, 200).astype(np.float32))
         pset = pillars.augment_points(pillars.pillarize(cloud, grid, 0), grid)
 
-        cfg_kwargs = dict(num_classes=3, max_points=20, pfn_channels=64, unet_widths=(8,))
+        cfg_kwargs = dict(num_classes=3, max_points=20, pfn_channels=64, unet_widths=(8,),
+                          lstm_hidden=32, fusion_hidden=None)
         with_occ = model.PillarSegNet(model.ModelConfig(use_occupancy=True, **cfg_kwargs),
                                       seed=10)
         without = model.PillarSegNet(model.ModelConfig(use_occupancy=False, **cfg_kwargs),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pillarseg import cli, dataio, occupancy
+from pillarseg.config import load_run_config
 from pillarseg.nn import tensor as T
 
 
@@ -47,6 +48,11 @@ class TestDispatch:
 
     def test_bad_config_key_exit_1(self, tmp_path, capsys):
         assert run_cli("train", "--bogus_key", "1", "--out", str(tmp_path / "t")) == 1
+
+    def test_bad_flag_value_exit_1(self, tmp_path, capsys):
+        assert run_cli("synth", "--frames", "abc", "--out", str(tmp_path / "s")) == 1
+        assert "'frames'" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
 
     def test_missing_scan_file_exit_2(self, tmp_path):
         assert run_cli("occupancy", "--scan", str(tmp_path / "nope.bin"),
@@ -125,7 +131,7 @@ class TestRenderCommands:
         assert data.startswith(header)
         # every observed cell is visible in the render, every unobserved one is 0
         pixels = np.frombuffer(data[len(header):], dtype=np.uint8).reshape(16, 16)
-        cfg = cli._load_config(cli._split_overrides(micro_args(str(scene_file))))
+        cfg = load_run_config(None, cli._split_overrides(micro_args(str(scene_file))))
         cloud = dataio.parse_point_cloud((synth_dir / "velodyne" / "000000.bin").read_bytes())
         counts = occupancy.observability(cloud, cfg.grid).counts
         np.testing.assert_array_equal(pixels > 0, counts > 0)
@@ -152,7 +158,23 @@ class TestRenderCommands:
                        "--poses", str(synth_dir / "poses.txt"),
                        "--dense", "true", "--out", str(out))
         assert code == 0
-        assert (out / "labels_000001.raw").exists()
+        sparse = tmp_path / "sparse"
+        assert run_cli("labels", *micro_args(scene_file),
+                       "--scans", str(synth_dir / "velodyne"),
+                       "--labels", str(synth_dir / "labels"),
+                       "--out", str(sparse)) == 0
+        # frame 1 imports the static points of frame 0, two metres away
+        assert (out / "labels_000001.raw").read_bytes() != \
+            (sparse / "labels_000001.raw").read_bytes()
+
+    def test_labels_dense_flag_must_be_boolean(self, scene_file, synth_dir, tmp_path, capsys):
+        code = run_cli("labels", *micro_args(scene_file),
+                       "--scans", str(synth_dir / "velodyne"),
+                       "--labels", str(synth_dir / "labels"),
+                       "--poses", str(synth_dir / "poses.txt"),
+                       "--dense", "yes", "--out", str(tmp_path / "dense"))
+        assert code == 1
+        assert "'dense'" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

@@ -56,11 +56,39 @@ class TestFlatConfig:
         text = config.echo_config({"b": ["2"], "a": ["1", "3"]})
         assert text == "a = 1 3\nb = 2\n"
 
-    @pytest.mark.parametrize("key", ["batch_size", "train_frames", "threads"])
+    @pytest.mark.parametrize("key", ["batch_size", "train_frames", "threads", "pfn_channels",
+                                     "lstm_hidden", "graph_hidden", "feast_heads",
+                                     "fusion_hidden", "unet_widths"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_count_below_one_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be at least 1"):
             config.load_run_config(None, {key: [value]})
+
+    @pytest.mark.parametrize("key", ["seed", "epochs", "val_frames"])
+    def test_count_below_zero_rejected(self, key):
+        assert getattr(config.load_run_config(None, {key: ["0"]}), key) == 0
+        with pytest.raises(ConfigError, match=f"{key} must be at least 0"):
+            config.load_run_config(None, {key: ["-1"]})
+
+    @pytest.mark.parametrize("key, tokens", [
+        ("x_range", "0 inf"),  # OverflowError before the reader checked finiteness
+        ("pillar_size", "0.5"),  # IndexError before it checked token counts
+        ("z_range", "1 2 3"),
+        ("rotation_range", "1"),
+        ("unet_widths", "16 0"),
+        ("pfn_channels", "-3"),
+        ("learning_rate", "nan"),
+        ("noise_snr", "1e999"),
+        ("epochs", "2 3"),
+        ("classmap", "toy.map toy.map"),
+    ])
+    def test_malformed_value_rejected(self, key, tokens):
+        with pytest.raises(ConfigError, match=key):
+            config.build_run_config({key: tokens.split()})
+
+    def test_bad_weight_value_rejected(self):
+        with pytest.raises(ConfigError, match="label_weight_vehicle"):
+            config.load_run_config("toy.cfg", {"label_weight_vehicle": ["inf"]})
 
     def test_semantickitti_reference_config_parses(self):
         cfg = config.load_run_config("semantickitti.cfg")

@@ -165,7 +165,7 @@ class TestClassMap:
 class TestSyntheticFrames:
     @pytest.fixture
     def spec(self):
-        return dataio.SceneSpec(ground_extent=(-8, 8, -8, 8), num_boxes=2, num_posts=2)
+        return dataio.SceneSpec(ground=(-8, 8, -8, 8), boxes=2, posts=2)
 
     def test_deterministic(self, spec):
         cmap = toy_class_map()
@@ -182,14 +182,13 @@ class TestSyntheticFrames:
 
     def test_ground_only_single_class(self):
         cmap = toy_class_map()
-        spec = dataio.SceneSpec(ground_extent=(-4, 4, -4, 4), num_boxes=0, num_posts=0)
+        spec = dataio.SceneSpec(ground=(-4, 4, -4, 4), boxes=0, posts=0)
         _, classes = dataio.generate_synthetic_frame(0, spec, cmap)
         assert set(classes.tolist()) == {cmap.index_of("ground")}
 
     def test_empty_spec_errors(self):
         cmap = toy_class_map()
-        spec = dataio.SceneSpec(ground_extent=(-4, 4, -4, 4), ground_density=0,
-                                num_boxes=0, num_posts=0)
+        spec = dataio.SceneSpec(ground=(-4, 4, -4, 4), ground_density=0, boxes=0, posts=0)
         with pytest.raises(ConfigError):
             dataio.generate_synthetic_frame(0, spec, cmap)
 
@@ -202,6 +201,22 @@ class TestSyntheticFrames:
         posts = 1
         """
         spec = dataio.SceneSpec.parse(text)
-        assert spec.num_boxes == 3
+        assert spec.boxes == 3
         assert spec.box_size == (2.0, 4.0, 1.5)
         assert spec.ground_density == 2.0
+
+    @pytest.mark.parametrize("line", [
+        "ground = a b c d",  # ValueError before the reader
+        "ground_density =",  # IndexError
+        "box_size = 1 2",  # accepted
+        "posts = -3",  # accepted
+        "boxes = 1.5",
+        "post_radius = nan",
+        "ground_z_sigma = -1",  # ValueError when a frame is generated
+        "post_height = -1",
+        "ground = 0 0 0 0",  # no room for the boxes
+    ])
+    def test_scene_spec_malformed_rejected(self, line):
+        text = f"ground = -10 10 -10 10\n{line}\n"
+        with pytest.raises(ConfigError, match=line.split()[0]):
+            dataio.SceneSpec.parse(text)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pillarseg import losses, metrics, model, nn, pillars
+from pillarseg import losses, metrics, model, nn, occupancy, pillars
 from pillarseg.dataio import PointCloud
 from pillarseg.errors import ConfigError, ShapeError
 from pillarseg.labels import SemanticGrid
@@ -26,9 +26,19 @@ def toy_model(grid, num_classes=3, use_occupancy=True, use_ma=False, seed=0):
         num_classes=num_classes, max_points=grid.max_points,
         pfn_channels=8, unet_widths=(4, 8),
         use_occupancy=use_occupancy, use_ma=use_ma,
-        lstm_hidden=2, graph_hidden=4, feast_heads=2, fps_rate=0.3,
+        lstm_hidden=2, graph_hidden=4, feast_heads=2, fps_rate=0.3, fusion_hidden=None,
     )
     return model.PillarSegNet(cfg, seed=seed)
+
+
+def forward_cloud(net, cloud, grid, training=False):
+    """Logits of the full pipeline from a raw cloud: rasterize, augment,
+    encode, segment."""
+    pset = pillars.augment_points(pillars.pillarize(cloud, grid, 0), grid)
+    occ_channel = None
+    if net.cfg.use_occupancy:
+        occ_channel = occupancy.observability(cloud, grid).normalized()
+    return net.forward_pillars(pset, grid, occ_channel, training)
 
 
 def make_cloud(rng, n=60, cells=16):
@@ -100,14 +110,14 @@ class TestSegNetForward:
         grid = toy_grid()
         net = toy_model(grid)
         cloud = PointCloud(np.zeros((0, 3), dtype=np.float32), np.zeros(0, dtype=np.float32))
-        logits = net.forward_cloud(cloud, grid)
+        logits = forward_cloud(net, cloud, grid)
         assert logits.data.shape == (3, 16, 16)
         assert np.isfinite(logits.data).all()
 
     def test_output_channels_exclude_unlabeled(self, rng):
         grid = toy_grid()
         net = toy_model(grid, num_classes=5)
-        logits = net.forward_cloud(make_cloud(rng), grid)
+        logits = forward_cloud(net, make_cloud(rng), grid)
         assert logits.data.shape[0] == 5
 
     def test_occupancy_toggle_changes_only_unet_input(self, rng):
@@ -132,14 +142,14 @@ class TestSegNetForward:
     def test_ma_variant_runs(self, rng):
         grid = toy_grid()
         net = toy_model(grid, use_ma=True)
-        logits = net.forward_cloud(make_cloud(rng, n=40), grid)
+        logits = forward_cloud(net, make_cloud(rng, n=40), grid)
         assert np.isfinite(logits.data).all()
 
     def test_deterministic_forward(self, rng):
         grid = toy_grid()
         cloud = make_cloud(rng)
-        a = toy_model(grid, seed=5).forward_cloud(cloud, grid).data
-        b = toy_model(grid, seed=5).forward_cloud(cloud, grid).data
+        a = forward_cloud(toy_model(grid, seed=5), cloud, grid).data
+        b = forward_cloud(toy_model(grid, seed=5), cloud, grid).data
         np.testing.assert_array_equal(a, b)
 
 
@@ -163,7 +173,7 @@ class TestOracleOps:
                 net = toy_model(grid, use_ma=True, seed=3)
                 for cloud, gt in frames:
                     with T.Tape() as tape:
-                        logits = net.forward_cloud(cloud, grid, training=True)
+                        logits = forward_cloud(net, cloud, grid, training=True)
                         tape.backward(losses.seg_loss(logits, gt, loss_cfg))
                 return {k: p.grad for k, p in net.parameters().items()}
             finally:
@@ -462,7 +472,7 @@ class TestCheckpoint:
         grid = toy_grid()
         net = toy_model(grid, use_ma=True, seed=1)
         cloud = make_cloud(rng)
-        net.forward_cloud(cloud, grid, training=True)  # move BN stats off init
+        forward_cloud(net, cloud, grid, training=True)  # move BN stats off init
         path = tmp_path / "model.ckpt"
         model.save_checkpoint(path, net)
 
@@ -470,8 +480,8 @@ class TestCheckpoint:
         model.load_checkpoint(path, clone)
         for name, p in net.parameters().items():
             np.testing.assert_allclose(clone.parameters()[name].data, p.data, atol=1e-7)
-        a = net.forward_cloud(cloud, grid).data
-        b = clone.forward_cloud(cloud, grid).data
+        a = forward_cloud(net, cloud, grid).data
+        b = forward_cloud(clone, cloud, grid).data
         np.testing.assert_allclose(a, b, atol=1e-5)
 
     def test_save_is_deterministic(self, tmp_path):

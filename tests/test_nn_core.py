@@ -67,15 +67,8 @@ class TestElementwiseGrads:
         b = T.constant(rng.normal(size=(1, 4)))
         check_op(lambda x: T.tsum(T.mul(T.add(x, b), x)), rng.normal(size=(3, 4)))
 
-    def test_div(self, rng):
-        d = T.constant(rng.uniform(1.0, 2.0, (3, 3)))
-        check_op(lambda x: T.tsum(T.div(x, d)), rng.normal(size=(3, 3)))
-
-    def test_sigmoid_tanh_exp_log(self, rng):
+    def test_sigmoid_grad(self, rng):
         check_op(lambda x: T.tsum(T.sigmoid(x)), rng.normal(size=(5,)))
-        check_op(lambda x: T.tsum(T.tanh(x)), rng.normal(size=(5,)))
-        check_op(lambda x: T.tsum(T.exp(x)), rng.normal(size=(5,)) * 0.3)
-        check_op(lambda x: T.tsum(T.log(x)), rng.uniform(0.5, 2.0, (5,)))
 
     def test_relu_away_from_kink(self, rng):
         x = rng.normal(size=(8,))
@@ -524,11 +517,13 @@ class TestConv:
 
 class TestBlocks:
     def test_down_block_identity_kernel_equals_maxpool(self, rng):
-        block = nn.DownBlock(2, 2, rng, kernel_size=1, use_bn=False)
-        block.conv1.weight.data = np.eye(2).reshape(2, 2, 1, 1)
-        block.conv1.bias.data = np.zeros(2)
-        block.conv2.weight.data = np.eye(2).reshape(2, 2, 1, 1)
-        block.conv2.bias.data = np.zeros(2)
+        block = nn.DownBlock(2, 2, rng)
+        identity = np.zeros((2, 2, 3, 3))
+        identity[[0, 1], [0, 1], 1, 1] = 1.0  # each channel's centre tap
+        for conv in (block.conv1, block.conv2):
+            conv.weight.data = identity.copy()
+            conv.bias.data = np.zeros(2)
+            conv.bn.eps = 0.0  # at inference, unit running variance: the identity
         x = np.abs(rng.normal(size=(2, 4, 4))) + 0.1  # positive: ReLU transparent
         _, pooled = block(T.constant(x), training=False)
         np.testing.assert_allclose(pooled.data, T.maxpool2d(T.constant(x)).data, atol=1e-12)
@@ -568,8 +563,8 @@ class TestGradCheckHarness:
         np.testing.assert_allclose(x.grad, [2.0, 4.0], atol=1e-12)
 
     def test_non_finite_rejected(self):
-        with np.errstate(invalid="ignore"), pytest.raises(VerificationError):
-            nn.grad_check(lambda x: T.tsum(T.log(x)), np.array([-1.0]))
+        with pytest.raises(VerificationError):
+            nn.grad_check(lambda x: T.tsum(T.add(x, T.constant(np.nan))), np.array([-1.0]))
 
     def test_kink_margin_reports_relu_distance(self):
         margin = nn.kink_margin(lambda x: T.tsum(T.relu(x)), np.array([0.3, -0.7]))

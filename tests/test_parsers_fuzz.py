@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pillarseg import config, container, dataio
+from pillarseg import config, container, dataio, train
 from pillarseg.errors import PillarSegError
+from pillarseg.model import PillarSegNet
 
 
 def parse_or_none(parse, *args):
@@ -99,6 +100,41 @@ class TestFlatConfig:
         values = parse_or_none(config.parse_flat, text)
         if values is not None:
             assert all(isinstance(tokens, list) for tokens in values.values())
+
+
+VALUE_TOKENS = ["", "nan", "inf", "1e999", "-1", "0", "yes"]
+
+
+@st.composite
+def mutated_entries(draw, text):
+    """The entries of flat `text` with the tokens of one or two keys replaced:
+    by tokens of the pool above, or by the key's own tokens one short or one
+    over."""
+    values = config.parse_flat(text)
+    for key in draw(st.lists(st.sampled_from(sorted(values)), min_size=1, max_size=2,
+                             unique=True)):
+        tokens = values[key]
+        values[key] = draw(st.lists(st.sampled_from(VALUE_TOKENS), max_size=3)
+                           | st.just(tokens[:-1]) | st.just(tokens + tokens[:1]))
+    return values
+
+
+class TestRunConfigValues:
+    @given(mutated_entries(config.packaged_text("toy.cfg")))
+    def test_config_builds_its_model_or_raises_typed_error(self, values):
+        cfg = parse_or_none(config.build_run_config, values)
+        if cfg is not None:
+            PillarSegNet(train.model_config(cfg), seed=cfg.seed)
+
+
+class TestSceneSpecValues:
+    @given(mutated_entries(config.packaged_text("toy_scene.txt")))
+    def test_scene_generates_or_raises_typed_error(self, values):
+        text = "\n".join(f"{key} = {' '.join(tokens)}" for key, tokens in values.items())
+        spec = parse_or_none(dataio.SceneSpec.parse, text)
+        if spec is not None:
+            class_map = dataio.ClassMap.parse(config.packaged_text("toy.map"))
+            parse_or_none(dataio.generate_synthetic_frame, 0, spec, class_map)
 
 
 @pytest.fixture(scope="module")
