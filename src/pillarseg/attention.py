@@ -5,7 +5,8 @@ Three mechanisms produce per-pillar weights in (0, 1):
 * DR-LSTM attention: pillars ordered by a 1D principal-component embedding of
   their cell positions, run through a bidirectional LSTM, then a sigmoid head.
 * Key-node graph attention: farthest-point-selected key pillars feed every
-  node through feature-steered graph convolutions in an encoder/decoder stack.
+  node through feature-steered graph convolutions over that one key set, in
+  an encoder/decoder stack.
 * Pillar attention: channel-reducing then point-reducing shared affines over
   the (P, N, C) tensor.
 
@@ -124,49 +125,15 @@ class FeaStParams:
                 "offsets": self.offsets, "bias": self.bias}
 
 
-def feast_conv(x, neighbors, p: FeaStParams) -> Tensor:
-    """Feature-steered graph convolution.
-
-    ``y_i = b + sum_m (1/|N_i|) sum_{j in N_i} p_m(x_i, x_j) W_m x_j`` where
-    ``p_m`` is the softmax over heads of ``u_m . (x_j - x_i) + c_m``, so the
-    head coefficients sum to one exactly.
-    """
-    x = T.as_tensor(x)
-    v = x.data.shape[0]
-    dst_list = []
-    src_list = []
-    for i, n_i in enumerate(neighbors):
-        if len(n_i) == 0:
-            raise ShapeError(f"empty neighborhood for node {i}")
-        dst_list.append(np.full(len(n_i), i, dtype=np.int64))
-        src_list.append(np.asarray(n_i, dtype=np.int64))
-    dst = np.concatenate(dst_list)
-    src = np.concatenate(src_list)
-    degree = np.bincount(dst, minlength=v).astype(np.float64)
-
-    xj = T.gather_rows(x, src)
-    xi = T.gather_rows(x, dst)
-    diff = T.sub(xj, xi)
-    scores = T.matmul(diff, T.transpose(p.steering, (1, 0))) + p.offsets  # (E, M)
-    coeff = T.softmax(scores, axis=1)
-
-    per_edge = None
-    for m in range(p.heads):
-        w_m = T.reshape(T.narrow(p.weights, 0, m, 1), p.weights.data.shape[1:])
-        contrib = T.mul(T.narrow(coeff, 1, m, 1), T.matmul(xj, w_m))
-        per_edge = contrib if per_edge is None else T.add(per_edge, contrib)
-    summed = T.segment_sum(per_edge, dst, v)
-    inv_degree = T.constant((1.0 / degree).reshape(v, 1))
-    return T.mul(summed, inv_degree) + p.bias
-
-
 def feast_conv_shared(x, key_idx: np.ndarray, p: FeaStParams) -> Tensor:
-    """:func:`feast_conv` specialized for the fully connected bipartite pattern
-    where every node aggregates from one shared key set.
+    """Feature-steered graph convolution in which every node aggregates from
+    one shared key set K.
 
-    The head softmax factorizes as ``softmax_m(s_key[j, m] - s_node[i, m])``
-    and the aggregation becomes a dense (V, k) @ (k, out) product per head;
-    equality with the edge-list form is covered by tests.
+    ``y_i = b + sum_m (1/|K|) sum_{j in K} p_m(x_i, x_j) W_m x_j`` where
+    ``p_m`` is the softmax over heads of ``u_m . (x_j - x_i) + c_m``, so the
+    head coefficients sum to one exactly. The score splits as
+    ``(u_m . x_j + c_m) - u_m . x_i``, and the aggregation is a dense
+    (V, k) @ (k, out) product per head.
     """
     x = T.as_tensor(x)
     v = x.data.shape[0]
@@ -294,9 +261,9 @@ class MultiAttentionFuse:
 
     ORDERS = ("L", "G", "P")
 
-    def __init__(self, channels: int, max_points: int, rng: np.random.Generator,
-                 lstm_hidden: int = 16, graph_hidden: int = 16, heads: int = 4,
-                 fps_rate: float = 0.05, fusion_hidden: int | None = None,
+    def __init__(self, channels: int, max_points: int, rng: np.random.Generator, *,
+                 fusion_hidden: int, lstm_hidden: int = 16, graph_hidden: int = 16,
+                 heads: int = 4, fps_rate: float = 0.05,
                  order: tuple[str, ...] = ("L", "G", "P")):
         if sorted(order) != sorted(self.ORDERS):
             raise ConfigError(f"attention order must permute {self.ORDERS}, got {order}")
@@ -304,9 +271,8 @@ class MultiAttentionFuse:
         self.lstm_attn = DRLSTMAttention(channels, lstm_hidden, rng)
         self.graph_attn = GraphAttention(channels, graph_hidden, heads, rng, fps_rate)
         self.pillar_attn = PillarAttention(channels, max_points, rng)
-        mid = fusion_hidden or channels
-        self.fuse1 = L.Affine(2 * channels, mid, rng)
-        self.fuse2 = L.Affine(mid, channels, rng)
+        self.fuse1 = L.Affine(2 * channels, fusion_hidden, rng)
+        self.fuse2 = L.Affine(fusion_hidden, channels, rng)
 
     def __call__(self, aug_feats, masks, positions, centers
                  ) -> tuple[list[Tensor], list[dict[str, AttentionMap]]]:

@@ -127,7 +127,6 @@ def _load_frames(scans: Path, labels_dir: Path | None, poses_path: Path | None,
             raw = dataio.parse_labels(label_path.read_bytes())
             if len(raw) != len(cloud):
                 raise FormatError(f"{label_path}: {len(raw)} labels for {len(cloud)} points")
-            cloud = cloud.with_raw_class(raw)
             classes = class_map.remap(raw).astype(np.int64)
         frames.append(dataio.Frame(cloud, classes, poses[i] if poses else None))
     return frames

@@ -103,6 +103,15 @@ class RunConfig:
             raise ConfigError(f"ma_order must be a permutation of L G P, got {self.ma_order}")
         if self.noise_snr is not None and self.noise_snr <= 0:
             raise ConfigError("noise_snr must be positive")
+        for key, ok, bounds in (
+                ("learning_rate", self.learning_rate > 0, "> 0"),
+                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
+                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
+                ("weight_decay", self.weight_decay >= 0, ">= 0"),
+                ("bn_momentum", 0 <= self.bn_momentum <= 1, "in [0, 1]"),
+                ("fps_rate", 0 < self.fps_rate <= 1, "in (0, 1]")):
+            if not ok:
+                raise ConfigError(f"{key} must be {bounds}, got {getattr(self, key)}")
         names = self.class_map.class_names
         self.label_weights, self.loss_weights = np.ones(len(names)), np.ones(len(names))
         for key, tokens in self.raw.items():

@@ -27,25 +27,19 @@ UNLABELED_NAME = "unlabeled"
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered point samples: float32 ``xyz`` (N, 3), reflectance (N,), optional raw class ids."""
+    """Ordered point samples: float32 ``xyz`` (N, 3) and reflectance (N,)."""
 
     xyz: np.ndarray
     reflectance: np.ndarray
-    raw_class: np.ndarray | None = None
 
     def __post_init__(self):
         if self.xyz.ndim != 2 or self.xyz.shape[1] != 3:
             raise FormatError(f"xyz must be (N, 3), got {self.xyz.shape}")
         if self.reflectance.shape != (len(self.xyz),):
             raise FormatError("reflectance length does not match point count")
-        if self.raw_class is not None and self.raw_class.shape != (len(self.xyz),):
-            raise FormatError("raw_class must have exactly one entry per point")
 
     def __len__(self) -> int:
         return len(self.xyz)
-
-    def with_raw_class(self, raw_class: np.ndarray) -> "PointCloud":
-        return PointCloud(self.xyz, self.reflectance, np.asarray(raw_class, dtype=np.uint16))
 
 
 @dataclass(frozen=True)
@@ -193,6 +187,8 @@ class ClassMap:
         return [i for i in range(self.num_merged) if i != self.unlabeled_index]
 
     def index_of(self, name: str) -> int:
+        if name not in self.class_names:
+            raise ConfigError(f"class {name!r} is not a class of the class map")
         return self.class_names.index(name)
 
     def remap(self, raw_ids) -> np.ndarray:

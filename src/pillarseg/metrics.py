@@ -1,5 +1,5 @@
-"""Evaluation metrics: per-class IoU / mIoU on visible labeled cells, and
-ranked-list average precision."""
+"""Evaluation metrics: dataset-level per-class IoU / mIoU, accumulated frame
+by frame over visible labeled cells, and ranked-list average precision."""
 
 from __future__ import annotations
 
@@ -55,21 +55,6 @@ class IoUAccumulator:
         defined = per_class[np.isfinite(per_class)]
         miou = float(defined.mean()) if defined.size else float("nan")
         return IoUResult(per_class, miou, int(self.confusion.sum()))
-
-
-def iou(pred: np.ndarray, gt: np.ndarray, visible: np.ndarray,
-        supervised_indices: list[int], unlabeled_index: int) -> IoUResult:
-    """Intersection over union per class of one frame, restricted to cells
-    that are both visible and labeled in the ground truth (see
-    :class:`IoUAccumulator`)."""
-    acc = IoUAccumulator(supervised_indices, unlabeled_index)
-    acc.add(pred, gt, visible)
-    result = acc.result()
-    if result.evaluated_cells == 0:
-        raise ConfigError("no visible labeled cells to evaluate")
-    if not np.isfinite(result.miou):
-        raise ConfigError("no class has a defined IoU")
-    return result
 
 
 def average_precision(matches, num_gt: int) -> float:

@@ -25,8 +25,7 @@ class ModelConfig:
     pfn_channels: int
     unet_widths: tuple[int, ...]
     lstm_hidden: int
-    fusion_hidden: int | None  # None: the input channel count
-    in_channels: int = pil.AUGMENTED_CHANNELS
+    fusion_hidden: int
     use_occupancy: bool = True
     use_ma: bool = False
     ma_order: tuple[str, ...] = ("L", "G", "P")
@@ -100,12 +99,12 @@ class PillarSegNet:
         self.ma = None
         if cfg.use_ma:
             self.ma = MultiAttentionFuse(
-                cfg.in_channels, cfg.max_points, rngs[0],
+                pil.AUGMENTED_CHANNELS, cfg.max_points, rngs[0],
                 lstm_hidden=cfg.lstm_hidden, graph_hidden=cfg.graph_hidden,
                 heads=cfg.feast_heads, fps_rate=cfg.fps_rate,
                 fusion_hidden=cfg.fusion_hidden, order=cfg.ma_order,
             )
-        self.pfn_affine = L.Affine(cfg.in_channels, cfg.pfn_channels, rngs[1])
+        self.pfn_affine = L.Affine(pil.AUGMENTED_CHANNELS, cfg.pfn_channels, rngs[1])
         self.pfn_bn = L.BatchNorm(cfg.pfn_channels, momentum=cfg.bn_momentum)
         unet_in = cfg.pfn_channels + (1 if cfg.use_occupancy else 0)
         self.unet = MUNet(unet_in, cfg.unet_widths, cfg.num_classes, rngs[2],

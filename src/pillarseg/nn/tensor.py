@@ -260,10 +260,6 @@ def sigmoid(x) -> Tensor:
     return _record(out, backward)
 
 
-def square(x) -> Tensor:
-    return mul(x, x)
-
-
 # ---------------------------------------------------------------------------
 # reductions and normalizations
 # ---------------------------------------------------------------------------
@@ -281,30 +277,6 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
             return
         gg = g if keepdims else np.expand_dims(g, axis)
         _accum(x, np.broadcast_to(gg, x.data.shape).copy())
-
-    return _record(out, backward)
-
-
-def tmax(x, axis: int, keepdims: bool = False) -> Tensor:
-    """Max over one axis; gradient flows to the first maximum along the axis."""
-    x = as_tensor(x)
-    idx = np.argmax(x.data, axis=axis)
-    out_data = np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis)
-    tape = active_tape()
-    if tape is not None and tape.track_kinks and x.data.shape[axis] > 1:
-        part = np.partition(x.data, -2, axis=axis)
-        top1 = part.take(-1, axis=axis)
-        top2 = part.take(-2, axis=axis)
-        tape.kink_margins.append(float((top1 - top2).min()))
-    out = Tensor(out_data if keepdims else out_data.squeeze(axis))
-    if not _recording(x):
-        return out
-
-    def backward(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, np.expand_dims(idx, axis), gg, axis=axis)
-        _accum(x, gx)
 
     return _record(out, backward)
 
@@ -444,22 +416,6 @@ def gather_rows(x, idx) -> Tensor:
         gx = np.zeros_like(x.data)
         _scatter_add_rows(gx, idx, g)
         _accum(x, gx)
-
-    return _record(out, backward)
-
-
-def segment_sum(x, segments, num_segments: int) -> Tensor:
-    """Sum rows of `x` into `num_segments` buckets given per-row segment ids."""
-    x = as_tensor(x)
-    segments = np.asarray(segments, dtype=np.int64)
-    data = np.zeros((num_segments,) + x.data.shape[1:], dtype=x.data.dtype)
-    _scatter_add_rows(data, segments, x.data)
-    out = Tensor(data)
-    if not _recording(x):
-        return out
-
-    def backward(g):
-        _accum(x, g[segments])
 
     return _record(out, backward)
 

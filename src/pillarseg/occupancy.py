@@ -57,7 +57,6 @@ class ObservabilityMap:
     """Dense per-cell ray-pass counts on the top-view grid."""
 
     counts: np.ndarray  # (H, W) int64
-    origin_cell: tuple[int, int]
 
     def normalized(self) -> np.ndarray:
         """log(1 + count) scaled by the frame maximum, in [0, 1]."""
@@ -228,8 +227,7 @@ def observability(cloud: PointCloud, cfg: GridConfig, origin=(0.0, 0.0, 0.0)) ->
     endpoints = cloud.xyz[crop_mask(cloud.xyz, cfg)][:, :2].astype(np.float64)
     flat = _traverse(o, endpoints, lat)
     counts = np.bincount(flat, minlength=cfg.height * cfg.width).reshape(cfg.height, cfg.width)
-    ocol, orow = _cells((o - lat.lo) / lat.size, lat).tolist()
-    return ObservabilityMap(counts, (orow, ocol))
+    return ObservabilityMap(counts)
 
 
 def visibility(cloud: PointCloud, cfg: GridConfig, origin=(0.0, 0.0, 0.0)) -> VoxelStateGrid:
@@ -247,8 +245,7 @@ def visibility(cloud: PointCloud, cfg: GridConfig, origin=(0.0, 0.0, 0.0)) -> Vo
 def inject_noise(cloud: PointCloud, snr: float, seed: int, cfg: GridConfig) -> PointCloud:
     """Append floor(N / snr) uniform noise points inside the crop volume.
 
-    Noise reflectance is uniform in [0, 1]; when the cloud carries raw class
-    ids the noise points get raw id 0 (unlabeled). Original points unchanged.
+    Noise reflectance is uniform in [0, 1]. Original points unchanged.
     """
     if snr <= 0:
         raise ConfigError(f"snr must be positive, got {snr}")
@@ -260,9 +257,4 @@ def inject_noise(cloud: PointCloud, snr: float, seed: int, cfg: GridConfig) -> P
     for axis, (a, b) in enumerate((cfg.x_range, cfg.y_range, cfg.z_range)):
         xyz[:, axis] = rng.uniform(a, b, n_noise)
     refl = rng.uniform(0.0, 1.0, n_noise).astype(np.float32)
-    new_xyz = np.vstack([cloud.xyz, xyz])
-    new_refl = np.concatenate([cloud.reflectance, refl])
-    if cloud.raw_class is not None:
-        new_raw = np.concatenate([cloud.raw_class, np.zeros(n_noise, dtype=np.uint16)])
-        return PointCloud(new_xyz, new_refl, new_raw)
-    return PointCloud(new_xyz, new_refl)
+    return PointCloud(np.vstack([cloud.xyz, xyz]), np.concatenate([cloud.reflectance, refl]))

@@ -42,7 +42,7 @@ class TrainResult:
     model: PillarSegNet
     log_lines: list[str]
     report: dict[str, str]
-    final_iou: IoUResult | None
+    final_iou: IoUResult
     history: list[dict[str, float]] = field(default_factory=list)
 
 
@@ -153,7 +153,7 @@ def train_toy(cfg: RunConfig, progress=None) -> TrainResult:
     """Adam training of the segmentation loss over synthetic frames.
 
     Deterministic for a fixed config and seed. Raises
-    :class:`DivergenceError` on a non-finite loss.
+    :class:`DivergenceError` on a non-finite training or validation loss.
     """
     with model_dtype(cfg):
         return _train_toy_inner(cfg, progress)
@@ -177,7 +177,6 @@ def _train_toy_inner(cfg: RunConfig, progress) -> TrainResult:
     history: list[dict[str, float]] = []
     report: dict[str, str] = {"epochs": str(cfg.epochs)}
     step = 0
-    final_iou: IoUResult | None = None
 
     def emit(line: str):
         log_lines.append(line)
@@ -222,6 +221,8 @@ def _train_toy_inner(cfg: RunConfig, progress) -> TrainResult:
         epoch_loss /= len(perm)
 
         val_loss, final_iou = evaluate(cfg, net, val_packs, val_idx)
+        if not math.isfinite(val_loss):  # a divergence on the epoch's last step
+            raise DivergenceError(step, f"non-finite validation loss after epoch {epoch}")
         emit(f"epoch {epoch} train_loss {epoch_loss:.10g} val_loss {val_loss:.10g} "
              f"val_miou {final_iou.miou:.10g}")
         history.append({"epoch": epoch, "train_loss": epoch_loss,
@@ -230,8 +231,6 @@ def _train_toy_inner(cfg: RunConfig, progress) -> TrainResult:
         report[f"epoch.{epoch}.val_loss"] = repr(val_loss)
         report[f"epoch.{epoch}.val_miou"] = repr(final_iou.miou)
 
-    if final_iou is None:
-        val_loss, final_iou = evaluate(cfg, net, val_packs, val_idx)
     report["final.miou"] = repr(final_iou.miou)
     for k, v in final_iou.defined().items():
         report[f"final.iou.{cfg.class_map.class_names[k]}"] = repr(v)

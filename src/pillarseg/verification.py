@@ -92,8 +92,8 @@ def check_conv_block_up() -> float:
 def check_feast_conv() -> float:
     rng = _rng(5)
     params = att.FeaStParams.create(3, 2, 3, rng)
-    neighbors = [[1, 2], [0, 3], [0], [2, 1]]
-    return grad_check(lambda x: T.tsum(att.feast_conv(x, neighbors, params)),
+    keys = np.array([0, 2])
+    return grad_check(lambda x: T.tsum(att.feast_conv_shared(x, keys, params)),
                       rng.normal(size=(4, 3)))
 
 
@@ -136,8 +136,8 @@ def check_graph_attention() -> float:
 
 def check_ma_fuse() -> float:
     rng = _rng(9)
-    fuse = att.MultiAttentionFuse(3, 2, rng, lstm_hidden=2, graph_hidden=4, heads=2,
-                                  fps_rate=0.4)
+    fuse = att.MultiAttentionFuse(3, 2, rng, fusion_hidden=3, lstm_hidden=2, graph_hidden=4,
+                                  heads=2, fps_rate=0.4)
     mask = np.ones((4, 2), dtype=bool)
     pos = rng.normal(size=(4, 2))
     centers = rng.normal(size=(4, 3))
@@ -162,7 +162,7 @@ def check_full_model() -> float:
     occ_norm = occupancy.observability(cloud, grid).normalized()
     net = PillarSegNet(
         ModelConfig(num_classes=3, max_points=4, pfn_channels=6, unet_widths=(4, 8),
-                    lstm_hidden=32, fusion_hidden=None, use_occupancy=True), seed=0)
+                    lstm_hidden=32, fusion_hidden=10, use_occupancy=True), seed=0)
     gt = lab.SemanticGrid(rng.integers(0, 4, (16, 16)).astype(np.int16), 0)
     loss_cfg = losses.SegLossConfig(np.ones(4), 0)
 
@@ -184,7 +184,7 @@ SUITE = [
     ("bilstm_ragged", check_bilstm_ragged),
     ("conv_block_down", check_conv_block_down),
     ("conv_block_up", check_conv_block_up),
-    ("feast_conv", check_feast_conv),
+    ("feast_conv_shared", check_feast_conv),
     ("pillar_attention", check_pillar_attention),
     ("dr_lstm_attention", check_dr_lstm_attention),
     ("graph_attention", check_graph_attention),

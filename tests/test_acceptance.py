@@ -121,28 +121,27 @@ class TestCriterion5FeaStOracle:
             m = int(rng.integers(1, 5))
             cin, cout = int(rng.integers(2, 6)), int(rng.integers(1, 5))
             x = rng.normal(size=(v, cin))
-            neighbors = [sorted(rng.choice(v, size=rng.integers(1, v + 1), replace=False))
-                         for _ in range(v)]
+            keys = np.sort(rng.choice(v, size=rng.integers(1, v + 1), replace=False))
             params = A.FeaStParams(
                 weights=T.parameter(rng.normal(size=(m, cin, cout))),
                 steering=T.parameter(rng.normal(size=(m, cin))),
                 offsets=T.parameter(rng.normal(size=m)),
                 bias=T.parameter(rng.normal(size=cout)),
             )
-            got = A.feast_conv(T.constant(x), neighbors, params).data
+            got = A.feast_conv_shared(T.constant(x), keys, params).data
 
             out = np.zeros((v, cout))
             for i in range(v):
                 acc = params.bias.data.copy()
                 coeff_sums = []
-                for j in neighbors[i]:
+                for j in keys:
                     logits = np.array([params.steering.data[h] @ (x[j] - x[i])
                                        + params.offsets.data[h] for h in range(m)])
                     e = np.exp(logits - logits.max())
                     p_h = e / e.sum()
                     coeff_sums.append(p_h.sum())
                     for h in range(m):
-                        acc = acc + (p_h[h] * (params.weights.data[h].T @ x[j])) / len(neighbors[i])
+                        acc = acc + (p_h[h] * (params.weights.data[h].T @ x[j])) / len(keys)
                 out[i] = acc
                 np.testing.assert_allclose(coeff_sums, 1.0, atol=1e-12)
             np.testing.assert_allclose(got, out, atol=1e-12)
@@ -155,7 +154,7 @@ class TestCriterion6PFNInvariance:
         grid = pillars.GridConfig((0.0, 16.0), (0.0, 16.0), (-2.0, 2.0),
                                   (1.0, 1.0, 4.0), 12, 512)
         cfg = model.ModelConfig(num_classes=3, max_points=12, pfn_channels=16,
-                                unet_widths=(4,), lstm_hidden=32, fusion_hidden=None,
+                                unet_widths=(4,), lstm_hidden=32, fusion_hidden=10,
                                 use_occupancy=False)
         net = model.PillarSegNet(cfg, seed=6)
         for _ in range(20):
@@ -239,7 +238,9 @@ class TestCriterion8MetricOracles:
             if not mask.any():
                 continue
             checked += 1
-            res = metrics.iou(pred, gt, visible, [1, 2, 3], 0)
+            acc = metrics.IoUAccumulator([1, 2, 3], 0)
+            acc.add(pred, gt, visible)
+            res = acc.result()
             for k in (1, 2, 3):
                 tp = int(np.sum((pred == k) & (gt == k) & mask))
                 fp = int(np.sum((pred == k) & (gt != k) & mask))
@@ -301,7 +302,7 @@ class TestCriterion10OccupancyAblation:
         pset = pillars.augment_points(pillars.pillarize(cloud, grid, 0), grid)
 
         cfg_kwargs = dict(num_classes=3, max_points=20, pfn_channels=64, unet_widths=(8,),
-                          lstm_hidden=32, fusion_hidden=None)
+                          lstm_hidden=32, fusion_hidden=10)
         with_occ = model.PillarSegNet(model.ModelConfig(use_occupancy=True, **cfg_kwargs),
                                       seed=10)
         without = model.PillarSegNet(model.ModelConfig(use_occupancy=False, **cfg_kwargs),

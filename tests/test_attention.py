@@ -87,19 +87,20 @@ class TestFPS:
         assert len(A.fps(feats, 1.0)) == 40
 
 
-def feast_scalar_oracle(x, neighbors, weights, steering, offsets, bias):
-    """Direct scalar-loop evaluation of the feature-steered convolution."""
+def feast_scalar_oracle(x, keys, weights, steering, offsets, bias):
+    """Direct scalar-loop evaluation of the feature-steered convolution in
+    which every node aggregates from the key set."""
     v = x.shape[0]
     m, cin, cout = weights.shape
     out = np.zeros((v, cout))
     for i in range(v):
         acc = bias.copy()
-        for j in neighbors[i]:
+        for j in keys:
             logits = np.array([steering[h] @ (x[j] - x[i]) + offsets[h] for h in range(m)])
             e = np.exp(logits - logits.max())
             p = e / e.sum()
             for h in range(m):
-                acc = acc + (p[h] * (weights[h].T @ x[j])) / len(neighbors[i])
+                acc = acc + (p[h] * (weights[h].T @ x[j])) / len(keys)
         out[i] = acc
     return out
 
@@ -117,10 +118,10 @@ class TestFeaStConv:
     def test_single_head_is_mean_aggregation(self, rng):
         p = make_feast(3, 2, 1, rng)
         x = rng.normal(size=(4, 3))
-        neighbors = [[1, 2], [0], [0, 1, 3], [2]]
-        out = A.feast_conv(T.constant(x), neighbors, p).data
-        for i, n_i in enumerate(neighbors):
-            expected = p.bias.data + np.mean([p.weights.data[0].T @ x[j] for j in n_i], axis=0)
+        keys = np.array([0, 1, 3])
+        out = A.feast_conv_shared(T.constant(x), keys, p).data
+        expected = p.bias.data + np.mean([p.weights.data[0].T @ x[j] for j in keys], axis=0)
+        for i in range(4):
             np.testing.assert_allclose(out[i], expected, atol=1e-12)
 
     def test_uniform_heads_when_steering_zero(self, rng):
@@ -128,7 +129,7 @@ class TestFeaStConv:
         p.steering.data[:] = 0.0
         p.offsets.data[:] = 1.7
         x = rng.normal(size=(3, 3))
-        out = A.feast_conv(T.constant(x), [[0, 1, 2]] * 3, p).data
+        out = A.feast_conv_shared(T.constant(x), np.arange(3), p).data
         mean_w = p.weights.data.mean(axis=0)
         for i in range(3):
             expected = p.bias.data + np.mean([mean_w.T @ x[j] for j in range(3)], axis=0)
@@ -140,11 +141,10 @@ class TestFeaStConv:
             m = int(rng.integers(1, 4))
             cin, cout = int(rng.integers(2, 5)), int(rng.integers(1, 4))
             x = rng.normal(size=(v, cin))
-            neighbors = [sorted(rng.choice(v, size=rng.integers(1, v + 1), replace=False))
-                         for _ in range(v)]
+            keys = np.sort(rng.choice(v, size=rng.integers(1, v + 1), replace=False))
             p = make_feast(cin, cout, m, rng)
-            out = A.feast_conv(T.constant(x), neighbors, p).data
-            oracle = feast_scalar_oracle(x, neighbors, p.weights.data, p.steering.data,
+            out = A.feast_conv_shared(T.constant(x), keys, p).data
+            oracle = feast_scalar_oracle(x, keys, p.weights.data, p.steering.data,
                                          p.offsets.data, p.bias.data)
             np.testing.assert_allclose(out, oracle, atol=1e-12)
 
@@ -157,22 +157,13 @@ class TestFeaStConv:
         coeff = e / e.sum(axis=2, keepdims=True)
         np.testing.assert_allclose(coeff.sum(axis=2), 1.0, atol=1e-12)
 
-    def test_empty_neighborhood_names_node(self, rng):
+    def test_empty_key_set_rejected(self, rng):
         p = make_feast(2, 2, 1, rng)
         from pillarseg.errors import ShapeError
 
-        with pytest.raises(ShapeError, match="node 1"):
-            A.feast_conv(T.constant(rng.normal(size=(2, 2))), [[0], []], p)
-
-    def test_shared_key_form_matches_edge_list_form(self, rng):
-        for _ in range(10):
-            v = int(rng.integers(2, 12))
-            keys = np.sort(rng.choice(v, size=rng.integers(1, v + 1), replace=False))
-            p = make_feast(3, 4, int(rng.integers(1, 4)), rng)
-            x = rng.normal(size=(v, 3))
-            generic = A.feast_conv(T.constant(x), [keys] * v, p).data
-            shared = A.feast_conv_shared(T.constant(x), keys, p).data
-            np.testing.assert_allclose(shared, generic, atol=1e-12)
+        with pytest.raises(ShapeError, match="empty key set"):
+            A.feast_conv_shared(T.constant(rng.normal(size=(2, 2))),
+                                np.zeros(0, dtype=np.int64), p)
 
     def test_shared_key_gradients(self, rng):
         keys = np.array([0, 2])
@@ -182,16 +173,16 @@ class TestFeaStConv:
 
     def test_gradients(self, rng):
         x0 = rng.normal(size=(4, 3))
-        neighbors = [[1, 2], [0, 3], [0], [2, 1]]
+        keys = np.array([1, 2, 3])
         p = make_feast(3, 2, 2, rng)
-        assert nn.grad_check(lambda x: T.tsum(A.feast_conv(x, neighbors, p)), x0) < 1e-7
+        assert nn.grad_check(lambda x: T.tsum(A.feast_conv_shared(x, keys, p)), x0) < 1e-7
 
         x = T.constant(x0)
 
         def f_w(w):
             saved = p.weights
             p.weights = w
-            out = T.tsum(A.feast_conv(x, neighbors, p))
+            out = T.tsum(A.feast_conv_shared(x, keys, p))
             p.weights = saved
             return out
 
@@ -312,8 +303,9 @@ def fuse_one(fuse, feats, mask, pos, centers):
 
 class TestMultiAttentionFuse:
     def make(self, rng, order=("L", "G", "P"), channels=4, max_points=3):
-        return A.MultiAttentionFuse(channels, max_points, rng, lstm_hidden=2,
-                                    graph_hidden=4, heads=2, fps_rate=0.3, order=order)
+        return A.MultiAttentionFuse(channels, max_points, rng, fusion_hidden=channels,
+                                    lstm_hidden=2, graph_hidden=4, heads=2, fps_rate=0.3,
+                                    order=order)
 
     def test_zero_parameters_scale_by_eighth(self, rng):
         fuse = self.make(rng)

@@ -54,6 +54,19 @@ class TestDispatch:
         assert "'frames'" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    def test_out_of_range_value_exit_1(self, scene_file, tmp_path, capsys):
+        assert run_cli("train", *micro_args(scene_file), "--beta1", "1",
+                       "--out", str(tmp_path / "t")) == 1
+        assert "config error: beta1" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    def test_scene_class_missing_from_class_map_exit_1(self, tmp_path, capsys):
+        scene = tmp_path / "scene.txt"
+        scene.write_text("ground = -3 3 -3 3\nbox_class = truck\n")
+        assert run_cli("synth", "--config", "toy.cfg", "--scene", str(scene), "--frames", "1",
+                       "--out", str(tmp_path / "s")) == 1
+        assert "config error: class 'truck'" in capsys.readouterr().err
+
     def test_missing_scan_file_exit_2(self, tmp_path):
         assert run_cli("occupancy", "--scan", str(tmp_path / "nope.bin"),
                        "--out", str(tmp_path / "o")) == 2
@@ -167,6 +180,15 @@ class TestRenderCommands:
         assert (out / "labels_000001.raw").read_bytes() != \
             (sparse / "labels_000001.raw").read_bytes()
 
+    @pytest.mark.parametrize("command", ["labels", "ingest"])
+    def test_real_scans_under_non_toy_class_map(self, command, synth_dir, tmp_path):
+        # no scene is named, so the default toy scene's classes must not matter
+        code = run_cli(command, *MICRO, "--classmap", "nuscenes_16.map",
+                       "--scans", str(synth_dir / "velodyne"),
+                       "--labels", str(synth_dir / "labels"),
+                       "--out", str(tmp_path / command))
+        assert code == 0
+
     def test_labels_dense_flag_must_be_boolean(self, scene_file, synth_dir, tmp_path, capsys):
         code = run_cli("labels", *micro_args(scene_file),
                        "--scans", str(synth_dir / "velodyne"),
@@ -205,6 +227,18 @@ class TestTrainEval:
         assert len(preds) == 2
         ppm = next(eval_out.glob("pred_*.ppm")).read_bytes()
         assert ppm.startswith(b"P6\n16 16\n255\n")
+
+    # the run overflows float32 on purpose, from one Adam step at learning rate 1e6
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_validation_loss_exit_2(self, scene_file, tmp_path, capsys):
+        # every training loss is finite; only the validation after the
+        # epoch's last step sees the divergence
+        out = tmp_path / "run"
+        assert run_cli("train", *micro_args(scene_file, "--train_frames", "2",
+                                            "--val_frames", "1", "--learning_rate", "1e6"),
+                       "--out", str(out)) == 2
+        assert "non-finite validation loss after epoch 1" in capsys.readouterr().err
+        assert not (out / "model.ckpt").exists()
 
     def test_eval_runs_in_configured_dtype(self, scene_file, tmp_path, monkeypatch):
         out = tmp_path / "run"

@@ -86,6 +86,22 @@ class TestFlatConfig:
         with pytest.raises(ConfigError, match=key):
             config.build_run_config({key: tokens.split()})
 
+    @pytest.mark.parametrize("key, value", [
+        ("learning_rate", "0"), ("learning_rate", "-1"),
+        ("beta1", "1"), ("beta1", "-0.1"), ("beta2", "1"), ("beta2", "-0.5"),
+        ("weight_decay", "-5"),
+        ("bn_momentum", "7"), ("bn_momentum", "-0.1"),
+        ("fps_rate", "0"), ("fps_rate", "1.5"),
+    ])
+    def test_out_of_range_value_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config.load_run_config("toy.cfg", {key: [value]})
+
+    def test_class_map_without_scene_classes_loads(self):
+        # the default scene names toy classes; only generating a frame needs them
+        cfg = config.load_run_config(None, {"classmap": ["nuscenes_16.map"]})
+        assert cfg.class_map.num_supervised == 16
+
     def test_bad_weight_value_rejected(self):
         with pytest.raises(ConfigError, match="label_weight_vehicle"):
             config.load_run_config("toy.cfg", {"label_weight_vehicle": ["inf"]})

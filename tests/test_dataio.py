@@ -192,6 +192,12 @@ class TestSyntheticFrames:
         with pytest.raises(ConfigError):
             dataio.generate_synthetic_frame(0, spec, cmap)
 
+    @pytest.mark.parametrize("key", ["ground_class", "box_class", "post_class"])
+    def test_scene_class_missing_from_class_map_errors(self, key):
+        spec = dataio.SceneSpec(ground=(-4, 4, -4, 4), **{key: "truck"})
+        with pytest.raises(ConfigError, match="'truck'"):
+            dataio.generate_synthetic_frame(0, spec, toy_class_map())
+
     def test_scene_spec_parse(self):
         text = """
         ground = -10 10 -10 10

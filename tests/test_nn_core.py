@@ -80,17 +80,6 @@ class TestElementwiseGrads:
         # the mean over axis 0 as the model would take it: a sum times 1 / count
         check_op(lambda x: T.tsum(T.mul(T.tsum(x, axis=0), 1.0 / 3)), rng.normal(size=(3, 4)))
 
-    def test_max_reduce(self, rng):
-        x = rng.normal(size=(4, 5))
-        check_op(lambda t: T.tsum(T.tmax(t, axis=1)), x)
-
-    def test_max_permutation_invariant(self, rng):
-        x = rng.normal(size=(4, 7))
-        perm = rng.permutation(7)
-        a = T.tmax(T.constant(x), axis=1).data
-        b = T.tmax(T.constant(x[:, perm]), axis=1).data
-        np.testing.assert_array_equal(a, b)
-
     def test_softmax_rows_sum_to_one(self, rng):
         s = T.softmax(T.constant(rng.normal(size=(6, 9)) * 5), axis=1)
         np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-12)
@@ -152,10 +141,6 @@ class TestShapeOps:
     def test_gather_rows_with_repeats(self, rng):
         idx = np.array([0, 2, 2, 1])
         check_op(lambda x: T.tsum(T.gather_rows(x, idx)), rng.normal(size=(3, 4)))
-
-    def test_segment_sum(self, rng):
-        seg = np.array([0, 0, 2, 1, 2])
-        check_op(lambda x: T.tsum(T.segment_sum(x, seg, 3)), rng.normal(size=(5, 3)))
 
     def test_segment_max_values_and_grad(self, rng):
         seg = np.array([0, 0, 1, 1, 1])

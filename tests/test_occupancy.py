@@ -246,12 +246,10 @@ class TestInjectNoise:
         b = occupancy.inject_noise(cloud, 5.0, 7, cfg)
         np.testing.assert_array_equal(a.xyz, b.xyz)
 
-    def test_noise_inside_crop_and_labeled_unlabeled(self):
+    def test_noise_inside_crop(self):
         cfg = unit_grid()
         cloud = make_cloud(np.random.default_rng(34).uniform(1, 7, (60, 3)))
-        cloud = cloud.with_raw_class(np.ones(60, dtype=np.uint16))
         noisy = occupancy.inject_noise(cloud, 2.0, 1, cfg)
-        assert (noisy.raw_class[60:] == 0).all()
         assert (noisy.xyz[60:, 0] >= 0).all() and (noisy.xyz[60:, 0] <= 8).all()
 
     def test_non_positive_snr_rejected(self):
