@@ -1,6 +1,7 @@
 """Multi-attention blocks over pillar features.
 
-Three mechanisms produce per-pillar weights in (0, 1):
+Three mechanisms each return a (P, 1) tensor of per-pillar weights in (0, 1),
+in input order:
 
 * DR-LSTM attention: pillars ordered by a 1D principal-component embedding of
   their cell positions, run through a bidirectional LSTM, then a sigmoid head.
@@ -10,7 +11,8 @@ Three mechanisms produce per-pillar weights in (0, 1):
 * Pillar attention: channel-reducing then point-reducing shared affines over
   the (P, N, C) tensor.
 
-Fusion applies them in a configurable order (default local-global-local).
+Fusion applies them in a configurable order (default local-global-local) and
+returns only the attended streams.
 """
 
 from __future__ import annotations
@@ -25,13 +27,6 @@ from .nn import tensor as T
 from .nn.tensor import Tensor
 
 _EIG_TIE_TOL = 1e-12
-
-
-@dataclass
-class AttentionMap:
-    """Per-pillar weights in (0, 1), in input order."""
-
-    weights: Tensor  # (P,)
 
 
 def pca_1d(positions: np.ndarray) -> np.ndarray:
@@ -132,8 +127,9 @@ def feast_conv_shared(x, key_idx: np.ndarray, p: FeaStParams) -> Tensor:
     ``y_i = b + sum_m (1/|K|) sum_{j in K} p_m(x_i, x_j) W_m x_j`` where
     ``p_m`` is the softmax over heads of ``u_m . (x_j - x_i) + c_m``, so the
     head coefficients sum to one exactly. The score splits as
-    ``(u_m . x_j + c_m) - u_m . x_i``, and the aggregation is a dense
-    (V, k) @ (k, out) product per head.
+    ``(u_m . x_j + c_m) - u_m . x_i``, and all heads aggregate in one product:
+    the (M, V, k) coefficients times the (M, k, out) key projections, summed
+    over the head axis.
     """
     x = T.as_tensor(x)
     v = x.data.shape[0]
@@ -145,15 +141,9 @@ def feast_conv_shared(x, key_idx: np.ndarray, p: FeaStParams) -> Tensor:
     s_keys = T.matmul(xk, steering_t) + p.offsets  # (k, M)
     s_nodes = T.matmul(x, steering_t)  # (V, M)
     scores = T.sub(T.reshape(s_keys, (1, k, p.heads)), T.reshape(s_nodes, (v, 1, p.heads)))
-    coeff = T.softmax(scores, axis=2)  # (V, k, M)
-    out = None
-    for m in range(p.heads):
-        w_m = T.reshape(T.narrow(p.weights, 0, m, 1), p.weights.data.shape[1:])
-        proj = T.matmul(xk, w_m)  # (k, out)
-        pm = T.reshape(T.narrow(coeff, 2, m, 1), (v, k))
-        contrib = T.matmul(pm, proj)
-        out = contrib if out is None else T.add(out, contrib)
-    return T.mul(out, 1.0 / k) + p.bias
+    coeff = T.transpose(T.softmax(scores, axis=2), (2, 0, 1))  # (M, V, k)
+    per_head = T.matmul(coeff, T.matmul(xk, p.weights))  # (M, V, out)
+    return T.mul(T.tsum(per_head, axis=0), 1.0 / k) + p.bias
 
 
 class DRLSTMAttention:
@@ -171,18 +161,17 @@ class DRLSTMAttention:
         self.lstm = L.BiLSTM(channels, hidden, rng)
         self.head = L.Affine(2 * hidden, 1, rng)
 
-    def __call__(self, pillar_feats, positions) -> list[AttentionMap]:
+    def __call__(self, pillar_feats, positions) -> list[Tensor]:
         feats = [T.as_tensor(f) for f in pillar_feats]
         orders = [np.argsort(pca_1d(pos), kind="stable") for pos in positions]
         hidden = self.lstm([T.gather_rows(f, order) for f, order in zip(feats, orders)])
-        maps = []
+        weights = []
         for h, order in zip(hidden, orders):
             inverse = np.empty_like(order)
             inverse[order] = np.arange(len(order))
             raw = T.sigmoid(self.head(h))  # (P, 1) in sorted order
-            weights = T.reshape(T.gather_rows(raw, inverse), (len(order),))
-            maps.append(AttentionMap(weights))
-        return maps
+            weights.append(T.gather_rows(raw, inverse))
+        return weights
 
     def params(self) -> dict[str, Tensor]:
         return L.collect_params(lstm=self.lstm, head=self.head)
@@ -205,24 +194,17 @@ class GraphAttention:
         ]
         self.head = L.Affine(hidden, 1, rng)
 
-    def __call__(self, pillar_feats) -> AttentionMap:
-        pillar_feats = T.as_tensor(pillar_feats)
-        p = pillar_feats.data.shape[0]
-        keys = fps(pillar_feats.data, self.fps_rate)
-        h = pillar_feats
+    def __call__(self, pillar_feats) -> Tensor:
+        h = T.as_tensor(pillar_feats)
+        keys = fps(h.data, self.fps_rate)
         for layer in self.encoder + self.decoder:
             h = T.relu(feast_conv_shared(h, keys, layer))
-        weights = T.reshape(T.sigmoid(self.head(h)), (p,))
-        return AttentionMap(weights)
+        return T.sigmoid(self.head(h))
 
     def params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, layer in enumerate(self.encoder):
-            out.update({f"enc{i}.{k}": v for k, v in layer.params().items()})
-        for i, layer in enumerate(self.decoder):
-            out.update({f"dec{i}.{k}": v for k, v in layer.params().items()})
-        out.update({f"head.{k}": v for k, v in self.head.params().items()})
-        return out
+        return L.collect_params(**{f"enc{i}": layer for i, layer in enumerate(self.encoder)},
+                                **{f"dec{i}": layer for i, layer in enumerate(self.decoder)},
+                                head=self.head)
 
 
 class PillarAttention:
@@ -233,14 +215,13 @@ class PillarAttention:
         self.channel_fc = L.Affine(channels + 3, 1, rng)
         self.point_fc = L.Affine(max_points, 1, rng)
 
-    def __call__(self, aug_feats, centers: np.ndarray) -> AttentionMap:
+    def __call__(self, aug_feats, centers: np.ndarray) -> Tensor:
         aug_feats = T.as_tensor(aug_feats)
         p, n, _ = aug_feats.data.shape
         cat = T.concat([aug_feats, T.broadcast_middle(T.constant(centers), n)], axis=2)
         per_point = T.relu(self.channel_fc(cat))  # (P, N, 1)
         per_pillar = self.point_fc(T.transpose(per_point, (0, 2, 1)))  # (P, 1, 1)
-        weights = T.reshape(T.sigmoid(per_pillar), (p,))
-        return AttentionMap(weights)
+        return T.sigmoid(T.reshape(per_pillar, (p, 1)))
 
     def params(self) -> dict[str, Tensor]:
         return L.collect_params(channel_fc=self.channel_fc, point_fc=self.point_fc)
@@ -248,25 +229,22 @@ class PillarAttention:
 
 class MultiAttentionFuse:
     """Compose the three attentions over the augmented point tensors of a
-    chunk of frames.
+    chunk of frames, and return the attended (P, N, C) stream of each frame.
 
-    The default order is LSTM -> graph -> pillar (local-global-local). Before
-    the pillar stage, the LSTM-weighted pooled features are concatenated
-    channel-wise into its input and passed through two shared affine+ReLU
-    layers; the resulting per-pillar weights then scale the running stream, so
-    the output keeps the input shape. Only the LSTM stage runs the chunk's
-    frames together; every other op runs per frame, so each frame's output is
-    bitwise that of a chunk of one.
+    The default order is LSTM -> graph -> pillar (local-global-local); the
+    LSTM stage orders pillars by the x, y of their centers. Before the pillar
+    stage, the LSTM-weighted pooled features are concatenated channel-wise
+    into its input and passed through two shared affine+ReLU layers. Each
+    stage's (P, 1) weights scale the running stream, so the output keeps the
+    input shape. Only the LSTM stage runs the chunk's frames together; every
+    other op runs per frame, so each frame's output is bitwise that of a
+    chunk of one.
     """
-
-    ORDERS = ("L", "G", "P")
 
     def __init__(self, channels: int, max_points: int, rng: np.random.Generator, *,
                  fusion_hidden: int, lstm_hidden: int = 16, graph_hidden: int = 16,
                  heads: int = 4, fps_rate: float = 0.05,
                  order: tuple[str, ...] = ("L", "G", "P")):
-        if sorted(order) != sorted(self.ORDERS):
-            raise ConfigError(f"attention order must permute {self.ORDERS}, got {order}")
         self.order = tuple(order)
         self.lstm_attn = DRLSTMAttention(channels, lstm_hidden, rng)
         self.graph_attn = GraphAttention(channels, graph_hidden, heads, rng, fps_rate)
@@ -274,34 +252,29 @@ class MultiAttentionFuse:
         self.fuse1 = L.Affine(2 * channels, fusion_hidden, rng)
         self.fuse2 = L.Affine(fusion_hidden, channels, rng)
 
-    def __call__(self, aug_feats, masks, positions, centers
-                 ) -> tuple[list[Tensor], list[dict[str, AttentionMap]]]:
+    def __call__(self, aug_feats, masks, centers) -> list[Tensor]:
         """Attend over a chunk of frames, stage by stage: each argument is a
-        list with one entry per frame, and so are the outputs."""
+        list with one entry per frame (centers (P, 3)), and so is the output."""
         streams = [T.as_tensor(f) for f in aug_feats]
-        maps: list[dict[str, AttentionMap]] = [{} for _ in streams]
         lstm_weighted = [None] * len(streams)
 
         for stage in self.order:
             pooled = [T.masked_max_pool(s, m) for s, m in zip(streams, masks)]
             if stage == "L":
-                amaps = self.lstm_attn(pooled, positions)
-                lstm_weighted = [T.mul(p, T.reshape(a.weights, (-1, 1)))
-                                 for p, a in zip(pooled, amaps)]
+                weights = self.lstm_attn(pooled, [c[:, :2] for c in centers])
+                lstm_weighted = [T.mul(p, w) for p, w in zip(pooled, weights)]
             elif stage == "G":
-                amaps = [self.graph_attn(p) for p in pooled]
+                weights = [self.graph_attn(p) for p in pooled]
             else:
-                amaps = []
+                weights = []
                 for stream, p, partner, c in zip(streams, pooled, lstm_weighted, centers):
                     partner = partner if partner is not None else p
                     cat = T.concat([stream, T.broadcast_middle(partner, stream.data.shape[1])],
                                    axis=2)
                     fused = T.relu(self.fuse2(T.relu(self.fuse1(cat))))
-                    amaps.append(self.pillar_attn(fused, c))
-            for frame_maps, amap in zip(maps, amaps):
-                frame_maps[stage] = amap
-            streams = [T.mul(s, T.reshape(a.weights, (-1, 1, 1))) for s, a in zip(streams, amaps)]
-        return streams, maps
+                    weights.append(self.pillar_attn(fused, c))
+            streams = [T.mul(s, T.reshape(w, (-1, 1, 1))) for s, w in zip(streams, weights)]
+        return streams
 
     def params(self) -> dict[str, Tensor]:
         return L.collect_params(

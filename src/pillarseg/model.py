@@ -139,8 +139,7 @@ class PillarSegNet:
         live = [i for i, pset in enumerate(psets) if pset.valid_pillars]
         if self.ma is not None and live:
             centers = [pil.pillar_centers(psets[i], grid) for i in live]
-            streams, _ = self.ma([feats[i] for i in live], [psets[i].mask for i in live],
-                                 [c[:, :2] for c in centers], centers)
+            streams = self.ma([feats[i] for i in live], [psets[i].mask for i in live], centers)
             for i, stream in zip(live, streams):
                 feats[i] = stream
         images = []

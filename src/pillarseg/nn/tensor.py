@@ -518,32 +518,27 @@ def _col2im(cols: np.ndarray, shape: tuple[int, int, int], kh: int, kw: int, pad
     return xp[:, pad : pad + h, pad : pad + w]
 
 
-def conv2d(x, weight, bias=None, padding: int | None = None) -> Tensor:
-    """Same-size 2D convolution of a (C, H, W) tensor with (Cout, Cin, k, k) kernels."""
-    x, weight = as_tensor(x), as_tensor(weight)
+def conv2d(x, weight, bias) -> Tensor:
+    """Same-size 2D convolution of a (C, H, W) tensor with (Cout, Cin, k, k)
+    kernels plus a (Cout,) bias."""
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     cout, cin, kh, kw = weight.data.shape
     if kh != kw or kh % 2 == 0:
         raise ShapeError(f"kernels must be odd squares, got {kh}x{kw}")
     if x.data.ndim != 3 or x.data.shape[0] != cin:
         raise ShapeError(f"conv2d input {x.data.shape} does not match kernel {weight.data.shape}")
-    pad = kh // 2 if padding is None else padding
+    pad = kh // 2
     c, h, w = x.data.shape
     cols = _im2col(x.data, kh, kw, pad)
     w2 = weight.data.reshape(cout, -1)
-    res = w2 @ cols
-    if bias is not None:
-        bias = as_tensor(bias)
-        res = res + bias.data[:, None]
-    out = Tensor(res.reshape(cout, h, w))
-    operands = (x, weight) if bias is None else (x, weight, bias)
-    if not _recording(*operands):
+    out = Tensor((w2 @ cols + bias.data[:, None]).reshape(cout, h, w))
+    if not _recording(x, weight, bias):
         return out
 
     def backward(g):
         g2 = g.reshape(cout, -1)
         _accum(weight, (g2 @ cols.T).reshape(weight.data.shape))
-        if bias is not None:
-            _accum(bias, g2.sum(axis=1))
+        _accum(bias, g2.sum(axis=1))
         _accum(x, _col2im(w2.T @ g2, x.data.shape, kh, kw, pad))
 
     return _record(out, backward)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class TrainResult:
     log_lines: list[str]
     report: dict[str, str]
     final_iou: IoUResult
-    history: list[dict[str, float]] = field(default_factory=list)
 
 
 def frame_seed(base: int, index: int) -> int:
@@ -174,7 +173,6 @@ def _train_toy_inner(cfg: RunConfig, progress) -> TrainResult:
     order_rng = np.random.default_rng(frame_seed(cfg.seed, 999_983))
 
     log_lines: list[str] = []
-    history: list[dict[str, float]] = []
     report: dict[str, str] = {"epochs": str(cfg.epochs)}
     step = 0
 
@@ -186,7 +184,6 @@ def _train_toy_inner(cfg: RunConfig, progress) -> TrainResult:
     if cfg.epochs == 0:
         val_loss, final_iou = evaluate(cfg, net, val_packs, val_idx)
         emit(f"epoch 0 val_loss {val_loss:.10g} val_miou {final_iou.miou:.10g}")
-        history.append({"epoch": 0, "val_loss": val_loss, "val_miou": final_iou.miou})
 
     for epoch in range(1, cfg.epochs + 1):
         perm = order_rng.permutation(len(train_idx))
@@ -220,13 +217,12 @@ def _train_toy_inner(cfg: RunConfig, progress) -> TrainResult:
             epoch_loss += batch_loss * len(batch)
         epoch_loss /= len(perm)
 
-        val_loss, final_iou = evaluate(cfg, net, val_packs, val_idx)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+            val_loss, final_iou = evaluate(cfg, net, val_packs, val_idx)
         if not math.isfinite(val_loss):  # a divergence on the epoch's last step
             raise DivergenceError(step, f"non-finite validation loss after epoch {epoch}")
         emit(f"epoch {epoch} train_loss {epoch_loss:.10g} val_loss {val_loss:.10g} "
              f"val_miou {final_iou.miou:.10g}")
-        history.append({"epoch": epoch, "train_loss": epoch_loss,
-                        "val_loss": val_loss, "val_miou": final_iou.miou})
         report[f"epoch.{epoch}.train_loss"] = repr(epoch_loss)
         report[f"epoch.{epoch}.val_loss"] = repr(val_loss)
         report[f"epoch.{epoch}.val_miou"] = repr(final_iou.miou)
@@ -234,4 +230,4 @@ def _train_toy_inner(cfg: RunConfig, progress) -> TrainResult:
     report["final.miou"] = repr(final_iou.miou)
     for k, v in final_iou.defined().items():
         report[f"final.iou.{cfg.class_map.class_names[k]}"] = repr(v)
-    return TrainResult(net, log_lines, report, final_iou, history)
+    return TrainResult(net, log_lines, report, final_iou)

@@ -103,8 +103,7 @@ def check_pillar_attention() -> float:
     centers = rng.normal(size=(3, 3))
 
     def f(x):
-        amap = attn(x, centers)
-        return T.tsum(T.mul(x, T.reshape(amap.weights, (-1, 1, 1))))
+        return T.tsum(T.mul(x, T.reshape(attn(x, centers), (-1, 1, 1))))
 
     x = resample_until_smooth(lambda a: np.random.default_rng(300 + a).normal(size=(3, 4, 3)), f)
     return grad_check(f, x)
@@ -116,8 +115,7 @@ def check_dr_lstm_attention() -> float:
     pos = rng.normal(size=(6, 2))
 
     def f(x):
-        amap = attn([x], [pos])[0]
-        return T.tsum(T.mul(x, T.reshape(amap.weights, (-1, 1))))
+        return T.tsum(T.mul(x, attn([x], [pos])[0]))
 
     return grad_check(f, rng.normal(size=(6, 3)))
 
@@ -127,8 +125,7 @@ def check_graph_attention() -> float:
     attn = att.GraphAttention(3, 4, 2, rng, fps_rate=0.4)
 
     def f(x):
-        amap = attn(x)
-        return T.tsum(T.mul(x, T.reshape(amap.weights, (-1, 1))))
+        return T.tsum(T.mul(x, attn(x)))
 
     x = resample_until_smooth(lambda a: np.random.default_rng(400 + a).normal(size=(6, 3)), f)
     return grad_check(f, x)
@@ -139,12 +136,10 @@ def check_ma_fuse() -> float:
     fuse = att.MultiAttentionFuse(3, 2, rng, fusion_hidden=3, lstm_hidden=2, graph_hidden=4,
                                   heads=2, fps_rate=0.4)
     mask = np.ones((4, 2), dtype=bool)
-    pos = rng.normal(size=(4, 2))
     centers = rng.normal(size=(4, 3))
 
     def f(x):
-        out, _ = fuse([x], [mask], [pos], [centers])
-        return T.tsum(out[0])
+        return T.tsum(fuse([x], [mask], [centers])[0])
 
     x = resample_until_smooth(lambda a: np.random.default_rng(500 + a).normal(size=(4, 2, 3)), f)
     return grad_check(f, x)

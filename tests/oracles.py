@@ -14,7 +14,10 @@ The taped references at the end are the direct forms of three autograd ops:
 one LSTM direction per time loop and one sequence at a time, a Python loop
 over segments for the segment max, and a softmax reducing along its own axis. The fused and
 loop-free ops in `pillarseg.nn.tensor` must reproduce their outputs and
-gradients bitwise.
+gradients bitwise. `feast_conv_per_head` is the shared-key FeaSt convolution
+with one (V, k) @ (k, out) product per head; `pillarseg.attention` sums all
+heads in one product and must reproduce its output and parameter gradients
+bitwise, and its input gradient to rounding.
 """
 
 import math
@@ -22,6 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
+from pillarseg.nn import tensor as T
 from pillarseg.nn.tensor import Tensor, _accum, _record, _recording, as_tensor, concat, narrow
 from pillarseg.pillars import PillarSet, cell_indices, crop_mask
 
@@ -393,3 +397,24 @@ def softmax(x, axis=-1):
         _accum(x, s * (g - dot))
 
     return _record(out, backward)
+
+
+def feast_conv_per_head(x, key_idx, p):
+    """Shared-key FeaSt convolution that aggregates head by head and adds the
+    heads' (V, out) contributions in order."""
+    x = as_tensor(x)
+    v = x.data.shape[0]
+    k = len(key_idx)
+    xk = T.gather_rows(x, key_idx)
+    steering_t = T.transpose(p.steering, (1, 0))
+    s_keys = T.matmul(xk, steering_t) + p.offsets  # (k, M)
+    s_nodes = T.matmul(x, steering_t)  # (V, M)
+    scores = T.sub(T.reshape(s_keys, (1, k, p.heads)), T.reshape(s_nodes, (v, 1, p.heads)))
+    coeff = T.softmax(scores, axis=2)  # (V, k, M)
+    out = None
+    for m in range(p.heads):
+        w_m = T.reshape(narrow(p.weights, 0, m, 1), p.weights.data.shape[1:])
+        pm = T.reshape(narrow(coeff, 2, m, 1), (v, k))
+        contrib = T.matmul(pm, T.matmul(xk, w_m))
+        out = contrib if out is None else T.add(out, contrib)
+    return T.mul(out, 1.0 / k) + p.bias

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from pillarseg import attention as A
 from pillarseg import nn
 from pillarseg.nn import tensor as T
@@ -148,6 +151,38 @@ class TestFeaStConv:
                                          p.offsets.data, p.bias.data)
             np.testing.assert_allclose(out, oracle, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype, x_tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @given(v=st.integers(1, 9), heads=st.integers(1, 4), cin=st.integers(1, 5),
+           cout=st.integers(1, 5), data=st.data())
+    def test_one_product_matches_per_head_oracle(self, dtype, x_tol, v, heads, cin, cout, data):
+        # summing the heads in one product keeps the output and the parameter
+        # gradients bitwise; only the input gradient adds its terms in another order
+        keys = np.array(data.draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=v,
+                                           unique=True)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shapes = [(v, cin), (heads, cin, cout), (heads, cin), (heads,), (cout,)]
+        inputs = [rng.normal(size=s).astype(dtype) for s in shapes]
+        upstream = rng.normal(size=(v, cout)).astype(dtype)
+
+        def run(conv):
+            T.set_default_dtype(dtype)
+            try:
+                x, *params = [T.parameter(a) for a in inputs]
+                with T.Tape() as tape:
+                    out = conv(x, keys, A.FeaStParams(*params))
+                    tape.backward(T.tsum(T.mul(out, T.constant(upstream))))
+                return out.data, x.grad, [p.grad for p in params]
+            finally:
+                T.set_default_dtype(np.float64)
+
+        out, gx, grads = run(A.feast_conv_shared)
+        want_out, want_gx, want_grads = run(oracles.feast_conv_per_head)
+        for got, want in zip([out, *grads], [want_out, *want_grads]):
+            assert got.dtype == want.dtype == dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), f"max abs diff {np.abs(got - want).max()}"
+        assert gx.dtype == dtype
+        assert np.abs(gx - want_gx).max() <= x_tol * np.abs(want_gx).max()
+
     def test_head_coefficients_sum_to_one(self, rng):
         x = rng.normal(size=(5, 3))
         diff = x[None, :, :] - x[:, None, :]
@@ -192,31 +227,31 @@ class TestFeaStConv:
 class TestDRLSTMAttention:
     def test_single_pillar(self, rng):
         attn = A.DRLSTMAttention(4, 3, rng)
-        amap = attn([T.constant(rng.normal(size=(1, 4)))], [np.array([[0.0, 0.0]])])[0]
-        assert amap.weights.data.shape == (1,)
-        assert 0.0 < amap.weights.data[0] < 1.0
+        w = attn([T.constant(rng.normal(size=(1, 4)))], [np.array([[0.0, 0.0]])])[0].data
+        assert w.shape == (1, 1)
+        assert 0.0 < w[0, 0] < 1.0
 
     def test_zero_parameters_give_half(self, rng):
         attn = A.DRLSTMAttention(4, 3, rng)
         for p in attn.params().values():
             p.data[:] = 0.0
-        amap = attn([T.constant(rng.normal(size=(6, 4)))], [rng.normal(size=(6, 2))])[0]
-        np.testing.assert_allclose(amap.weights.data, 0.5, atol=1e-15)
+        w = attn([T.constant(rng.normal(size=(6, 4)))], [rng.normal(size=(6, 2))])[0]
+        np.testing.assert_allclose(w.data, 0.5, atol=1e-15)
 
     def test_permutation_invariance(self, rng):
         attn = A.DRLSTMAttention(4, 3, rng)
         feats = rng.normal(size=(8, 4))
         pos = rng.normal(size=(8, 2))
-        base = attn([T.constant(feats)], [pos])[0].weights.data
+        base = attn([T.constant(feats)], [pos])[0].data
         perm = rng.permutation(8)
-        permuted = attn([T.constant(feats[perm])], [pos[perm]])[0].weights.data
+        permuted = attn([T.constant(feats[perm])], [pos[perm]])[0].data
         np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
     def test_gradcheck(self, rng):
         attn = A.DRLSTMAttention(3, 2, rng)
         pos = rng.normal(size=(5, 2))
         err = nn.grad_check(
-            lambda x: T.tsum(T.mul(x, T.reshape(attn([x], [pos])[0].weights, (-1, 1)))),
+            lambda x: T.tsum(T.mul(x, attn([x], [pos])[0])),
             rng.normal(size=(5, 3)))
         assert err < 1e-6
 
@@ -224,33 +259,32 @@ class TestDRLSTMAttention:
 class TestGraphAttention:
     def test_single_pillar(self, rng):
         attn = A.GraphAttention(4, 8, 2, rng)
-        amap = attn(T.constant(rng.normal(size=(1, 4))))
-        assert amap.weights.data.shape == (1,)
-        assert 0.0 < amap.weights.data[0] < 1.0
+        w = attn(T.constant(rng.normal(size=(1, 4)))).data
+        assert w.shape == (1, 1)
+        assert 0.0 < w[0, 0] < 1.0
 
     def test_identical_features_identical_weights(self, rng):
         attn = A.GraphAttention(4, 8, 2, rng)
         feats = np.tile(rng.normal(size=(1, 4)), (6, 1))
-        amap = attn(T.constant(feats))
-        np.testing.assert_allclose(amap.weights.data, amap.weights.data[0], atol=1e-12)
+        w = attn(T.constant(feats)).data
+        np.testing.assert_allclose(w, w[0, 0], atol=1e-12)
 
     def test_duplicated_nodes_get_equal_weights(self, rng):
         attn = A.GraphAttention(3, 8, 2, rng, fps_rate=0.25)
         feats = rng.normal(size=(8, 3))
         doubled = np.repeat(feats, 2, axis=0)
-        amap = attn(T.constant(doubled))
-        w = amap.weights.data
+        w = attn(T.constant(doubled)).data
         np.testing.assert_allclose(w[0::2], w[1::2], atol=1e-10)
 
     def test_weights_in_open_interval(self, rng):
         attn = A.GraphAttention(4, 8, 2, rng)
-        amap = attn(T.constant(rng.normal(size=(30, 4))))
-        assert (amap.weights.data > 0).all() and (amap.weights.data < 1).all()
+        w = attn(T.constant(rng.normal(size=(30, 4)))).data
+        assert (w > 0).all() and (w < 1).all()
 
     def test_gradcheck(self, rng):
         attn = A.GraphAttention(3, 4, 2, rng, fps_rate=0.5)
         err = nn.grad_check(
-            lambda x: T.tsum(T.mul(x, T.reshape(attn(x).weights, (-1, 1)))),
+            lambda x: T.tsum(T.mul(x, attn(x))),
             rng.normal(size=(6, 3)))
         assert err < 1e-6
 
@@ -260,8 +294,8 @@ class TestPillarAttention:
         attn = A.PillarAttention(5, 4, rng)
         for p in attn.params().values():
             p.data[:] = 0.0
-        amap = attn(T.constant(rng.normal(size=(3, 4, 5))), rng.normal(size=(3, 3)))
-        np.testing.assert_allclose(amap.weights.data, 0.5, atol=1e-15)
+        w = attn(T.constant(rng.normal(size=(3, 4, 5))), rng.normal(size=(3, 3)))
+        np.testing.assert_allclose(w.data, 0.5, atol=1e-15)
 
     def test_hand_scalar_case(self, rng):
         attn = A.PillarAttention(1, 1, rng)
@@ -271,34 +305,32 @@ class TestPillarAttention:
         b2 = attn.point_fc.bias.data
         f = 0.7
         center = np.array([0.3, -0.2, 0.1])
-        amap = attn(T.constant(np.array([[[f]]])), center[None, :])
+        w = attn(T.constant(np.array([[[f]]])), center[None, :]).data
         pre = max(np.dot(np.concatenate([[f], center]), w1[:, 0]) + b1[0], 0.0)
         expected = 1.0 / (1.0 + math.exp(-(pre * w2[0, 0] + b2[0])))
-        assert amap.weights.data[0] == pytest.approx(expected, abs=1e-12)
+        assert w[0, 0] == pytest.approx(expected, abs=1e-12)
 
     def test_weight_count_is_pillar_count(self, rng):
         for n in (1, 4, 9):
             attn = A.PillarAttention(6, n, rng)
-            amap = attn(T.constant(rng.normal(size=(7, n, 6))), rng.normal(size=(7, 3)))
-            assert amap.weights.data.shape == (7,)
+            w = attn(T.constant(rng.normal(size=(7, n, 6))), rng.normal(size=(7, 3)))
+            assert w.data.shape == (7, 1)
 
     def test_gradcheck(self, rng):
         attn = A.PillarAttention(3, 4, rng)
         centers = rng.normal(size=(2, 3))
 
         def f(x):
-            amap = attn(x, centers)
-            return T.tsum(T.mul(x, T.reshape(amap.weights, (-1, 1, 1))))
+            return T.tsum(T.mul(x, T.reshape(attn(x, centers), (-1, 1, 1))))
 
         x = nn.resample_until_smooth(
             lambda a: np.random.default_rng(200 + a).normal(size=(2, 4, 3)), f)
         assert nn.grad_check(f, x) < 1e-6
 
 
-def fuse_one(fuse, feats, mask, pos, centers):
-    """Stream and maps of a chunk of one frame."""
-    streams, maps = fuse([feats], [mask], [pos], [centers])
-    return streams[0], maps[0]
+def fuse_one(fuse, feats, mask, centers):
+    """Stream of a chunk of one frame."""
+    return fuse([feats], [mask], [centers])[0]
 
 
 class TestMultiAttentionFuse:
@@ -313,34 +345,31 @@ class TestMultiAttentionFuse:
             p.data[:] = 0.0
         feats = rng.normal(size=(5, 3, 4))
         mask = np.ones((5, 3), dtype=bool)
-        out, maps = fuse_one(fuse, T.constant(feats), mask, rng.normal(size=(5, 2)),
-                             rng.normal(size=(5, 3)))
+        out = fuse_one(fuse, T.constant(feats), mask, rng.normal(size=(5, 3)))
         np.testing.assert_allclose(out.data, feats / 8.0, atol=1e-12)
-        assert set(maps) == {"L", "G", "P"}
 
     def test_single_pillar_composes_blocks(self, rng):
         fuse = self.make(rng)
         feats = rng.normal(size=(1, 3, 4))
         mask = np.array([[True, True, False]])
-        pos = np.zeros((1, 2))
         centers = rng.normal(size=(1, 3))
-        out, maps = fuse_one(fuse, T.constant(feats), mask, pos, centers)
+        out = fuse_one(fuse, T.constant(feats), mask, centers)
 
         # compose the three blocks by hand in L, G, P order
         stream = feats.copy()
         pooled = np.where(mask[:, :, None], stream, -np.inf).max(axis=1)
-        wl = fuse.lstm_attn([T.constant(pooled)], [pos])[0].weights.data
-        lstm_weighted = pooled * wl[:, None]
-        stream = stream * wl[:, None, None]
+        wl = fuse.lstm_attn([T.constant(pooled)], [centers[:, :2]])[0].data
+        lstm_weighted = pooled * wl
+        stream = stream * wl[:, :, None]
         pooled = np.where(mask[:, :, None], stream, -np.inf).max(axis=1)
-        wg = fuse.graph_attn(T.constant(pooled)).weights.data
-        stream = stream * wg[:, None, None]
+        wg = fuse.graph_attn(T.constant(pooled)).data
+        stream = stream * wg[:, :, None]
         cat = np.concatenate([stream, np.broadcast_to(lstm_weighted[:, None, :], stream.shape)],
                              axis=2)
         h = np.maximum(cat @ fuse.fuse1.weight.data + fuse.fuse1.bias.data, 0.0)
         h = np.maximum(h @ fuse.fuse2.weight.data + fuse.fuse2.bias.data, 0.0)
-        wp = fuse.pillar_attn(T.constant(h), centers).weights.data
-        stream = stream * wp[:, None, None]
+        wp = fuse.pillar_attn(T.constant(h), centers).data
+        stream = stream * wp[:, :, None]
         np.testing.assert_allclose(out.data, stream, atol=1e-12)
 
     def test_shape_contract(self, rng):
@@ -348,39 +377,47 @@ class TestMultiAttentionFuse:
         for p, n in ((2, 3), (7, 3)):
             feats = rng.normal(size=(p, n, 4))
             mask = np.ones((p, n), dtype=bool)
-            out, _ = fuse_one(fuse, T.constant(feats), mask, rng.normal(size=(p, 2)),
-                              rng.normal(size=(p, 3)))
+            out = fuse_one(fuse, T.constant(feats), mask, rng.normal(size=(p, 3)))
             assert out.data.shape == (p, n, 4)
 
     def test_order_permutations_run(self, rng):
         feats = rng.normal(size=(6, 3, 4))
         mask = np.ones((6, 3), dtype=bool)
-        pos = rng.normal(size=(6, 2))
         centers = rng.normal(size=(6, 3))
-        for order in (("G", "L", "P"), ("L", "P", "G"), ("P", "L", "G")):
+        outs = []
+        for order in (("L", "G", "P"), ("G", "L", "P"), ("L", "P", "G"), ("P", "L", "G")):
             fuse = self.make(np.random.default_rng(1), order=order)
-            out, maps = fuse_one(fuse, T.constant(feats), mask, pos, centers)
+            out = fuse_one(fuse, T.constant(feats), mask, centers)
             assert out.data.shape == feats.shape
-            assert list(maps) == list(order)
+            outs.append(out.data)
+        # the same parameters applied in another order attend differently
+        for other in outs[1:]:
+            assert not np.allclose(other, outs[0])
 
     def test_all_weights_in_open_interval(self, rng):
         fuse = self.make(rng)
         feats = rng.normal(size=(6, 3, 4))
         mask = np.ones((6, 3), dtype=bool)
-        _, maps = fuse_one(fuse, T.constant(feats), mask, rng.normal(size=(6, 2)),
-                           rng.normal(size=(6, 3)))
-        for amap in maps.values():
-            assert (amap.weights.data > 0).all() and (amap.weights.data < 1).all()
+        centers = rng.normal(size=(6, 3))
+        pooled = T.constant(feats.max(axis=1))
+        weights = [fuse.lstm_attn([pooled], [centers[:, :2]])[0], fuse.graph_attn(pooled),
+                   fuse.pillar_attn(T.constant(feats), centers)]
+        for w in weights:
+            assert w.data.shape == (6, 1)
+            assert (w.data > 0).all() and (w.data < 1).all()
+        # every stage scales a pillar's points by one weight in (0, 1)
+        out = fuse_one(fuse, T.constant(feats), mask, centers).data
+        ratio = out / feats
+        assert (ratio > 0).all() and (ratio < 1).all()
+        np.testing.assert_allclose(ratio, ratio[:, :1, :1] * np.ones_like(ratio), rtol=1e-12)
 
     def test_gradcheck_through_fusion(self, rng):
         fuse = self.make(rng, channels=3, max_points=2)
         mask = np.ones((4, 2), dtype=bool)
-        pos = rng.normal(size=(4, 2))
         centers = rng.normal(size=(4, 3))
 
         def f(x):
-            out, _ = fuse_one(fuse, x, mask, pos, centers)
-            return T.tsum(out)
+            return T.tsum(fuse_one(fuse, x, mask, centers))
 
         x = nn.resample_until_smooth(
             lambda a: np.random.default_rng(300 + a).normal(size=(4, 2, 3)), f)

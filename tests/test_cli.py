@@ -60,6 +60,12 @@ class TestDispatch:
         assert "config error: beta1" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
+    def test_attention_order_not_a_permutation_exit_1(self, scene_file, tmp_path, capsys):
+        assert run_cli("train", *micro_args(scene_file), "--use_ma", "true",
+                       "--ma_order", "L", "L", "P", "--out", str(tmp_path / "t")) == 1
+        assert "config error: ma_order" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
     def test_scene_class_missing_from_class_map_exit_1(self, tmp_path, capsys):
         scene = tmp_path / "scene.txt"
         scene.write_text("ground = -3 3 -3 3\nbox_class = truck\n")
@@ -229,7 +235,6 @@ class TestTrainEval:
         assert ppm.startswith(b"P6\n16 16\n255\n")
 
     # the run overflows float32 on purpose, from one Adam step at learning rate 1e6
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_validation_loss_exit_2(self, scene_file, tmp_path, capsys):
         # every training loss is finite; only the validation after the
         # epoch's last step sees the divergence

@@ -92,10 +92,11 @@ class TestFlatConfig:
         ("weight_decay", "-5"),
         ("bn_momentum", "7"), ("bn_momentum", "-0.1"),
         ("fps_rate", "0"), ("fps_rate", "1.5"),
+        ("ma_order", "L L P"),
     ])
     def test_out_of_range_value_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):
-            config.load_run_config("toy.cfg", {key: [value]})
+            config.load_run_config("toy.cfg", {key: value.split()})
 
     def test_class_map_without_scene_classes_loads(self):
         # the default scene names toy classes; only generating a frame needs them

@@ -482,7 +482,8 @@ class TestConv:
 
     def test_even_kernel_rejected(self, rng):
         with pytest.raises(ShapeError):
-            T.conv2d(T.constant(np.zeros((1, 4, 4))), T.constant(np.zeros((1, 1, 2, 2))))
+            T.conv2d(T.constant(np.zeros((1, 4, 4))), T.constant(np.zeros((1, 1, 2, 2))),
+                     T.constant(np.zeros(1)))
 
     def test_maxpool_and_upsample(self, rng):
         x = rng.normal(size=(2, 4, 6))

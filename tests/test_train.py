@@ -46,7 +46,7 @@ class TestTrainToy:
     def test_loss_decreases(self, scene_file):
         cfg = micro_config(scene_file, epochs=["3"])
         result = train.train_toy(cfg)
-        losses = [h["train_loss"] for h in result.history if "train_loss" in h]
+        losses = [float(result.report[f"epoch.{e}.train_loss"]) for e in (1, 2, 3)]
         assert losses[-1] < losses[0]
         assert result.final_iou is not None
 
@@ -86,17 +86,17 @@ class TestTrainToy:
         cfg = micro_config(scene_file, epochs=["1"],
                            augment=["flip_x", "flip_y", "rotate", "scale"])
         result = train.train_toy(cfg)
-        assert np.isfinite(result.history[-1]["train_loss"])
+        assert np.isfinite(float(result.report["epoch.1.train_loss"]))
 
     def test_noise_injection_path(self, scene_file):
         cfg = micro_config(scene_file, epochs=["1"], noise_snr=["10"])
         result = train.train_toy(cfg)
-        assert np.isfinite(result.history[-1]["train_loss"])
+        assert np.isfinite(float(result.report["epoch.1.train_loss"]))
 
     def test_ma_variant_runs(self, scene_file):
         cfg = micro_config(scene_file, epochs=["1"], use_ma=["true"])
         result = train.train_toy(cfg)
-        assert np.isfinite(result.history[-1]["val_miou"])
+        assert np.isfinite(float(result.report["epoch.1.val_miou"]))
 
     def test_augmented_training_prepares_each_frame_once_per_use(self, scene_file,
                                                                 monkeypatch):
