@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .nn import layers as L
 from .nn import tensor as T
 from .nn.tensor import Tensor
@@ -64,11 +64,9 @@ def pca_1d(positions: np.ndarray) -> np.ndarray:
 def fps(feats: np.ndarray, rate: float) -> np.ndarray:
     """Farthest-first key selection in feature space.
 
-    Seeded at index 0; the output has max(1, round(rate * P)) indices. Distance
-    ties break toward the lowest index.
+    Seeded at index 0; the output has max(1, round(rate * P)) indices for a
+    rate in (0, 1]. Distance ties break toward the lowest index.
     """
-    if not 0.0 < rate <= 1.0:
-        raise ConfigError(f"fps rate must be in (0, 1], got {rate}")
     feats = np.asarray(feats, dtype=np.float64)
     p = len(feats)
     k = max(1, int(np.floor(rate * p + 0.5)))

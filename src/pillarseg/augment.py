@@ -91,8 +91,7 @@ def apply_params(xyz: np.ndarray, params: AugmentParams) -> np.ndarray:
     return out
 
 
-def apply_augment(xyz: np.ndarray, classes: np.ndarray | None, cfg: AugmentConfig,
-                  seed: int) -> tuple[np.ndarray, np.ndarray | None, AugmentParams]:
-    """Sample and apply one transform; classes pass through untouched."""
-    params = sample_params(cfg, seed)
-    return apply_params(xyz, params), classes, params
+def apply_augment(xyz: np.ndarray, cfg: AugmentConfig, seed: int) -> np.ndarray:
+    """Sample and apply one transform; point order is kept, so per-point
+    classes stay aligned."""
+    return apply_params(xyz, sample_params(cfg, seed))

@@ -1,5 +1,5 @@
-"""Command-line surface: ingest, occupancy/label rendering, gradient checks,
-toy training, evaluation, synthetic dataset emission.
+"""Command-line surface: synthetic dataset emission, occupancy/label rendering,
+gradient checks, toy training, and evaluation of a training checkpoint.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 verification
 failure.
@@ -14,7 +14,6 @@ import numpy as np
 
 from . import dataio, labels as lab, metrics, occupancy as occ, render, train
 from .config import DEFAULT_CLASSMAP, RunConfig, echo_config, load_run_config, resolve_text
-from .container import write_container
 from .errors import ConfigError, DivergenceError, FormatError, PillarSegError
 from .flat import Count, read_value
 from .model import PillarSegNet, load_checkpoint, save_checkpoint
@@ -24,7 +23,6 @@ usage: pillarseg <subcommand> [--config PATH] [--out DIR] [--key value ...]
 
 subcommands:
   synth      emit a synthetic dataset (scans, labels, poses, class map)
-  ingest     parse scans/labels/poses, remap classes, cache frames
   occupancy  render observability and visibility maps for a scan
   labels     generate sparse or dense top-view label maps
   gradcheck  run the gradient verification suite
@@ -132,36 +130,6 @@ def _load_frames(scans: Path, labels_dir: Path | None, poses_path: Path | None,
     return frames
 
 
-def cmd_ingest(overrides: dict[str, list[str]]) -> int:
-    scans = _pop(overrides, "scans", Path)
-    labels_dir = _pop(overrides, "labels", Path)
-    poses_path = _pop(overrides, "poses", Path)
-    out_dir = _pop(overrides, "out", Path, Path("cache_out"))
-    if scans is None:
-        raise ConfigError("ingest needs --scans DIR")
-    cfg = load_run_config(_pop(overrides, "config", str), overrides)
-    frames = _load_frames(scans, labels_dir, poses_path, cfg.class_map)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = []
-    for i, frame in enumerate(frames):
-        arrays = {
-            "xyz": frame.cloud.xyz.astype("<f4"),
-            "reflectance": frame.cloud.reflectance.astype("<f4"),
-        }
-        if frame.classes is not None:
-            arrays["classes"] = frame.classes.astype("<u2")
-        if frame.pose is not None:
-            arrays["pose"] = np.hstack([frame.pose.rotation,
-                                        frame.pose.translation[:, None]]).astype("<f8")
-        name = f"frame_{i:06d}.pstc"
-        write_container(out_dir / name, arrays)
-        manifest.append(f"{name} points={len(frame.cloud)}")
-    (out_dir / "manifest.txt").write_text("\n".join(manifest) + "\n")
-    _write_run_log(out_dir, cfg, [f"frames {len(frames)}"])
-    print(f"cached {len(frames)} frames to {out_dir}")
-    return 0
-
-
 def cmd_occupancy(overrides: dict[str, list[str]]) -> int:
     scan = _pop(overrides, "scan", Path)
     out_dir = _pop(overrides, "out", Path, Path("occupancy_out"))
@@ -173,11 +141,11 @@ def cmd_occupancy(overrides: dict[str, list[str]]) -> int:
     omap = occ.observability(cloud, cfg.grid)
     # the channel the network reads, so a cell that one ray passes is not black
     render.write_pgm8(out_dir / "observability.pgm", omap.normalized())
-    grid3d = occ.visibility(cloud, cfg.grid)
+    states = occ.visibility(cloud, cfg.grid)
     state_levels = np.array([0, 128, 255], dtype=np.uint8)
-    for d in range(grid3d.states.shape[2]):
+    for d in range(states.shape[2]):
         render.write_pgm8(out_dir / f"visibility_z{d}.pgm",
-                          state_levels[grid3d.states[:, :, d]].astype(np.int64))
+                          state_levels[states[:, :, d]].astype(np.int64))
     _write_run_log(out_dir, cfg, [f"scan {scan}", f"max_count {int(omap.counts.max())}"])
     print(f"wrote occupancy renders to {out_dir}")
     return 0
@@ -291,7 +259,6 @@ def cmd_eval(overrides: dict[str, list[str]]) -> int:
 
 _SUBCOMMANDS = {
     "synth": cmd_synth,
-    "ingest": cmd_ingest,
     "occupancy": cmd_occupancy,
     "labels": cmd_labels,
     "gradcheck": cmd_gradcheck,

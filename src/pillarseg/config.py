@@ -13,6 +13,10 @@ declares is rejected. Beyond the fields, ``augment`` lists the enabled
 augmentations and ``label_weight_<class>`` / ``loss_weight_<class>`` set one
 class's weight. ``classmap``, ``scene`` and ``palette`` values may be a
 filesystem path or the name of a packaged data file.
+
+Values are checked once, here: the reader checks token counts, finiteness and
+integer minimums, and the dataclasses it builds and ``ClassMap.parse`` check
+ranges, so the modules fed a :class:`RunConfig` take its values as given.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugmentConfig
-from .dataio import ClassMap, SceneSpec
+from .dataio import UNLABELED_NAME, ClassMap, SceneSpec
 from .errors import ConfigError
 from .flat import Count, Size, packaged_text, parse_flat, read_fields, read_value, resolve_text
 from .pillars import GridConfig
@@ -35,6 +39,12 @@ EVAL_MODES = ("sparse-eval",)
 DEFAULT_CLASSMAP = "toy.map"
 WEIGHT_PREFIXES = ("label_weight_", "loss_weight_")
 AUGMENT_FLAGS = ("flip_x", "flip_y", "rotate", "scale", "translate", "none")
+_BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "in [0, 1)": lambda v: 0 <= v < 1,
+           "in [0, 1]": lambda v: 0 <= v <= 1, "in (0, 1]": lambda v: 0 < v <= 1}
+# fields whose value, unless None, must lie within the named bounds
+_BOUNDED_FIELDS = (("learning_rate", "> 0"), ("beta1", "in [0, 1)"), ("beta2", "in [0, 1)"),
+                   ("weight_decay", ">= 0"), ("bn_momentum", "in [0, 1]"),
+                   ("fps_rate", "in (0, 1]"), ("noise_snr", "> 0"), ("pose_threshold", "> 0"))
 
 
 @dataclass
@@ -45,8 +55,9 @@ class RunConfig:
     config key of its name (``class_map`` is the key ``classmap``). ``raw``
     holds the entries the config was read from, the per-class weight keys
     among them: ``label_weights`` and ``loss_weights`` have one entry per
-    merged class, 1 unless a key sets it, and the unlabeled class's label
-    weight is 0.
+    merged class, 1 unless a key sets it. Label weights must be >= 0 and loss
+    weights > 0; the unlabeled class takes neither key, and its label weight
+    is 0.
     """
 
     grid: GridConfig = field(default_factory=GridConfig)
@@ -101,26 +112,24 @@ class RunConfig:
             raise ConfigError(f"dtype must be f32 or f64, got {self.dtype!r}")
         if sorted(self.ma_order) != ["G", "L", "P"]:
             raise ConfigError(f"ma_order must be a permutation of L G P, got {self.ma_order}")
-        if self.noise_snr is not None and self.noise_snr <= 0:
-            raise ConfigError("noise_snr must be positive")
-        for key, ok, bounds in (
-                ("learning_rate", self.learning_rate > 0, "> 0"),
-                ("beta1", 0 <= self.beta1 < 1, "in [0, 1)"),
-                ("beta2", 0 <= self.beta2 < 1, "in [0, 1)"),
-                ("weight_decay", self.weight_decay >= 0, ">= 0"),
-                ("bn_momentum", 0 <= self.bn_momentum <= 1, "in [0, 1]"),
-                ("fps_rate", 0 < self.fps_rate <= 1, "in (0, 1]")):
-            if not ok:
-                raise ConfigError(f"{key} must be {bounds}, got {getattr(self, key)}")
         names = self.class_map.class_names
         self.label_weights, self.loss_weights = np.ones(len(names)), np.ones(len(names))
+        checks = [(key, getattr(self, key), bounds) for key, bounds in _BOUNDED_FIELDS]
         for key, tokens in self.raw.items():
-            for prefix, target in zip(WEIGHT_PREFIXES, (self.label_weights, self.loss_weights)):
+            for prefix, target, bounds in zip(WEIGHT_PREFIXES,
+                                              (self.label_weights, self.loss_weights), (">= 0", "> 0")):
                 if key.startswith(prefix):
-                    if key[len(prefix):] not in names:
+                    name = key[len(prefix):]
+                    if name not in names:
                         raise ConfigError(f"unknown class name in {key!r}")
-                    target[names.index(key[len(prefix):])] = read_value(key, tokens, float)
+                    if name == UNLABELED_NAME:
+                        raise ConfigError(f"{key} sets nothing: unlabeled cells get no label or loss")
+                    target[names.index(name)] = weight = read_value(key, tokens, float)
+                    checks.append((key, weight, bounds))
         self.label_weights[self.class_map.unlabeled_index] = 0.0
+        for key, value, bounds in checks:
+            if value is not None and not _BOUNDS[bounds](value):
+                raise ConfigError(f"{key} must be {bounds}, got {value}")
 
 
 def build_run_config(values: dict[str, list[str]]) -> RunConfig:

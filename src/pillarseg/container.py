@@ -1,6 +1,6 @@
 """Single-file binary container for named arrays.
 
-Used for parameter checkpoints and cached frames. Layout (all little-endian):
+Used for parameter checkpoints. Layout (all little-endian):
 
     magic   4 bytes  b"PSTC"
     version u32
@@ -12,7 +12,7 @@ Used for parameter checkpoints and cached frames. Layout (all little-endian):
         dims     u32 * ndim
         payload  raw little-endian array bytes, row-major
 
-Checkpoints store parameters as 32-bit floats; caches may use any listed dtype.
+Checkpoints store parameters as 32-bit floats; any listed dtype round-trips.
 """
 
 from __future__ import annotations

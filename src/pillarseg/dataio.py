@@ -212,8 +212,8 @@ class ClassMap:
             if not value:
                 raise FormatError(f"class map line {lineno}: empty class name")
             entries[raw_id] = value
-        if not entries:
-            raise FormatError("class map is empty")
+        if set(entries.values()) <= {UNLABELED_NAME}:
+            raise FormatError("class map is empty or names no class besides unlabeled")
         return cls(entries)
 
 

@@ -18,27 +18,18 @@ from .pillars import GridConfig, cell_indices, crop_mask
 
 @dataclass
 class LabelGenConfig:
-    """Per-class argmax weights and densification parameters.
-
-    ``pose_threshold`` of None means "twice the farthest point distance of the
-    current frame", recomputed per frame. ``static_classes`` are the merged
-    indices imported from nearby frames during densification.
+    """Per-class argmax weights and densification parameters, as checked by
+    :class:`~pillarseg.config.RunConfig`: float64 ``class_weights`` >= 0 per
+    merged class, 0 at ``unlabeled_index``, and a positive ``pose_threshold``
+    or None, which means "twice the farthest point distance of the current
+    frame", recomputed per frame. ``static_classes`` are the merged indices
+    imported from nearby frames during densification.
     """
 
-    class_weights: np.ndarray  # (num_merged,) non-negative, unlabeled entry 0
+    class_weights: np.ndarray  # (num_merged,)
     unlabeled_index: int
     pose_threshold: float | None = None
     static_classes: frozenset[int] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        w = np.asarray(self.class_weights, dtype=np.float64)
-        if (w < 0).any():
-            raise ConfigError("class weights must be non-negative")
-        w = w.copy()
-        w[self.unlabeled_index] = 0.0
-        object.__setattr__(self, "class_weights", w)
-        if self.pose_threshold is not None and self.pose_threshold <= 0:
-            raise ConfigError("pose_threshold must be positive")
 
 
 # merged classes whose objects can move between frames, so densification

@@ -16,17 +16,12 @@ from .nn.tensor import Tensor
 
 @dataclass
 class SegLossConfig:
-    """Per-merged-class weights for the segmentation loss."""
+    """Per-merged-class weights for the segmentation loss, as checked by
+    :class:`~pillarseg.config.RunConfig`: float64, one per merged class, and
+    positive for every supervised class; the unlabeled entry is never read."""
 
     class_weights: np.ndarray
     unlabeled_index: int
-
-    def __post_init__(self):
-        w = np.asarray(self.class_weights, dtype=np.float64)
-        supervised = np.delete(w, self.unlabeled_index)
-        if (supervised <= 0).any():
-            raise ConfigError("supervised class weights must be positive")
-        self.class_weights = w
 
     @property
     def supervised_indices(self) -> list[int]:
@@ -90,7 +85,6 @@ class DetLossConfig:
     beta_loc: float = 2.0
     beta_cls: float = 1.0
     beta_dir: float = 0.2
-    direction_bins: int = 2
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import pillars as pil
 from .attention import MultiAttentionFuse
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .nn import layers as L
 from .nn import tensor as T
 from .nn.tensor import Tensor
@@ -33,12 +33,6 @@ class ModelConfig:
     feast_heads: int = 4
     fps_rate: float = 0.05
     bn_momentum: float = 0.9
-
-    def __post_init__(self):
-        if self.num_classes < 1:
-            raise ConfigError("need at least one supervised class")
-        if not self.unet_widths:
-            raise ConfigError("unet_widths must name at least one block")
 
 
 class MUNet:

@@ -120,8 +120,8 @@ def constant(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=_DEFAULT_DTYPE))
 
 
-def parameter(x, dtype=None) -> Tensor:
-    return Tensor(np.asarray(x), requires_grad=True, dtype=dtype)
+def parameter(x) -> Tensor:
+    return Tensor(x, requires_grad=True)
 
 
 def _recording(*tensors: Tensor) -> bool:

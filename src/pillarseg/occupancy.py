@@ -25,7 +25,8 @@ at a time, and the tests require bitwise-equal results.
 A ray may stop early at a cell of a "stop" mask, which is then its last
 emitted cell. Visibility stops each 3D ray at the first voxel that holds a
 point: a voxel without points that some ray passes is FREE, a point-bearing
-voxel where some ray stops is OCCUPIED, and every other voxel is UNKNOWN.
+voxel where some ray stops is OCCUPIED, and every other voxel is UNKNOWN;
+`visibility` returns these states as an (H, W, D) uint8 array.
 Each ray's path is fixed by its own geometry and the mask, never by what
 other rays marked, so the states do not depend on the order of the rays and
 all of them can be cast together.
@@ -41,7 +42,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataio import PointCloud
-from .errors import ConfigError
 from .pillars import GridConfig, crop_mask
 
 # states of the 3D visibility grid
@@ -64,13 +64,6 @@ class ObservabilityMap:
         if peak <= 0:
             return np.zeros_like(self.counts, dtype=np.float64)
         return np.log1p(self.counts) / math.log1p(peak)
-
-
-@dataclass(frozen=True)
-class VoxelStateGrid:
-    """(H, W, D) grid over {UNKNOWN, FREE, OCCUPIED}."""
-
-    states: np.ndarray
 
 
 class _Lattice(NamedTuple):
@@ -230,8 +223,8 @@ def observability(cloud: PointCloud, cfg: GridConfig, origin=(0.0, 0.0, 0.0)) ->
     return ObservabilityMap(counts)
 
 
-def visibility(cloud: PointCloud, cfg: GridConfig, origin=(0.0, 0.0, 0.0)) -> VoxelStateGrid:
-    """Three-state voxel grid from 3D rays that stop at the first point-bearing voxel."""
+def visibility(cloud: PointCloud, cfg: GridConfig, origin=(0.0, 0.0, 0.0)) -> np.ndarray:
+    """(H, W, D) uint8 states from 3D rays that stop at the first point-bearing voxel."""
     lat = _lattice(cfg, 3)
     states = np.zeros((cfg.height, cfg.width, cfg.depth), dtype=np.uint8)
     pts = cloud.xyz[crop_mask(cloud.xyz, cfg)].astype(np.float64)
@@ -239,16 +232,14 @@ def visibility(cloud: PointCloud, cfg: GridConfig, origin=(0.0, 0.0, 0.0)) -> Vo
     holds_point[_cells((pts - lat.lo) / lat.size, lat) @ lat.strides] = True
     visited = _traverse(np.asarray(origin, dtype=np.float64), pts, lat, holds_point)
     states.ravel()[visited] = np.where(holds_point[visited], OCCUPIED, FREE)
-    return VoxelStateGrid(states)
+    return states
 
 
 def inject_noise(cloud: PointCloud, snr: float, seed: int, cfg: GridConfig) -> PointCloud:
-    """Append floor(N / snr) uniform noise points inside the crop volume.
+    """Append floor(N / snr) uniform noise points inside the crop volume; snr > 0.
 
     Noise reflectance is uniform in [0, 1]. Original points unchanged.
     """
-    if snr <= 0:
-        raise ConfigError(f"snr must be positive, got {snr}")
     n_noise = int(len(cloud) // snr)
     if n_noise == 0:
         return cloud

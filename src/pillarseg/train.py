@@ -76,7 +76,7 @@ def prepare_frame(cfg: RunConfig, index: int, augment_seed: int | None = None) -
             classes, np.full(len(cloud) - before, cfg.class_map.unlabeled_index)
         ])
     if augment_seed is not None and cfg.augment.enabled:
-        xyz, classes, _ = aug.apply_augment(cloud.xyz, classes, cfg.augment, augment_seed)
+        xyz = aug.apply_augment(cloud.xyz, cfg.augment, augment_seed)
         cloud = PointCloud(xyz.astype(np.float32), cloud.reflectance)
     grid = cfg.grid
     label_grid = lab.sparse_labels(cloud.xyz.astype(np.float64), classes, grid,

@@ -53,9 +53,7 @@ class TestSampleParams:
 class TestApply:
     def test_all_disabled_is_identity(self):
         xyz = np.random.default_rng(0).normal(size=(20, 3))
-        out, classes, params = augment.apply_augment(xyz, None, augment.AugmentConfig(), 5)
-        np.testing.assert_array_equal(out, xyz)
-        assert params == augment.AugmentParams()
+        np.testing.assert_array_equal(augment.apply_augment(xyz, augment.AugmentConfig(), 5), xyz)
 
     def test_double_flip_is_identity(self):
         xyz = np.random.default_rng(1).normal(size=(10, 3))
@@ -70,10 +68,11 @@ class TestApply:
     def test_classes_and_count_preserved(self):
         rng = np.random.default_rng(2)
         xyz = rng.normal(size=(30, 3))
-        classes = rng.integers(0, 4, 30)
-        out, out_classes, _ = augment.apply_augment(xyz, classes, full_config(), 7)
+        out = augment.apply_augment(xyz, full_config(), 7)
+        # one row per input point, in input order, so per-point classes stay aligned
         assert out.shape == xyz.shape
-        np.testing.assert_array_equal(out_classes, classes)
+        np.testing.assert_array_equal(
+            out, augment.apply_params(xyz, augment.sample_params(full_config(), 7)))
 
     def test_distance_preservation_and_scaling(self):
         rng = np.random.default_rng(3)

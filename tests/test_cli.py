@@ -60,6 +60,17 @@ class TestDispatch:
         assert "config error: beta1" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
+    def test_class_weight_out_of_range_exit_1(self, scene_file, tmp_path, capsys):
+        # rejected while the config is read, before any frame is prepared
+        assert run_cli("train", *micro_args(scene_file), "--loss_weight_vehicle", "0",
+                       "--out", str(tmp_path / "t")) == 1
+        assert "config error: loss_weight_vehicle" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
+
+    def test_usage_lists_every_subcommand(self):
+        listed = cli.USAGE.split("subcommands:\n", 1)[1].split("\n\n", 1)[0]
+        assert [line.split()[0] for line in listed.splitlines()] == list(cli._SUBCOMMANDS)
+
     def test_attention_order_not_a_permutation_exit_1(self, scene_file, tmp_path, capsys):
         assert run_cli("train", *micro_args(scene_file), "--use_ma", "true",
                        "--ma_order", "L", "L", "P", "--out", str(tmp_path / "t")) == 1
@@ -97,32 +108,15 @@ class TestSynthIngest:
         for rel in ("velodyne/000001.bin", "labels/000001.label", "poses.txt", "run.log"):
             assert (a / rel).read_bytes() == (b / rel).read_bytes()
 
-    def test_ingest_round_trip(self, scene_file, tmp_path):
-        synth = tmp_path / "synth"
-        run_cli("synth", *micro_args(scene_file), "--frames", "2", "--out", str(synth))
-        cache = tmp_path / "cache"
-        code = run_cli("ingest", *micro_args(scene_file),
-                       "--scans", str(synth / "velodyne"),
-                       "--labels", str(synth / "labels"),
-                       "--poses", str(synth / "poses.txt"),
-                       "--classmap", str(synth / "classmap.map"),
-                       "--out", str(cache))
-        assert code == 0
-        from pillarseg.container import read_container
-
-        frame = read_container(cache / "frame_000000.pstc")
-        assert {"xyz", "reflectance", "classes", "pose"} <= set(frame)
-        assert (cache / "manifest.txt").exists()
-
-    def test_ingest_rejects_mismatched_labels(self, scene_file, tmp_path):
+    def test_labels_rejects_mismatched_labels(self, scene_file, tmp_path):
         synth = tmp_path / "synth"
         run_cli("synth", *micro_args(scene_file), "--frames", "1", "--out", str(synth))
         label = next((synth / "labels").glob("*.label"))
         label.write_bytes(label.read_bytes()[:-4])
-        assert run_cli("ingest", *micro_args(scene_file),
+        assert run_cli("labels", *micro_args(scene_file),
                        "--scans", str(synth / "velodyne"),
                        "--labels", str(synth / "labels"),
-                       "--out", str(tmp_path / "cache")) == 2
+                       "--out", str(tmp_path / "labels")) == 2
 
 
 class TestRenderCommands:
@@ -186,13 +180,12 @@ class TestRenderCommands:
         assert (out / "labels_000001.raw").read_bytes() != \
             (sparse / "labels_000001.raw").read_bytes()
 
-    @pytest.mark.parametrize("command", ["labels", "ingest"])
-    def test_real_scans_under_non_toy_class_map(self, command, synth_dir, tmp_path):
+    def test_real_scans_under_non_toy_class_map(self, synth_dir, tmp_path):
         # no scene is named, so the default toy scene's classes must not matter
-        code = run_cli(command, *MICRO, "--classmap", "nuscenes_16.map",
+        code = run_cli("labels", *MICRO, "--classmap", "nuscenes_16.map",
                        "--scans", str(synth_dir / "velodyne"),
                        "--labels", str(synth_dir / "labels"),
-                       "--out", str(tmp_path / command))
+                       "--out", str(tmp_path / "labels"))
         assert code == 0
 
     def test_labels_dense_flag_must_be_boolean(self, scene_file, synth_dir, tmp_path, capsys):

@@ -93,6 +93,9 @@ class TestFlatConfig:
         ("bn_momentum", "7"), ("bn_momentum", "-0.1"),
         ("fps_rate", "0"), ("fps_rate", "1.5"),
         ("ma_order", "L L P"),
+        ("label_weight_vehicle", "-1"), ("loss_weight_vehicle", "0"),
+        ("pose_threshold", "0"), ("noise_snr", "0"),
+        ("label_weight_unlabeled", "1"), ("loss_weight_unlabeled", "1"),
     ])
     def test_out_of_range_value_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):

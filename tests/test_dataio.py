@@ -161,6 +161,10 @@ class TestClassMap:
         with pytest.raises(FormatError):
             dataio.ClassMap.parse("not a mapping\n")
 
+    def test_parse_rejects_map_without_supervised_class(self):
+        with pytest.raises(FormatError, match="besides unlabeled"):
+            dataio.ClassMap.parse("0 = unlabeled\n1 = unlabeled\n")
+
 
 class TestSyntheticFrames:
     @pytest.fixture
