@@ -11,8 +11,8 @@ in input order:
 * Pillar attention: channel-reducing then point-reducing shared affines over
   the (P, N, C) tensor.
 
-Fusion applies them in a configurable order (default local-global-local) and
-returns only the attended streams.
+Fusion applies them in the fixed order LSTM -> graph -> pillar
+(local-global-local) and returns only the attended streams.
 """
 
 from __future__ import annotations
@@ -229,21 +229,18 @@ class MultiAttentionFuse:
     """Compose the three attentions over the augmented point tensors of a
     chunk of frames, and return the attended (P, N, C) stream of each frame.
 
-    The default order is LSTM -> graph -> pillar (local-global-local); the
-    LSTM stage orders pillars by the x, y of their centers. Before the pillar
-    stage, the LSTM-weighted pooled features are concatenated channel-wise
-    into its input and passed through two shared affine+ReLU layers. Each
-    stage's (P, 1) weights scale the running stream, so the output keeps the
-    input shape. Only the LSTM stage runs the chunk's frames together; every
-    other op runs per frame, so each frame's output is bitwise that of a
-    chunk of one.
+    The order is LSTM -> graph -> pillar (local-global-local); the LSTM stage
+    orders pillars by the x, y of their centers. Before the pillar stage, the
+    LSTM-weighted pooled features are concatenated channel-wise into its input
+    and passed through two shared affine+ReLU layers. Each stage's (P, 1)
+    weights scale the running stream, so the output keeps the input shape.
+    Only the LSTM stage runs the chunk's frames together; every other op runs
+    per frame, so each frame's output is bitwise that of a chunk of one.
     """
 
     def __init__(self, channels: int, max_points: int, rng: np.random.Generator, *,
                  fusion_hidden: int, lstm_hidden: int = 16, graph_hidden: int = 16,
-                 heads: int = 4, fps_rate: float = 0.05,
-                 order: tuple[str, ...] = ("L", "G", "P")):
-        self.order = tuple(order)
+                 heads: int = 4, fps_rate: float = 0.05):
         self.lstm_attn = DRLSTMAttention(channels, lstm_hidden, rng)
         self.graph_attn = GraphAttention(channels, graph_hidden, heads, rng, fps_rate)
         self.pillar_attn = PillarAttention(channels, max_points, rng)
@@ -251,31 +248,32 @@ class MultiAttentionFuse:
         self.fuse2 = L.Affine(fusion_hidden, channels, rng)
 
     def __call__(self, aug_feats, masks, centers) -> list[Tensor]:
-        """Attend over a chunk of frames, stage by stage: each argument is a
-        list with one entry per frame (centers (P, 3)), and so is the output."""
+        """Attend over a chunk of frames: each argument is a list with one
+        entry per frame (centers (P, 3)), and so is the output."""
         streams = [T.as_tensor(f) for f in aug_feats]
-        lstm_weighted = [None] * len(streams)
 
-        for stage in self.order:
-            pooled = [T.masked_max_pool(s, m) for s, m in zip(streams, masks)]
-            if stage == "L":
-                weights = self.lstm_attn(pooled, [c[:, :2] for c in centers])
-                lstm_weighted = [T.mul(p, w) for p, w in zip(pooled, weights)]
-            elif stage == "G":
-                weights = [self.graph_attn(p) for p in pooled]
-            else:
-                weights = []
-                for stream, p, partner, c in zip(streams, pooled, lstm_weighted, centers):
-                    partner = partner if partner is not None else p
-                    cat = T.concat([stream, T.broadcast_middle(partner, stream.data.shape[1])],
-                                   axis=2)
-                    fused = T.relu(self.fuse2(T.relu(self.fuse1(cat))))
-                    weights.append(self.pillar_attn(fused, c))
-            streams = [T.mul(s, T.reshape(w, (-1, 1, 1))) for s, w in zip(streams, weights)]
-        return streams
+        pooled = [T.masked_max_pool(s, m) for s, m in zip(streams, masks)]
+        weights = self.lstm_attn(pooled, [c[:, :2] for c in centers])
+        lstm_weighted = [T.mul(p, w) for p, w in zip(pooled, weights)]
+        streams = _scale(streams, weights)
+
+        pooled = [T.masked_max_pool(s, m) for s, m in zip(streams, masks)]
+        streams = _scale(streams, [self.graph_attn(p) for p in pooled])
+
+        weights = []
+        for stream, partner, c in zip(streams, lstm_weighted, centers):
+            cat = T.concat([stream, T.broadcast_middle(partner, stream.data.shape[1])], axis=2)
+            fused = T.relu(self.fuse2(T.relu(self.fuse1(cat))))
+            weights.append(self.pillar_attn(fused, c))
+        return _scale(streams, weights)
 
     def params(self) -> dict[str, Tensor]:
         return L.collect_params(
             lstm=self.lstm_attn, graph=self.graph_attn, pillar=self.pillar_attn,
             fuse1=self.fuse1, fuse2=self.fuse2,
         )
+
+
+def _scale(streams: list[Tensor], weights: list[Tensor]) -> list[Tensor]:
+    """Each (P, N, C) stream times its (P, 1) per-pillar weights."""
+    return [T.mul(s, T.reshape(w, (-1, 1, 1))) for s, w in zip(streams, weights)]

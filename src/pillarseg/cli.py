@@ -225,7 +225,8 @@ def cmd_eval(overrides: dict[str, list[str]]) -> int:
         raise ConfigError("eval needs --checkpoint FILE")
     cfg = load_run_config(_pop(overrides, "config", str), overrides)
     val_idx = list(range(cfg.train_frames, cfg.train_frames + cfg.val_frames))
-    palette = render.parse_palette(resolve_text(cfg.palette))
+    colors = render.class_colors(cfg.class_map.class_names,
+                                 render.parse_palette(resolve_text(cfg.palette)))
     supervised = cfg.class_map.supervised_indices
     preds = []
     with train.model_dtype(cfg):
@@ -239,8 +240,7 @@ def cmd_eval(overrides: dict[str, list[str]]) -> int:
             pred = net.predict(logits, supervised)
             preds.append(pred)
             render.write_raw16(out_dir / f"pred_{index:06d}.raw", pred)
-            rgb = render.render_class_map(pred, cfg.class_map.class_names, palette,
-                                          observed=pack.visible)
+            rgb = render.render_class_map(pred, colors, observed=pack.visible)
             render.write_ppm(out_dir / f"pred_{index:06d}.ppm", rgb)
 
     acc = metrics.IoUAccumulator(supervised, cfg.class_map.unlabeled_index)

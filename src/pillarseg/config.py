@@ -40,11 +40,11 @@ DEFAULT_CLASSMAP = "toy.map"
 WEIGHT_PREFIXES = ("label_weight_", "loss_weight_")
 AUGMENT_FLAGS = ("flip_x", "flip_y", "rotate", "scale", "translate", "none")
 _BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "in [0, 1)": lambda v: 0 <= v < 1,
-           "in [0, 1]": lambda v: 0 <= v <= 1, "in (0, 1]": lambda v: 0 < v <= 1}
+           "in (0, 1]": lambda v: 0 < v <= 1}
 # fields whose value, unless None, must lie within the named bounds
 _BOUNDED_FIELDS = (("learning_rate", "> 0"), ("beta1", "in [0, 1)"), ("beta2", "in [0, 1)"),
-                   ("weight_decay", ">= 0"), ("bn_momentum", "in [0, 1]"),
-                   ("fps_rate", "in (0, 1]"), ("noise_snr", "> 0"), ("pose_threshold", "> 0"))
+                   ("weight_decay", ">= 0"), ("fps_rate", "in (0, 1]"), ("noise_snr", "> 0"),
+                   ("pose_threshold", "> 0"))
 
 
 @dataclass
@@ -72,13 +72,11 @@ class RunConfig:
     unet_widths: tuple[Size, ...] = (16, 32)
     use_occupancy: bool = True
     use_ma: bool = False
-    ma_order: tuple[str, ...] = ("L", "G", "P")
     lstm_hidden: Size = 16
     fps_rate: float = 0.05
     feast_heads: Size = 4
     graph_hidden: Size = 16
     fusion_hidden: Size = 16
-    bn_momentum: float = 0.9
     # labels / losses (by merged class index)
     label_weights: np.ndarray = field(init=False)
     loss_weights: np.ndarray = field(init=False)
@@ -110,8 +108,6 @@ class RunConfig:
             raise ConfigError(f"eval_mode must be one of {EVAL_MODES}, got {self.eval_mode!r}")
         if self.dtype not in ("f32", "f64"):
             raise ConfigError(f"dtype must be f32 or f64, got {self.dtype!r}")
-        if sorted(self.ma_order) != ["G", "L", "P"]:
-            raise ConfigError(f"ma_order must be a permutation of L G P, got {self.ma_order}")
         names = self.class_map.class_names
         self.label_weights, self.loss_weights = np.ones(len(names)), np.ones(len(names))
         checks = [(key, getattr(self, key), bounds) for key, bounds in _BOUNDED_FIELDS]

@@ -7,12 +7,13 @@ Used for parameter checkpoints. Layout (all little-endian):
     count   u32
     entries, each:
         name_len u16, name utf-8 bytes
-        dtype    u8 (code below)
+        dtype    u8, always 0: float32
         ndim     u8
         dims     u32 * ndim
-        payload  raw little-endian array bytes, row-major
+        payload  raw little-endian float32 bytes, row-major
 
-Checkpoints store parameters as 32-bit floats; any listed dtype round-trips.
+Checkpoints store parameters and buffers as float32, the only dtype a
+container holds; any other dtype or dtype code is a ``FormatError``.
 """
 
 from __future__ import annotations
@@ -28,22 +29,8 @@ from .errors import FormatError
 MAGIC = b"PSTC"
 VERSION = 1
 
-_DTYPE_CODES = {
-    0: np.dtype("<f4"),
-    1: np.dtype("<f8"),
-    2: np.dtype("<u2"),
-    3: np.dtype("<u4"),
-    4: np.dtype("<i8"),
-    5: np.dtype("|u1"),
-}
-_CODE_FOR_KIND = {np.dtype(d).str.lstrip("<|="): c for c, d in _DTYPE_CODES.items()}
-
-
-def _code_for(arr: np.ndarray) -> int:
-    key = np.dtype(arr.dtype).str.lstrip("<|=>")
-    if key not in _CODE_FOR_KIND:
-        raise FormatError(f"unsupported container dtype: {arr.dtype}")
-    return _CODE_FOR_KIND[key]
+_F4_CODE = 0
+_DTYPE = np.dtype("<f4")
 
 
 def write_container(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
@@ -51,14 +38,14 @@ def write_container(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
     chunks = [MAGIC, struct.pack("<II", VERSION, len(arrays))]
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr)
-        code = _code_for(arr)
+        if arr.dtype != np.float32:
+            raise FormatError(f"container holds float32 arrays only, got {arr.dtype} for {name!r}")
         raw = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(raw)))
         chunks.append(raw)
-        chunks.append(struct.pack("<BB", code, arr.ndim))
+        chunks.append(struct.pack("<BB", _F4_CODE, arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        le = arr.astype(arr.dtype.newbyteorder("<"), copy=False)
-        chunks.append(le.tobytes())
+        chunks.append(arr.astype(_DTYPE, copy=False).tobytes())
     Path(path).write_bytes(b"".join(chunks))
 
 
@@ -87,13 +74,12 @@ def read_container(path: str | Path) -> dict[str, np.ndarray]:
             off += 2
             dims = struct.unpack_from(f"<{ndim}I", data, off)
             off += 4 * ndim
-            if code not in _DTYPE_CODES:
+            if code != _F4_CODE:
                 raise FormatError(f"unknown dtype code {code} for entry {name!r}")
-            dtype = _DTYPE_CODES[code]
-            nbytes = math.prod(dims) * dtype.itemsize
+            nbytes = math.prod(dims) * _DTYPE.itemsize
             if off + nbytes > len(data):
                 raise FormatError(f"truncated payload for entry {name!r}")
-            payload = np.frombuffer(data[off : off + nbytes], dtype=dtype)
+            payload = np.frombuffer(data[off : off + nbytes], dtype=_DTYPE)
             try:
                 out[name] = payload.reshape(dims).copy()
             except ValueError as exc:  # more dims than numpy supports

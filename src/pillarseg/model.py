@@ -28,11 +28,9 @@ class ModelConfig:
     fusion_hidden: int
     use_occupancy: bool = True
     use_ma: bool = False
-    ma_order: tuple[str, ...] = ("L", "G", "P")
     graph_hidden: int = 16
     feast_heads: int = 4
     fps_rate: float = 0.05
-    bn_momentum: float = 0.9
 
 
 class MUNet:
@@ -41,17 +39,17 @@ class MUNet:
     through skip concatenation; a 1x1 convolution emits the class logits."""
 
     def __init__(self, cin: int, widths: tuple[int, ...], num_classes: int,
-                 rng: np.random.Generator, bn_momentum: float):
+                 rng: np.random.Generator):
         self.downs: list[L.DownBlock] = []
         self.ups: list[L.UpBlock] = []
         prev = cin
         for w in widths:
-            self.downs.append(L.DownBlock(prev, w, rng, bn_momentum))
+            self.downs.append(L.DownBlock(prev, w, rng))
             prev = w
         current = widths[-1]
         out_widths = [widths[0]] + list(widths[:-1])  # up block at level j emits w_{j-1}
         for skip_w, out_w in zip(reversed(widths), reversed(out_widths)):
-            self.ups.append(L.UpBlock(current, skip_w, out_w, rng, bn_momentum))
+            self.ups.append(L.UpBlock(current, skip_w, out_w, rng))
             current = out_w
         self.head_weight = T.parameter(
             rng.normal(0.0, np.sqrt(2.0 / widths[0]), (num_classes, widths[0], 1, 1)))
@@ -96,13 +94,12 @@ class PillarSegNet:
                 pil.AUGMENTED_CHANNELS, cfg.max_points, rngs[0],
                 lstm_hidden=cfg.lstm_hidden, graph_hidden=cfg.graph_hidden,
                 heads=cfg.feast_heads, fps_rate=cfg.fps_rate,
-                fusion_hidden=cfg.fusion_hidden, order=cfg.ma_order,
+                fusion_hidden=cfg.fusion_hidden,
             )
         self.pfn_affine = L.Affine(pil.AUGMENTED_CHANNELS, cfg.pfn_channels, rngs[1])
-        self.pfn_bn = L.BatchNorm(cfg.pfn_channels, momentum=cfg.bn_momentum)
+        self.pfn_bn = L.BatchNorm(cfg.pfn_channels)
         unet_in = cfg.pfn_channels + (1 if cfg.use_occupancy else 0)
-        self.unet = MUNet(unet_in, cfg.unet_widths, cfg.num_classes, rngs[2],
-                          cfg.bn_momentum)
+        self.unet = MUNet(unet_in, cfg.unet_widths, cfg.num_classes, rngs[2])
 
     # ------------------------------------------------------------------
     # forward pieces
@@ -138,10 +135,6 @@ class PillarSegNet:
                 feats[i] = stream
         images = []
         for pset, f in zip(psets, feats):
-            if pset.valid_pillars == 0:
-                images.append(T.constant(np.zeros((self.cfg.pfn_channels, grid.height,
-                                                   grid.width))))
-                continue
             pooled = self.pfn_forward(f, pset.mask, training)
             images.append(T.scatter_to_image(pooled, pset.pillar_coords[:, 0],
                                              pset.pillar_coords[:, 1], grid.height, grid.width))

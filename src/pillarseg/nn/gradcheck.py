@@ -67,11 +67,11 @@ def kink_margin(f: Callable[[Tensor], Tensor], x) -> float:
     return tape.min_kink_margin()
 
 
-def resample_until_smooth(make_x, f, eps: float = 1e-5, attempts: int = 50):
-    """Draw candidate points from ``make_x(attempt)`` until the forward pass of
-    ``f`` keeps all kinks at least 10*eps away; returns the accepted point."""
-    for attempt in range(attempts):
+def resample_until_smooth(make_x, f):
+    """Draw up to 50 points from ``make_x(attempt)`` until the forward pass of
+    ``f`` keeps all kinks over ten 1e-5 grad_check steps away; returns it."""
+    for attempt in range(50):
         x = make_x(attempt)
-        if kink_margin(f, x) > 10.0 * eps:
+        if kink_margin(f, x) > 10.0 * 1e-5:
             return x
     raise VerificationError("could not find a kink-avoided test point")

@@ -99,10 +99,10 @@ class BiLSTM:
 class ConvBNReLU:
     """3x3 convolution, per-channel BatchNorm, ReLU."""
 
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator, bn_momentum: float = 0.9):
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator):
         self.weight = T.parameter(rng.normal(0.0, np.sqrt(2.0 / (cin * 9)), (cout, cin, 3, 3)))
         self.bias = T.parameter(np.zeros(cout))
-        self.bn = BatchNorm(cout, momentum=bn_momentum, channel_axis=0)
+        self.bn = BatchNorm(cout, channel_axis=0)
 
     def __call__(self, x, training: bool) -> Tensor:
         return T.relu(self.bn(T.conv2d(x, self.weight, self.bias), training))
@@ -114,9 +114,9 @@ class ConvBNReLU:
 class DownBlock:
     """Two 3x3 conv+BN+ReLU, then 2x2 max pool. Returns (skip, pooled)."""
 
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator, bn_momentum: float = 0.9):
-        self.conv1 = ConvBNReLU(cin, cout, rng, bn_momentum)
-        self.conv2 = ConvBNReLU(cout, cout, rng, bn_momentum)
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator):
+        self.conv1 = ConvBNReLU(cin, cout, rng)
+        self.conv2 = ConvBNReLU(cout, cout, rng)
 
     def __call__(self, x, training: bool) -> tuple[Tensor, Tensor]:
         skip = self.conv2(self.conv1(x, training), training)
@@ -129,10 +129,9 @@ class DownBlock:
 class UpBlock:
     """2x nearest upsample, skip concat, then two 3x3 conv+BN+ReLU."""
 
-    def __init__(self, cin: int, skip_channels: int, cout: int, rng: np.random.Generator,
-                 bn_momentum: float = 0.9):
-        self.conv1 = ConvBNReLU(cin + skip_channels, cout, rng, bn_momentum)
-        self.conv2 = ConvBNReLU(cout, cout, rng, bn_momentum)
+    def __init__(self, cin: int, skip_channels: int, cout: int, rng: np.random.Generator):
+        self.conv1 = ConvBNReLU(cin + skip_channels, cout, rng)
+        self.conv2 = ConvBNReLU(cout, cout, rng)
 
     def __call__(self, x, skip, training: bool) -> Tensor:
         up = T.upsample2x(x)

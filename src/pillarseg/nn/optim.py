@@ -14,14 +14,12 @@ class Adam:
         lr: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
     ):
         self.params = params
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -48,4 +46,4 @@ class Adam:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + 1e-8)

@@ -70,10 +70,10 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, requires_grad: bool = False):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=dtype if dtype is not None else _DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._backward: Callable[[np.ndarray], None] | None = None
@@ -265,9 +265,9 @@ def sigmoid(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(x, axis=None) -> Tensor:
     x = as_tensor(x)
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims))
+    out = Tensor(x.data.sum(axis=axis))
     if not _recording(x):
         return out
 
@@ -275,8 +275,7 @@ def tsum(x, axis=None, keepdims: bool = False) -> Tensor:
         if axis is None:
             _accum(x, np.broadcast_to(g, x.data.shape).copy() if np.ndim(g) else np.full_like(x.data, g))
             return
-        gg = g if keepdims else np.expand_dims(g, axis)
-        _accum(x, np.broadcast_to(gg, x.data.shape).copy())
+        _accum(x, np.broadcast_to(np.expand_dims(g, axis), x.data.shape).copy())
 
     return _record(out, backward)
 

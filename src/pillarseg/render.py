@@ -3,6 +3,9 @@
 All writers emit binary netpbm (P5/P6); 16-bit graymaps use the netpbm
 big-endian sample order. The raw dump variant is little-endian row-major and
 meant for exact comparisons.
+
+:func:`class_colors` builds a class map's (K, 3) color table from a palette
+once; :func:`render_class_map` paints class-index grids through it.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ def write_legend(path: str | Path, class_names: list[str]) -> None:
 
 
 def parse_palette(text: str) -> dict[str, tuple[int, int, int]]:
-    """``name r g b`` per line."""
+    """``name r g b`` per line, each component in 0-255."""
     out: dict[str, tuple[int, int, int]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -65,9 +68,12 @@ def parse_palette(text: str) -> dict[str, tuple[int, int, int]]:
         if len(tokens) != 4:
             raise FormatError(f"palette line {lineno}: expected 'name r g b'")
         try:
-            out[tokens[0]] = tuple(int(t) for t in tokens[1:])  # type: ignore[assignment]
+            color = tuple(int(t) for t in tokens[1:])
         except ValueError as exc:
             raise FormatError(f"palette line {lineno}: bad color") from exc
+        if not all(0 <= c <= 255 for c in color):
+            raise FormatError(f"palette line {lineno}: color components must be in 0-255")
+        out[tokens[0]] = color  # type: ignore[assignment]
     if not out:
         raise FormatError("palette is empty")
     return out
@@ -82,18 +88,20 @@ def write_ppm(path: str | Path, rgb: np.ndarray) -> None:
         fh.write(np.clip(rgb, 0, 255).astype(np.uint8).tobytes())
 
 
-def render_class_map(
-    labels: np.ndarray,
-    class_names: list[str],
-    palette: dict[str, tuple[int, int, int]],
-    observed: np.ndarray | None = None,
-) -> np.ndarray:
-    """Color image of a class-index grid; unobserved cells are painted white."""
+def class_colors(class_names: list[str], palette: dict[str, tuple[int, int, int]]) -> np.ndarray:
+    """(K, 3) uint8 color table, row i the palette color of class i."""
     colors = np.zeros((len(class_names), 3), dtype=np.uint8)
     for i, name in enumerate(class_names):
         if name not in palette:
             raise ConfigError(f"palette has no color for class {name!r}")
         colors[i] = palette[name]
+    return colors
+
+
+def render_class_map(labels: np.ndarray, colors: np.ndarray,
+                     observed: np.ndarray | None = None) -> np.ndarray:
+    """Color image of a class-index grid through a :func:`class_colors`
+    table; unobserved cells are painted white."""
     rgb = colors[np.asarray(labels, dtype=np.int64)]
     if observed is not None:
         rgb = np.where(observed[:, :, None], rgb, np.uint8(255))

@@ -71,10 +71,11 @@ class TestDispatch:
         listed = cli.USAGE.split("subcommands:\n", 1)[1].split("\n\n", 1)[0]
         assert [line.split()[0] for line in listed.splitlines()] == list(cli._SUBCOMMANDS)
 
-    def test_attention_order_not_a_permutation_exit_1(self, scene_file, tmp_path, capsys):
+    def test_attention_order_flag_unknown_exit_1(self, scene_file, tmp_path, capsys):
+        # the multi-attention block runs L -> G -> P; no key reorders it
         assert run_cli("train", *micro_args(scene_file), "--use_ma", "true",
-                       "--ma_order", "L", "L", "P", "--out", str(tmp_path / "t")) == 1
-        assert "config error: ma_order" in capsys.readouterr().err
+                       "--ma_order", "G", "L", "P", "--out", str(tmp_path / "t")) == 1
+        assert "config error: unknown config key 'ma_order'" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
     def test_scene_class_missing_from_class_map_exit_1(self, tmp_path, capsys):
@@ -255,6 +256,24 @@ class TestTrainEval:
                        "--out", str(tmp_path / "eval")) == 0
         assert seen and all(dtype == np.float32 for dtype in seen)
         assert T.default_dtype() == np.float64
+
+    @pytest.mark.parametrize("ground, code, message", [
+        ("ground 300 120 120\n", 2, "data error: palette line 2: color components must be in"),
+        ("", 1, "config error: palette has no color for class 'ground'"),
+    ])
+    def test_eval_bad_palette_exits_before_out(self, scene_file, tmp_path, capsys,
+                                               ground, code, message):
+        # the color table is built before inference and before --out exists
+        out = tmp_path / "run"
+        assert run_cli("train", *micro_args(scene_file, "--epochs", "0"),
+                       "--out", str(out)) == 0
+        palette = tmp_path / "palette.txt"
+        palette.write_text(f"unlabeled 0 0 0\n{ground}vehicle 1 2 3\nobject 4 5 6\n")
+        assert run_cli("eval", *micro_args(scene_file), "--palette", str(palette),
+                       "--checkpoint", str(out / "model.ckpt"),
+                       "--out", str(tmp_path / "eval")) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
 
     def test_train_deterministic_outputs(self, scene_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -28,8 +28,11 @@ class TestFlatConfig:
         assert cfg.loss_weights[cfg.class_map.index_of("object")] == 5.0
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            config.load_run_config(None, {"no_such_key": ["1"]})
+        # the attention block order and the BatchNorm momentum are fixed, not keys
+        for key, tokens in (("no_such_key", ["1"]), ("ma_order", ["G", "L", "P"]),
+                            ("bn_momentum", ["0.9"])):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                config.load_run_config(None, {key: tokens})
 
     def test_dense_train_requires_dense_eval(self):
         with pytest.raises(ConfigError, match="dense-train"):
@@ -90,9 +93,7 @@ class TestFlatConfig:
         ("learning_rate", "0"), ("learning_rate", "-1"),
         ("beta1", "1"), ("beta1", "-0.1"), ("beta2", "1"), ("beta2", "-0.5"),
         ("weight_decay", "-5"),
-        ("bn_momentum", "7"), ("bn_momentum", "-0.1"),
         ("fps_rate", "0"), ("fps_rate", "1.5"),
-        ("ma_order", "L L P"),
         ("label_weight_vehicle", "-1"), ("loss_weight_vehicle", "0"),
         ("pose_threshold", "0"), ("noise_snr", "0"),
         ("label_weight_unlabeled", "1"), ("loss_weight_unlabeled", "1"),
@@ -122,8 +123,6 @@ class TestContainer:
         rng = np.random.default_rng(0)
         arrays = {
             "floats": rng.normal(size=(3, 4)).astype(np.float32),
-            "doubles": rng.normal(size=7),
-            "shorts": rng.integers(0, 1000, (2, 2)).astype(np.uint16),
             "empty": np.zeros((0, 5), dtype=np.float32),
         }
         path = tmp_path / "data.pstc"
@@ -133,6 +132,18 @@ class TestContainer:
         for k in arrays:
             np.testing.assert_array_equal(back[k], arrays[k])
             assert back[k].dtype == arrays[k].dtype
+
+    def test_non_float32_write_rejected(self, tmp_path):
+        with pytest.raises(FormatError, match="float32 arrays only, got float64 for 'x'"):
+            container.write_container(tmp_path / "f8.pstc", {"x": np.zeros(3)})
+
+    def test_non_float32_code_rejected(self, tmp_path):
+        # code 0, float32, is the only dtype code
+        path = tmp_path / "f8.pstc"
+        path.write_bytes(container.MAGIC + struct.pack("<IIH", container.VERSION, 1, 1) + b"a"
+                         + struct.pack("<BBI", 1, 1, 1) + b"\x00" * 8)
+        with pytest.raises(FormatError, match="unknown dtype code 1 for entry 'a'"):
+            container.read_container(path)
 
     def test_deterministic_bytes(self, tmp_path):
         arrays = {"x": np.arange(6, dtype=np.float32).reshape(2, 3)}
@@ -167,7 +178,7 @@ class TestContainer:
     def test_impossible_shape_rejected(self, tmp_path, dims):
         path = tmp_path / "shape.pstc"
         path.write_bytes(container.MAGIC + struct.pack("<IIH", container.VERSION, 1, 1) + b"a"
-                         + struct.pack(f"<BB{len(dims)}I", 5, len(dims), *dims) + b"\x00")
+                         + struct.pack(f"<BB{len(dims)}I", 0, len(dims), *dims) + b"\x00" * 4)
         with pytest.raises(FormatError, match="entry 'a'"):
             container.read_container(path)
 
@@ -209,9 +220,9 @@ class TestRender:
     def test_ppm_and_palette(self, tmp_path):
         palette = render.parse_palette("ground 10 20 30\nvehicle 1 2 3\nunlabeled 255 255 255\n")
         labels = np.array([[0, 1], [2, 1]])
-        names = ["unlabeled", "ground", "vehicle"]
+        colors = render.class_colors(["unlabeled", "ground", "vehicle"], palette)
         observed = np.array([[True, True], [True, False]])
-        rgb = render.render_class_map(labels, names, palette, observed)
+        rgb = render.render_class_map(labels, colors, observed)
         np.testing.assert_array_equal(rgb[0, 1], [10, 20, 30])
         np.testing.assert_array_equal(rgb[1, 1], [255, 255, 255])  # unobserved -> white
         path = tmp_path / "img.ppm"
@@ -221,4 +232,9 @@ class TestRender:
     def test_missing_palette_entry_rejected(self):
         palette = render.parse_palette("ground 1 2 3\n")
         with pytest.raises(ConfigError):
-            render.render_class_map(np.zeros((1, 1), dtype=int), ["sky"], palette)
+            render.class_colors(["sky"], palette)
+
+    @pytest.mark.parametrize("component", ["256", "-1"])
+    def test_palette_component_out_of_range_rejected(self, component):
+        with pytest.raises(FormatError, match="palette line 2: color components must be in 0-255"):
+            render.parse_palette(f"ground 1 2 3\nvehicle 1 {component} 3\n")

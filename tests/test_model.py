@@ -145,6 +145,22 @@ class TestSegNetForward:
         logits = forward_cloud(net, make_cloud(rng, n=40), grid)
         assert np.isfinite(logits.data).all()
 
+    @pytest.mark.parametrize("training", [False, True])
+    def test_empty_frames_in_ma_chunk(self, rng, training):
+        # multi-attention runs over the chunk's non-empty frames only
+        grid = toy_grid()
+        net = toy_model(grid, use_occupancy=False, use_ma=True)
+        empty = PointCloud(np.zeros((0, 3), dtype=np.float32), np.zeros(0, dtype=np.float32))
+        empty, full = (pillars.augment_points(pillars.pillarize(cloud, grid, 0), grid)
+                       for cloud in (empty, make_cloud(rng)))
+        chunk = [empty, full, empty]
+        images = net.pseudo_images(chunk, grid, training)
+        for image in images[::2]:
+            assert image.data.shape == (8, 16, 16) and not image.data.any()
+        logits = net.forward_frames(chunk, grid, [None] * 3, training)
+        alone = net.forward_pillars(full, grid, None, training)
+        assert logits[1].data.tobytes() == alone.data.tobytes()
+
     def test_deterministic_forward(self, rng):
         grid = toy_grid()
         cloud = make_cloud(rng)

@@ -10,10 +10,10 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pillarseg import config, container, dataio, train
+from pillarseg import config, container, dataio, render, train
 from pillarseg.errors import PillarSegError
 from pillarseg.model import PillarSegNet
 
@@ -90,6 +90,29 @@ class TestPoses:
             assert np.isfinite(pose.rotation).all() and np.isfinite(pose.translation).all()
             assert pose.orthonormality_error() <= 1e-1
             assert np.linalg.det(pose.rotation) > 0
+
+
+COLOR_TOKENS = st.sampled_from(["0", "255", "256", "-1", "300", "1e2", "0x10", "1_0", "٣",
+                                "", "x", "# 1"]) | st.integers(-300, 300).map(str)
+
+
+@st.composite
+def mutated_palette(draw):
+    """Lines of the packaged toy palette with one to three tokens replaced."""
+    lines = [line.split() for line in config.packaged_text("palette_toy.txt").splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        line = draw(st.sampled_from(lines))
+        line[draw(st.integers(0, 3))] = draw(COLOR_TOKENS)
+    return "\n".join(" ".join(line) for line in lines)
+
+
+class TestPalette:
+    @example("ground 300 120 120")  # parsed to a color numpy cannot store in a uint8
+    @given(st.text(max_size=40) | mutated_palette())
+    def test_colors_in_range_or_typed_error(self, text):
+        palette = parse_or_none(render.parse_palette, text)
+        for color in (palette or {}).values():
+            assert len(color) == 3 and all(0 <= c <= 255 for c in color)
 
 
 class TestFlatConfig:
