@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, labels as lab, metrics, occupancy as occ, render, train
+from . import dataio, labels as lab, occupancy as occ, render, train
 from .config import DEFAULT_CLASSMAP, RunConfig, echo_config, load_run_config, resolve_text
 from .errors import ConfigError, DivergenceError, FormatError, PillarSegError
 from .flat import Count, read_value
@@ -227,26 +227,16 @@ def cmd_eval(overrides: dict[str, list[str]]) -> int:
     val_idx = list(range(cfg.train_frames, cfg.train_frames + cfg.val_frames))
     colors = render.class_colors(cfg.class_map.class_names,
                                  render.parse_palette(resolve_text(cfg.palette)))
-    supervised = cfg.class_map.supervised_indices
-    preds = []
     with train.model_dtype(cfg):
         net = PillarSegNet(train.model_config(cfg), seed=cfg.seed)
         load_checkpoint(checkpoint, net)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        packs = train.prepare_frames(cfg, val_idx, threads=cfg.threads)
-
-        # prediction pass first: labels are only read afterwards for metrics
-        for pack, index, logits in train.infer_chunks(cfg, net, packs, val_idx):
-            pred = net.predict(logits, supervised)
-            preds.append(pred)
-            render.write_raw16(out_dir / f"pred_{index:06d}.raw", pred)
-            rgb = render.render_class_map(pred, colors, observed=pack.visible)
-            render.write_ppm(out_dir / f"pred_{index:06d}.ppm", rgb)
-
-    acc = metrics.IoUAccumulator(supervised, cfg.class_map.unlabeled_index)
-    for pack, pred in zip(packs, preds):
-        acc.add(pred, pack.label_grid, pack.visible)
-    result = acc.result()
+        packs = train.prepare_frames(cfg, val_idx)
+        _, result, preds = train.evaluate(cfg, net, packs, val_idx)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for pack, index, pred in zip(packs, val_idx, preds):
+        render.write_raw16(out_dir / f"pred_{index:06d}.raw", pred)
+        rgb = render.render_class_map(pred, colors, observed=pack.visible)
+        render.write_ppm(out_dir / f"pred_{index:06d}.ppm", rgb)
     report = {"miou": repr(result.miou), "evaluated_cells": str(result.evaluated_cells)}
     for k, v in result.defined().items():
         report[f"iou.{cfg.class_map.class_names[k]}"] = repr(v)
@@ -282,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, FileNotFoundError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except PillarSegError as exc:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .flat import Count, parse_flat, read_fields
+from .flat import Count, numeral, parse_flat, read_fields
 
 POINT_RECORD_BYTES = 16
 LABEL_RECORD_BYTES = 4
@@ -123,7 +123,7 @@ def parse_poses(text: str) -> list[Pose]:
         if len(tokens) != 12:
             raise FormatError(f"pose line {lineno}: expected 12 values, got {len(tokens)}")
         try:
-            values = np.array([float(t) for t in tokens], dtype=np.float64)
+            values = np.array([float(numeral(t)) for t in tokens], dtype=np.float64)
         except ValueError as exc:
             raise FormatError(f"pose line {lineno}: {exc}") from exc
         if not np.isfinite(values).all():
@@ -197,21 +197,17 @@ class ClassMap:
 
     @classmethod
     def parse(cls, text: str) -> "ClassMap":
+        """``raw_id = name`` lines in the grammar of ``flat.parse_flat``; a
+        later line for a raw id replaces its name."""
         entries: dict[int, str] = {}
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise FormatError(f"class map line {lineno}: expected 'raw_id = name'")
-            key, value = (part.strip() for part in line.split("=", 1))
+        for key, names in parse_flat(text).items():
             try:
-                raw_id = int(key)
+                raw_id = int(numeral(key))
             except ValueError as exc:
-                raise FormatError(f"class map line {lineno}: bad raw id {key!r}") from exc
-            if not value:
-                raise FormatError(f"class map line {lineno}: empty class name")
-            entries[raw_id] = value
+                raise FormatError(f"class map: bad raw id {key!r}") from exc
+            if len(names) != 1:
+                raise FormatError(f"class map: raw id {key} needs one class name, got {names}")
+            entries[raw_id] = names[0]
         if set(entries.values()) <= {UNLABELED_NAME}:
             raise FormatError("class map is empty or names no class besides unlabeled")
         return cls(entries)

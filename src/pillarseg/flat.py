@@ -12,8 +12,10 @@ field's type hint:
   ``tuple[int, ...]``: one or more;
 * ``X | None``: as ``X``; None is only ever a default.
 
-Floats must be finite; ``Count`` is an integer of at least 0 and ``Size`` one
-of at least 1. A value that breaks any of this raises :class:`ConfigError`.
+An ``int`` or ``float`` token is an ASCII numeral with no ``_`` (see
+:func:`numeral`). Floats must be finite; ``Count`` is an integer of at least 0
+and ``Size`` one of at least 1. A value that breaks any of this raises
+:class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -54,10 +56,19 @@ def parse_flat(text: str) -> dict[str, list[str]]:
         if not line:
             continue
         if "=" not in line:
-            raise FormatError(f"config line {lineno}: expected 'key = value'")
+            raise FormatError(f"line {lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
         out[key] = value.split()
     return out
+
+
+def numeral(token: str) -> str:
+    """``token`` if it may be read as a number: ``int`` and ``float`` also
+    take digit separators (``1_0``) and non-ASCII digits (``٣``), which no
+    text format here does. Raises ``ValueError`` otherwise."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not an ASCII numeral: {token!r}")
+    return token
 
 
 def read_fields(cls, values: dict[str, list[str]], **given):
@@ -110,7 +121,7 @@ def _read_token(key: str, token: str, hint):
         elif hasattr(hint, "parse"):
             value = hint.parse(resolve_text(token))
         else:
-            value = hint(token)
+            value = hint(numeral(token) if hint in (int, float) else token)
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad value for key {key!r}: {token!r}") from exc
     if isinstance(value, float) and not math.isfinite(value):

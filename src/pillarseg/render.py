@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .flat import numeral
 
 
 def write_pgm8(path: str | Path, values: np.ndarray) -> None:
@@ -68,7 +69,7 @@ def parse_palette(text: str) -> dict[str, tuple[int, int, int]]:
         if len(tokens) != 4:
             raise FormatError(f"palette line {lineno}: expected 'name r g b'")
         try:
-            color = tuple(int(t) for t in tokens[1:])
+            color = tuple(int(numeral(t)) for t in tokens[1:])
         except ValueError as exc:
             raise FormatError(f"palette line {lineno}: bad color") from exc
         if not all(0 <= c <= 255 for c in color):

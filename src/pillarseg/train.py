@@ -89,10 +89,10 @@ def prepare_frame(cfg: RunConfig, index: int, augment_seed: int | None = None) -
     return pack
 
 
-def prepare_frames(cfg: RunConfig, indices, augment_seeds=None, threads: int = 1):
+def prepare_frames(cfg: RunConfig, indices, augment_seeds=None):
     seeds = augment_seeds or [None] * len(indices)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if cfg.threads > 1:
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             return list(pool.map(lambda args: prepare_frame(cfg, *args),
                                  zip(indices, seeds)))
     return [prepare_frame(cfg, i, s) for i, s in zip(indices, seeds)]
@@ -109,33 +109,35 @@ def _loss_config(cfg: RunConfig) -> SegLossConfig:
     return SegLossConfig(cfg.loss_weights.copy(), cfg.class_map.unlabeled_index)
 
 
-def infer_chunks(cfg: RunConfig, net: PillarSegNet, packs: list[FramePack], indices):
-    """(pack, index, logits) per frame, inferred ``batch_size`` frames at a
-    time; a chunk runs its multi-attention LSTM in one time loop, and each
-    frame's logits are bitwise those of a chunk of one."""
-    for start in range(0, len(packs), cfg.batch_size):
-        chunk = list(zip(packs[start:start + cfg.batch_size],
-                         indices[start:start + cfg.batch_size]))
-        psets = [frame_pset(cfg, pack, index) for pack, index in chunk]
-        occs = [pack.obs_norm if cfg.use_occupancy else None for pack, _ in chunk]
-        logits = net.forward_frames(psets, cfg.grid, occs, training=False)
-        for (pack, index), frame_logits in zip(chunk, logits):
-            yield pack, index, frame_logits
-
-
 def evaluate(cfg: RunConfig, net: PillarSegNet, packs: list[FramePack],
-             indices) -> tuple[float, IoUResult]:
-    """Mean validation loss plus dataset-level IoU on visible labeled cells."""
+             indices) -> tuple[float, IoUResult, list[np.ndarray]]:
+    """Mean validation loss, dataset-level IoU on visible labeled cells, and
+    the (H, W) prediction of each frame.
+
+    Frames are inferred ``batch_size`` at a time; a chunk runs its
+    multi-attention LSTM in one time loop, and each frame's logits are
+    bitwise those of a chunk of one. A prediction never reads the frame's
+    labels: they enter only the loss and the IoU.
+    """
     loss_cfg = _loss_config(cfg)
     supervised = cfg.class_map.supervised_indices
     acc = IoUAccumulator(supervised, cfg.class_map.unlabeled_index)
     losses_sum = 0.0
-    for pack, _, logits in infer_chunks(cfg, net, packs, indices):
-        gt = lab.SemanticGrid(pack.label_grid, cfg.class_map.unlabeled_index)
-        losses_sum += seg_loss(logits, gt, loss_cfg).item()
-        pred = net.predict(logits, supervised)
-        acc.add(pred, pack.label_grid, pack.visible)
-    return losses_sum / max(1, len(packs)), acc.result()
+    preds = []
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite loss is the caller's
+        for start in range(0, len(packs), cfg.batch_size):
+            chunk = list(zip(packs[start:start + cfg.batch_size],
+                             indices[start:start + cfg.batch_size]))
+            psets = [frame_pset(cfg, pack, index) for pack, index in chunk]
+            occs = [pack.obs_norm if cfg.use_occupancy else None for pack, _ in chunk]
+            logits = net.forward_frames(psets, cfg.grid, occs, training=False)
+            for (pack, _), frame_logits in zip(chunk, logits):
+                gt = lab.SemanticGrid(pack.label_grid, cfg.class_map.unlabeled_index)
+                losses_sum += seg_loss(frame_logits, gt, loss_cfg).item()
+                pred = net.predict(frame_logits, supervised)
+                preds.append(pred)
+                acc.add(pred, pack.label_grid, pack.visible)
+    return losses_sum / max(1, len(packs)), acc.result(), preds
 
 
 @contextmanager
@@ -162,9 +164,8 @@ def _train_toy_inner(cfg: RunConfig, progress) -> TrainResult:
     train_idx = list(range(cfg.train_frames))
     val_idx = list(range(cfg.train_frames, cfg.train_frames + cfg.val_frames))
     # with augmentation every epoch prepares its own transformed frames
-    train_packs = (None if cfg.augment.enabled
-                   else prepare_frames(cfg, train_idx, threads=cfg.threads))
-    val_packs = prepare_frames(cfg, val_idx, threads=cfg.threads)
+    train_packs = None if cfg.augment.enabled else prepare_frames(cfg, train_idx)
+    val_packs = prepare_frames(cfg, val_idx)
 
     net = PillarSegNet(model_config(cfg), seed=cfg.seed)
     opt = Adam(net.parameters(), lr=cfg.learning_rate, beta1=cfg.beta1, beta2=cfg.beta2,
@@ -182,7 +183,7 @@ def _train_toy_inner(cfg: RunConfig, progress) -> TrainResult:
             progress(line)
 
     if cfg.epochs == 0:
-        val_loss, final_iou = evaluate(cfg, net, val_packs, val_idx)
+        val_loss, final_iou, _ = evaluate(cfg, net, val_packs, val_idx)
         emit(f"epoch 0 val_loss {val_loss:.10g} val_miou {final_iou.miou:.10g}")
 
     for epoch in range(1, cfg.epochs + 1):
@@ -190,7 +191,7 @@ def _train_toy_inner(cfg: RunConfig, progress) -> TrainResult:
         if cfg.augment.enabled:
             aug_seeds = [frame_seed(cfg.seed, 500_000 + epoch * len(train_idx) + i)
                          for i in train_idx]
-            epoch_packs = prepare_frames(cfg, train_idx, aug_seeds, threads=cfg.threads)
+            epoch_packs = prepare_frames(cfg, train_idx, aug_seeds)
         else:
             epoch_packs = train_packs
 
@@ -217,8 +218,7 @@ def _train_toy_inner(cfg: RunConfig, progress) -> TrainResult:
             epoch_loss += batch_loss * len(batch)
         epoch_loss /= len(perm)
 
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-            val_loss, final_iou = evaluate(cfg, net, val_packs, val_idx)
+        val_loss, final_iou, _ = evaluate(cfg, net, val_packs, val_idx)
         if not math.isfinite(val_loss):  # a divergence on the epoch's last step
             raise DivergenceError(step, f"non-finite validation loss after epoch {epoch}")
         emit(f"epoch {epoch} train_loss {epoch_loss:.10g} val_loss {val_loss:.10g} "

@@ -31,6 +31,10 @@ def micro_args(scene_file, *extra):
     return MICRO + ["--scene", scene_file] + list(extra)
 
 
+def read_metrics(path):
+    return dict(line.split(" = ") for line in path.read_text().splitlines())
+
+
 class TestDispatch:
     def test_no_arguments_usage_exit_1(self, capsys):
         assert run_cli() == 1
@@ -88,6 +92,22 @@ class TestDispatch:
     def test_missing_scan_file_exit_2(self, tmp_path):
         assert run_cli("occupancy", "--scan", str(tmp_path / "nope.bin"),
                        "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("command, flag", [("occupancy", "--scan"),
+                                               ("eval", "--checkpoint")])
+    def test_directory_as_input_file_exit_2(self, tmp_path, capsys, command, flag):
+        # reading a directory raises IsADirectoryError, an OSError
+        out = tmp_path / "out"
+        assert run_cli(command, flag, str(tmp_path), "--out", str(out)) == 2
+        assert "data error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("token", ["1_0", "٣"])
+    def test_flag_number_must_be_plain_ascii(self, tmp_path, capsys, token):
+        for args in (["synth", "--frames", token], ["train", "--epochs", token]):
+            assert run_cli(*args, "--out", str(tmp_path / "out")) == 1
+            assert f"config error: bad value for key '{args[1][2:]}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSynthIngest:
@@ -274,6 +294,22 @@ class TestTrainEval:
                        "--out", str(tmp_path / "eval")) == code
         assert message in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("use_ma", ["false", "true"])
+    def test_eval_scores_as_train_final(self, scene_file, tmp_path, use_ma):
+        # at f32 the checkpoint holds the trained weights exactly
+        args = micro_args(scene_file, "--use_ma", use_ma, "--dtype", "f32")
+        out, eval_out = tmp_path / "run", tmp_path / "eval"
+        assert run_cli("train", *args, "--out", str(out)) == 0
+        assert run_cli("eval", *args, "--checkpoint", str(out / "model.ckpt"),
+                       "--out", str(eval_out)) == 0
+        trained = read_metrics(out / "metrics.txt")
+        evaluated = read_metrics(eval_out / "metrics.txt")
+        assert evaluated["miou"] == trained["final.miou"]
+        ious = {key: value for key, value in evaluated.items() if key.startswith("iou.")}
+        assert ious == {key[len("final."):]: value for key, value in trained.items()
+                        if key.startswith("final.iou.")}
+        assert len(ious) == 3
 
     def test_train_deterministic_outputs(self, scene_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

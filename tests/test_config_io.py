@@ -3,8 +3,9 @@ import struct
 import numpy as np
 import pytest
 
-from pillarseg import config, container, render
+from pillarseg import config, container, dataio, render
 from pillarseg.errors import ConfigError, FormatError
+from pillarseg.flat import read_value
 
 
 class TestFlatConfig:
@@ -15,6 +16,18 @@ class TestFlatConfig:
     def test_bad_line_rejected(self):
         with pytest.raises(FormatError):
             config.parse_flat("not a pair\n")
+
+    @pytest.mark.parametrize("token", ["1_0", "٣"])
+    def test_number_must_be_plain_ascii(self, token):
+        # int() and float() alone read a digit separator and a non-ASCII digit
+        for key in ("epochs", "learning_rate"):
+            with pytest.raises(ConfigError, match=f"bad value for key '{key}'"):
+                config.load_run_config(None, {key: [token]})
+        with pytest.raises(ConfigError, match="bad value for key 'boxes'"):
+            dataio.SceneSpec.parse(f"ground = -3 3 -3 3\nboxes = {token}\n")
+
+    def test_non_ascii_text_value_kept(self):
+        assert read_value("palette", ["٣.txt"], str) == "٣.txt"
 
     def test_defaults_build(self):
         cfg = config.load_run_config(None)
@@ -237,4 +250,9 @@ class TestRender:
     @pytest.mark.parametrize("component", ["256", "-1"])
     def test_palette_component_out_of_range_rejected(self, component):
         with pytest.raises(FormatError, match="palette line 2: color components must be in 0-255"):
+            render.parse_palette(f"ground 1 2 3\nvehicle 1 {component} 3\n")
+
+    @pytest.mark.parametrize("component", ["1_0", "٣"])
+    def test_palette_component_must_be_plain_ascii(self, component):
+        with pytest.raises(FormatError, match="palette line 2: bad color"):
             render.parse_palette(f"ground 1 2 3\nvehicle 1 {component} 3\n")

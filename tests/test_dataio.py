@@ -115,6 +115,11 @@ class TestParsePoses:
         with pytest.raises(FormatError, match="line 2: non-finite"):
             dataio.parse_poses("1 0 0 0 0 1 0 0 0 0 1 0\n1 0 0 0 0 1 0 -inf 0 0 1 0")
 
+    @pytest.mark.parametrize("token", ["1_0", "٣"])
+    def test_number_must_be_plain_ascii(self, token):
+        with pytest.raises(FormatError, match="pose line 2"):
+            dataio.parse_poses(f"1 0 0 0 0 1 0 0 0 0 1 0\n1 0 0 {token} 0 1 0 0 0 0 1 0")
+
     def test_round_trip(self):
         rng = np.random.default_rng(3)
         # random rotation via QR with positive determinant
@@ -160,6 +165,22 @@ class TestClassMap:
     def test_parse_rejects_garbage(self):
         with pytest.raises(FormatError):
             dataio.ClassMap.parse("not a mapping\n")
+
+    @pytest.mark.parametrize("raw_id", ["1_0", "٣"])
+    def test_raw_id_must_be_plain_ascii(self, raw_id):
+        with pytest.raises(FormatError, match="bad raw id"):
+            dataio.ClassMap.parse(f"0 = unlabeled\n{raw_id} = ground\n")
+
+    @pytest.mark.parametrize("line", ["1 = parked car", "1 ="])
+    def test_class_name_is_one_token(self, line):
+        with pytest.raises(FormatError, match="one class name"):
+            dataio.ClassMap.parse(f"0 = unlabeled\n{line}\n")
+
+    def test_repeated_raw_id_takes_last_name_at_first_position(self):
+        class_map = dataio.ClassMap.parse(
+            "# ids\n1 = ground\n0 = unlabeled\n2 = vehicle  # car\n1 = object\n")
+        assert class_map.class_names == ["object", "unlabeled", "vehicle"]
+        assert list(class_map.remap([0, 1, 2, 3])) == [1, 0, 2, 1]
 
     def test_parse_rejects_map_without_supervised_class(self):
         with pytest.raises(FormatError, match="besides unlabeled"):

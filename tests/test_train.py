@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -120,23 +122,43 @@ class TestTrainToy:
         assert T.default_dtype() == np.float64
 
 
+def assert_fields_equal(a, b):
+    assert type(a) is type(b)
+    if dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_fields_equal(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    else:
+        assert a == b
+
+
+class TestPrepareFrames:
+    @pytest.mark.parametrize("augmented", [False, True])
+    def test_thread_pool_matches_serial(self, scene_file, augmented):
+        idx = [0, 1, 2]
+        seeds = [train.frame_seed(5, 500_000 + i) for i in idx] if augmented else None
+        packs = [train.prepare_frames(micro_config(scene_file, noise_snr=["10"],
+                                                   augment=["flip_x", "rotate", "scale"],
+                                                   threads=[threads]), idx, seeds)
+                 for threads in ("1", "2")]
+        assert len(packs[1]) == len(idx)
+        assert all((pack.pset is None) == augmented for pack in packs[1])
+        for serial, pooled in zip(*packs):
+            assert_fields_equal(serial, pooled)
+
+
 class TestEvalSeparation:
     def test_predictions_independent_of_labels(self, scene_file):
         cfg = micro_config(scene_file, epochs=["1"])
         result = train.train_toy(cfg)
-        net = result.model
         idx = [cfg.train_frames, cfg.train_frames + 1]
         packs = train.prepare_frames(cfg, idx)
-        supervised = cfg.class_map.supervised_indices
-
-        def predict(pack, i):
-            pset = train.frame_pset(cfg, pack, i)
-            logits = net.forward_pillars(pset, cfg.grid, pack.obs_norm, training=False)
-            return net.predict(logits, supervised)
-
-        baseline = [predict(p, i) for p, i in zip(packs, idx)]
+        _, _, baseline = train.evaluate(cfg, result.model, packs, idx)
         for pack in packs:  # corrupt every label
             pack.label_grid[:] = 2
-        tampered = [predict(p, i) for p, i in zip(packs, idx)]
+        _, _, tampered = train.evaluate(cfg, result.model, packs, idx)
+        assert len(baseline) == len(idx)
         for a, b in zip(baseline, tampered):
             np.testing.assert_array_equal(a, b)
