@@ -180,7 +180,7 @@ class GraphAttention:
     node aggregates from the key set (fully connected, keys to all)."""
 
     def __init__(self, channels: int, hidden: int, heads: int, rng: np.random.Generator,
-                 fps_rate: float = 0.05):
+                 fps_rate: float):
         self.fps_rate = fps_rate
         self.encoder = [
             FeaStParams.create(channels, hidden, heads, rng),
@@ -239,8 +239,8 @@ class MultiAttentionFuse:
     """
 
     def __init__(self, channels: int, max_points: int, rng: np.random.Generator, *,
-                 fusion_hidden: int, lstm_hidden: int = 16, graph_hidden: int = 16,
-                 heads: int = 4, fps_rate: float = 0.05):
+                 fusion_hidden: int, lstm_hidden: int, graph_hidden: int, heads: int,
+                 fps_rate: float):
         self.lstm_attn = DRLSTMAttention(channels, lstm_hidden, rng)
         self.graph_attn = GraphAttention(channels, graph_hidden, heads, rng, fps_rate)
         self.pillar_attn = PillarAttention(channels, max_points, rng)

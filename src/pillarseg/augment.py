@@ -8,37 +8,38 @@ never touched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Annotated, Literal
 
 import numpy as np
 
 from .errors import ConfigError
+from .flat import NonNegative, Positive
+
+Angle = Annotated[float, "in [-pi, pi]"]
 
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    flip_axes: frozenset[str] = frozenset()  # subset of {"x", "y"}
-    rotation_range: tuple[float, float] = (-0.785, 0.785)
-    scale_range: tuple[float, float] = (0.95, 1.05)
-    translate_std: tuple[float, float, float] = (5.0, 5.0, 0.05)
-    translate_clip: float = 3.0
-    enable_rotation: bool = False
-    enable_scale: bool = False
-    enable_translation: bool = False
+    """The augmentations a run enables, the key ``augment`` (``none`` enables
+    none), and the ranges they draw from."""
+
+    flags: frozenset[Literal["flip_x", "flip_y", "rotate", "scale", "translate", "none"]] = \
+        field(default=frozenset(), metadata={"key": "augment"})
+    rotation_range: tuple[Angle, Angle] = (-0.785, 0.785)
+    scale_range: tuple[Positive, Positive] = (0.95, 1.05)
+    translate_std: tuple[NonNegative, NonNegative, NonNegative] = (5.0, 5.0, 0.05)
+    translate_clip: NonNegative = 3.0
 
     def __post_init__(self):
-        if not self.flip_axes <= {"x", "y"}:
-            raise ConfigError(f"flip axes must be within x/y, got {set(self.flip_axes)}")
-        if self.scale_range[0] <= 0 or self.scale_range[1] < self.scale_range[0]:
-            raise ConfigError(f"bad scale_range {self.scale_range}")
-        lo, hi = self.rotation_range
-        if not (-math.pi <= lo <= hi <= math.pi):
-            raise ConfigError(f"rotation_range must lie within [-pi, pi], got {self.rotation_range}")
+        for name, (lo, hi) in (("rotation_range", self.rotation_range),
+                               ("scale_range", self.scale_range)):
+            if hi < lo:
+                raise ConfigError(f"{name} max must not be below min, got [{lo}, {hi}]")
 
     @property
     def enabled(self) -> bool:
-        return bool(self.flip_axes) or self.enable_rotation or self.enable_scale \
-            or self.enable_translation
+        return not self.flags <= {"none"}
 
 
 @dataclass(frozen=True)
@@ -57,12 +58,12 @@ def sample_params(cfg: AugmentConfig, seed: int) -> AugmentParams:
     uniform rotation and scale, per-axis normal translation clipped at
     ``translate_clip`` standard deviations."""
     rng = np.random.default_rng(seed)
-    flip_x = "x" in cfg.flip_axes and bool(rng.integers(0, 2))
-    flip_y = "y" in cfg.flip_axes and bool(rng.integers(0, 2))
-    rotation = float(rng.uniform(*cfg.rotation_range)) if cfg.enable_rotation else 0.0
-    scale = float(rng.uniform(*cfg.scale_range)) if cfg.enable_scale else 1.0
+    flip_x = "flip_x" in cfg.flags and bool(rng.integers(0, 2))
+    flip_y = "flip_y" in cfg.flags and bool(rng.integers(0, 2))
+    rotation = float(rng.uniform(*cfg.rotation_range)) if "rotate" in cfg.flags else 0.0
+    scale = float(rng.uniform(*cfg.scale_range)) if "scale" in cfg.flags else 1.0
     translation = (0.0, 0.0, 0.0)
-    if cfg.enable_translation:
+    if "translate" in cfg.flags:
         std = np.asarray(cfg.translate_std, dtype=np.float64)
         raw = rng.normal(0.0, 1.0, 3) * std
         clip = cfg.translate_clip * std

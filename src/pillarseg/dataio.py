@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .flat import Count, numeral, parse_flat, read_fields
+from .flat import Count, NonNegative, Positive, numeral, parse_flat, read_fields
 
 POINT_RECORD_BYTES = 16
 LABEL_RECORD_BYTES = 4
@@ -228,15 +228,15 @@ class SceneSpec:
     """
 
     ground: tuple[float, float, float, float]  # x_min x_max y_min y_max
-    ground_density: float = 1.5
-    ground_z_sigma: float = 0.02
+    ground_density: NonNegative = 1.5  # 0: no ground
+    ground_z_sigma: NonNegative = 0.02
     boxes: Count = 8
-    box_size: tuple[float, float, float] = (1.8, 4.2, 1.6)  # w l h
-    box_density: float = 12.0
+    box_size: tuple[Positive, Positive, Positive] = (1.8, 4.2, 1.6)  # w l h
+    box_density: NonNegative = 12.0
     posts: Count = 8
-    post_radius: float = 0.15
-    post_height: float = 2.5
-    post_density: float = 60.0
+    post_radius: Positive = 0.15
+    post_height: NonNegative = 2.5
+    post_density: NonNegative = 60.0
     ground_class: str = "ground"
     box_class: str = "vehicle"
     post_class: str = "object"
@@ -246,8 +246,8 @@ class SceneSpec:
         room = min(x1 - x0, y1 - y0)
         if room < 0:
             raise ConfigError(f"ground extent max must not be below min, got {self.ground}")
-        if self.ground_z_sigma < 0 or self.post_height < 0:
-            raise ConfigError("ground_z_sigma and post_height must be non-negative")
+        if self.ground_density == 0 and self.boxes == 0 and self.posts == 0:
+            raise ConfigError("scene spec produces no surfaces")
         if (self.boxes and max(self.box_size[:2]) > room) or \
                 (self.posts and 2 * self.post_radius > room):
             raise ConfigError(f"boxes or posts do not fit the ground extent {self.ground}")
@@ -324,8 +324,6 @@ def generate_synthetic_frame(
     The simulated sensor sits at the origin; every point carries the class of
     the surface it was sampled from.
     """
-    if spec.ground_density <= 0 and spec.boxes == 0 and spec.posts == 0:
-        raise ConfigError("scene spec produces no surfaces")
     rng = np.random.default_rng(seed)
     x0, x1, y0, y1 = spec.ground
     chunks: list[np.ndarray] = []

@@ -2,20 +2,25 @@
 
 A key is declared once: as a typed field, with its default, on the dataclass
 that holds it. :func:`read_fields` reads the keys of a dataclass and
-:func:`read_value` one key; both take the token count and the cast from the
-field's type hint:
+:func:`read_value` one key. The field's type hint is the whole contract of
+its key: how many tokens it takes, how each is read and what range it must
+lie in.
 
 * ``int``, ``float``, ``str``, ``bool`` (``true``, ``false``, ``1`` or
   ``0``), and a class with a ``parse(text)`` constructor, whose one token
   names a file path or a packaged data file: exactly one token;
+* ``Literal["a", "b"]``: one token, one of the listed words;
 * ``tuple[float, float]`` and the like: one token per entry;
   ``tuple[int, ...]``: one or more;
+* ``frozenset[Literal[...]]``: a set of flags, zero or more words;
+* ``Annotated[T, bound]``: as ``T``, and the value must meet ``bound``, one
+  of the names in ``_BOUNDS`` (``Count``, ``Size``, ``NonNegative`` and
+  ``Positive`` are of this form);
 * ``X | None``: as ``X``; None is only ever a default.
 
 An ``int`` or ``float`` token is an ASCII numeral with no ``_`` (see
-:func:`numeral`). Floats must be finite; ``Count`` is an integer of at least 0
-and ``Size`` one of at least 1. A value that breaks any of this raises
-:class:`ConfigError`.
+:func:`numeral`), and a float must be finite. A value that breaks any of
+this raises :class:`ConfigError`.
 """
 
 from __future__ import annotations
@@ -26,12 +31,23 @@ import math
 import types
 from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Annotated, Union, get_args, get_origin, get_type_hints
+from typing import Annotated, Literal, Union, get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, FormatError
 
-Count = Annotated[int, 0]
-Size = Annotated[int, 1]
+# bound name -> whether a value meets it
+_BOUNDS = {
+    "at least 0": lambda v: v >= 0,
+    "at least 1": lambda v: v >= 1,
+    "above 0": lambda v: v > 0,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "in [-pi, pi]": lambda v: -math.pi <= v <= math.pi,
+}
+Count = Annotated[int, "at least 0"]
+Size = Annotated[int, "at least 1"]
+NonNegative = Annotated[float, "at least 0"]
+Positive = Annotated[float, "above 0"]
 
 
 def packaged_text(name: str) -> str:
@@ -98,6 +114,8 @@ def read_value(key: str, tokens: list[str], hint):
     """The value of ``key`` from its tokens, by the type hint of its field."""
     if get_origin(hint) in (Union, types.UnionType):
         (hint,) = (arg for arg in get_args(hint) if arg is not type(None))
+    if get_origin(hint) is frozenset:
+        return frozenset(_read_token(key, token, get_args(hint)[0]) for token in tokens)
     items = get_args(hint) if get_origin(hint) is tuple else None
     if items is None:
         items, want = (hint,), "1 value"
@@ -112,9 +130,13 @@ def read_value(key: str, tokens: list[str], hint):
 
 
 def _read_token(key: str, token: str, hint):
-    minimum = None
+    bound = None
     if get_origin(hint) is Annotated:
-        hint, minimum = get_args(hint)
+        hint, bound = get_args(hint)
+    if get_origin(hint) is Literal:
+        if token not in get_args(hint):
+            raise ConfigError(f"key {key!r} takes one of {' '.join(get_args(hint))}, got {token!r}")
+        return token
     try:
         if hint is bool:
             value = {"true": True, "1": True, "false": False, "0": False}[token.lower()]
@@ -126,6 +148,6 @@ def _read_token(key: str, token: str, hint):
         raise ConfigError(f"bad value for key {key!r}: {token!r}") from exc
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"key {key!r} must be finite, got {token!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{key} must be at least {minimum}, got {value}")
+    if bound is not None and not _BOUNDS[bound](value):
+        raise ConfigError(f"{key} must be {bound}, got {value}")
     return value

@@ -26,11 +26,11 @@ class ModelConfig:
     unet_widths: tuple[int, ...]
     lstm_hidden: int
     fusion_hidden: int
-    use_occupancy: bool = True
-    use_ma: bool = False
-    graph_hidden: int = 16
-    feast_heads: int = 4
-    fps_rate: float = 0.05
+    use_occupancy: bool
+    use_ma: bool
+    graph_hidden: int
+    feast_heads: int
+    fps_rate: float
 
 
 class MUNet:

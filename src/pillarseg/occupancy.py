@@ -197,22 +197,6 @@ def _traverse(origin: np.ndarray, endpoints: np.ndarray, lat: _Lattice,
     return np.concatenate(visited)
 
 
-def traverse_cells_2d(
-    origin: tuple[float, float], endpoint: tuple[float, float], cfg: GridConfig
-) -> list[tuple[int, int]]:
-    """Ordered (row, col) cells traversed by the segment, origin and endpoint included.
-
-    A one-segment view of the batched traversal (see the module docstring for
-    its contract). The segment is clipped to the grid extent first, and one
-    that misses the grid yields no cells; a degenerate segment yields its
-    single cell.
-    """
-    lat = _lattice(cfg, 2)
-    flat = _traverse(np.asarray(origin, dtype=np.float64),
-                     np.asarray([endpoint], dtype=np.float64), lat)
-    return [divmod(f, cfg.width) for f in flat.tolist()]
-
-
 def observability(cloud: PointCloud, cfg: GridConfig, origin=(0.0, 0.0, 0.0)) -> ObservabilityMap:
     """Per-cell count of laser rays from origin to each in-range point."""
     lat = _lattice(cfg, 2)

@@ -13,6 +13,7 @@ import numpy as np
 
 from .dataio import PointCloud
 from .errors import ConfigError, ShapeError
+from .flat import Positive, Size
 
 AUGMENTED_CHANNELS = 10  # x, y, z, r, dxyz to pillar mean, dxyz to cell center
 
@@ -24,16 +25,14 @@ class GridConfig:
     x_range: tuple[float, float] = (-16.0, 16.0)
     y_range: tuple[float, float] = (-16.0, 16.0)
     z_range: tuple[float, float] = (-1.0, 3.0)
-    pillar_size: tuple[float, float, float] = (0.5, 0.5, 0.25)
-    max_points: int = 20
-    max_pillars: int = 4096
+    pillar_size: tuple[Positive, Positive, Positive] = (0.5, 0.5, 0.25)
+    max_points: Size = 20
+    max_pillars: Size = 4096
 
     def __post_init__(self):
         for name, (lo, hi) in (("x", self.x_range), ("y", self.y_range), ("z", self.z_range)):
             if not hi > lo:
                 raise ConfigError(f"{name}_range max must exceed min, got [{lo}, {hi}]")
-        if any(s <= 0 for s in self.pillar_size):
-            raise ConfigError("pillar_size components must be positive")
         for name, (lo, hi), step in (
             ("x", self.x_range, self.pillar_size[0]),
             ("y", self.y_range, self.pillar_size[1]),
@@ -41,8 +40,6 @@ class GridConfig:
             cells = (hi - lo) / step
             if abs(cells - round(cells)) > 1e-6:
                 raise ConfigError(f"{name}_range extent is not a multiple of pillar_size")
-        if self.max_points < 1 or self.max_pillars < 1:
-            raise ConfigError("max_points and max_pillars must be at least 1")
 
     @property
     def width(self) -> int:

@@ -157,7 +157,8 @@ def check_full_model() -> float:
     occ_norm = occupancy.observability(cloud, grid).normalized()
     net = PillarSegNet(
         ModelConfig(num_classes=3, max_points=4, pfn_channels=6, unet_widths=(4, 8),
-                    lstm_hidden=32, fusion_hidden=10, use_occupancy=True), seed=0)
+                    lstm_hidden=32, fusion_hidden=10, use_occupancy=True, use_ma=False,
+                    graph_hidden=16, feast_heads=4, fps_rate=0.05), seed=0)
     gt = lab.SemanticGrid(rng.integers(0, 4, (16, 16)).astype(np.int16), 0)
     loss_cfg = losses.SegLossConfig(np.ones(4), 0)
 

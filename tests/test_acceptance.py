@@ -18,6 +18,7 @@ from pillarseg import cli, config, labels, losses, metrics, model, occupancy, pi
 from pillarseg.dataio import Frame, PointCloud, Pose
 from pillarseg.nn import tensor as T
 from pillarseg.verification import run_gradcheck_suite
+from traversal import traverse_cells_2d
 
 
 def make_cloud(xyz):
@@ -47,7 +48,7 @@ class TestCriterion2RayCastOracle:
         for _ in range(1000):
             a = rng.uniform(0.0, 64.0, 2)
             b = rng.uniform(0.0, 64.0, 2)
-            cells = set(occupancy.traverse_cells_2d(tuple(a), tuple(b), cfg))
+            cells = set(traverse_cells_2d(tuple(a), tuple(b), cfg))
             pts = a + t_samples[:, None] * (b - a)
             cols = np.clip(pts[:, 0].astype(np.int64), 0, 63)
             rows = np.clip(pts[:, 1].astype(np.int64), 0, 63)
@@ -86,7 +87,7 @@ class TestCriterion3ObservabilityProperties:
             p = np.array([rng.uniform(0, 64), rng.uniform(0, 64), 0.0])
             origin = (rng.uniform(0, 64), rng.uniform(0, 64), 0.0)
             counts = occupancy.observability(make_cloud([p]), cfg, origin).counts
-            traversed = occupancy.traverse_cells_2d(origin[:2], (p[0], p[1]), cfg)
+            traversed = traverse_cells_2d(origin[:2], (p[0], p[1]), cfg)
             assert set(np.unique(counts)) <= {0, 1}
             for r, c in traversed:
                 assert counts[r, c] == 1
@@ -155,7 +156,8 @@ class TestCriterion6PFNInvariance:
                                   (1.0, 1.0, 4.0), 12, 512)
         cfg = model.ModelConfig(num_classes=3, max_points=12, pfn_channels=16,
                                 unet_widths=(4,), lstm_hidden=32, fusion_hidden=10,
-                                use_occupancy=False)
+                                use_occupancy=False, use_ma=False, graph_hidden=16,
+                                feast_heads=4, fps_rate=0.05)
         net = model.PillarSegNet(cfg, seed=6)
         for _ in range(20):
             p = int(rng.integers(1, 6))
@@ -305,7 +307,8 @@ class TestCriterion10OccupancyAblation:
         pset = pillars.augment_points(pillars.pillarize(cloud, grid, 0), grid)
 
         cfg_kwargs = dict(num_classes=3, max_points=20, pfn_channels=64, unet_widths=(8,),
-                          lstm_hidden=32, fusion_hidden=10)
+                          lstm_hidden=32, fusion_hidden=10, use_ma=False, graph_hidden=16,
+                          feast_heads=4, fps_rate=0.05)
         with_occ = model.PillarSegNet(model.ModelConfig(use_occupancy=True, **cfg_kwargs),
                                       seed=10)
         without = model.PillarSegNet(model.ModelConfig(use_occupancy=False, **cfg_kwargs),

@@ -258,13 +258,13 @@ class TestDRLSTMAttention:
 
 class TestGraphAttention:
     def test_single_pillar(self, rng):
-        attn = A.GraphAttention(4, 8, 2, rng)
+        attn = A.GraphAttention(4, 8, 2, rng, fps_rate=0.05)
         w = attn(T.constant(rng.normal(size=(1, 4)))).data
         assert w.shape == (1, 1)
         assert 0.0 < w[0, 0] < 1.0
 
     def test_identical_features_identical_weights(self, rng):
-        attn = A.GraphAttention(4, 8, 2, rng)
+        attn = A.GraphAttention(4, 8, 2, rng, fps_rate=0.05)
         feats = np.tile(rng.normal(size=(1, 4)), (6, 1))
         w = attn(T.constant(feats)).data
         np.testing.assert_allclose(w, w[0, 0], atol=1e-12)
@@ -277,7 +277,7 @@ class TestGraphAttention:
         np.testing.assert_allclose(w[0::2], w[1::2], atol=1e-10)
 
     def test_weights_in_open_interval(self, rng):
-        attn = A.GraphAttention(4, 8, 2, rng)
+        attn = A.GraphAttention(4, 8, 2, rng, fps_rate=0.05)
         w = attn(T.constant(rng.normal(size=(30, 4)))).data
         assert (w > 0).all() and (w < 1).all()
 

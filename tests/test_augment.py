@@ -3,17 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from pillarseg import augment
+from pillarseg import augment, config
 from pillarseg.errors import ConfigError
 
 
 def full_config(**kwargs):
-    defaults = dict(
-        flip_axes=frozenset({"x", "y"}),
-        enable_rotation=True,
-        enable_scale=True,
-        enable_translation=True,
-    )
+    defaults = dict(flags=frozenset({"flip_x", "flip_y", "rotate", "scale", "translate"}))
     defaults.update(kwargs)
     return augment.AugmentConfig(**defaults)
 
@@ -107,8 +102,8 @@ class TestApply:
 
     def test_flip_axes_validation(self):
         with pytest.raises(ConfigError):
-            augment.AugmentConfig(flip_axes=frozenset({"z"}))
+            config.build_run_config({"augment": ["flip_z"]})
 
     def test_rotation_range_validation(self):
         with pytest.raises(ConfigError):
-            augment.AugmentConfig(rotation_range=(-4.0, 4.0))
+            config.build_run_config({"rotation_range": ["-4", "4"]})

@@ -109,6 +109,7 @@ class TestFlatConfig:
         ("fps_rate", "0"), ("fps_rate", "1.5"),
         ("label_weight_vehicle", "-1"), ("loss_weight_vehicle", "0"),
         ("pose_threshold", "0"), ("noise_snr", "0"),
+        ("translate_clip", "-1"), ("translate_std", "-5 5 0.05"),
         ("label_weight_unlabeled", "1"), ("loss_weight_unlabeled", "1"),
     ])
     def test_out_of_range_value_rejected(self, key, value):

@@ -212,10 +212,8 @@ class TestSyntheticFrames:
         assert set(classes.tolist()) == {cmap.index_of("ground")}
 
     def test_empty_spec_errors(self):
-        cmap = toy_class_map()
-        spec = dataio.SceneSpec(ground=(-4, 4, -4, 4), ground_density=0, boxes=0, posts=0)
         with pytest.raises(ConfigError):
-            dataio.generate_synthetic_frame(0, spec, cmap)
+            dataio.SceneSpec(ground=(-4, 4, -4, 4), ground_density=0, boxes=0, posts=0)
 
     @pytest.mark.parametrize("key", ["ground_class", "box_class", "post_class"])
     def test_scene_class_missing_from_class_map_errors(self, key):
@@ -246,6 +244,12 @@ class TestSyntheticFrames:
         "ground_z_sigma = -1",  # ValueError when a frame is generated
         "post_height = -1",
         "ground = 0 0 0 0",  # no room for the boxes
+        "box_size = -1.8 4.2 1.6",  # accepted: degenerate boxes
+        "box_size = 0 0 0",
+        "box_density = -12",
+        "post_density = -60",
+        "post_radius = 0",
+        "ground_density = -1.2",
     ])
     def test_scene_spec_malformed_rejected(self, line):
         text = f"ground = -10 10 -10 10\n{line}\n"

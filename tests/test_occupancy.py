@@ -7,6 +7,7 @@ from oracles import segment_distance_to_cell
 from pillarseg import occupancy
 from pillarseg.dataio import PointCloud
 from pillarseg.pillars import GridConfig
+from traversal import traverse_cells_2d
 
 
 def make_cloud(xyz):
@@ -74,24 +75,24 @@ any_scene = st.sampled_from(ORIGINS).flatmap(scenes)
 class TestTraverseCells2D:
     def test_axis_aligned(self):
         cfg = unit_grid()
-        cells = occupancy.traverse_cells_2d((0.5, 0.5), (2.5, 0.5), cfg)
+        cells = traverse_cells_2d((0.5, 0.5), (2.5, 0.5), cfg)
         assert cells == [(0, 0), (0, 1), (0, 2)]
 
     def test_degenerate(self):
         cfg = unit_grid()
-        assert occupancy.traverse_cells_2d((3.5, 3.5), (3.5, 3.5), cfg) == [(3, 3)]
+        assert traverse_cells_2d((3.5, 3.5), (3.5, 3.5), cfg) == [(3, 3)]
 
     def test_axis_parallel_segments_off_and_on_the_boundary(self):
         cfg = unit_grid()
-        assert occupancy.traverse_cells_2d((-1.0, 9.0), (10.0, 9.0), cfg) == []
-        assert occupancy.traverse_cells_2d((9.0, -1.0), (9.0, 10.0), cfg) == []
+        assert traverse_cells_2d((-1.0, 9.0), (10.0, 9.0), cfg) == []
+        assert traverse_cells_2d((9.0, -1.0), (9.0, 10.0), cfg) == []
         # on the closed box's top edge: clipped to it, rows clamped to the last
-        assert occupancy.traverse_cells_2d((-1.0, 8.0), (10.0, 8.0), cfg) == \
+        assert traverse_cells_2d((-1.0, 8.0), (10.0, 8.0), cfg) == \
             [(7, c) for c in range(8)]
 
     def test_diagonal_through_corner_includes_both_neighbors(self):
         cfg = unit_grid()
-        cells = occupancy.traverse_cells_2d((0.5, 0.5), (2.5, 2.5), cfg)
+        cells = traverse_cells_2d((0.5, 0.5), (2.5, 2.5), cfg)
         assert (0, 0) in cells and (2, 2) in cells
         assert (0, 1) in cells and (1, 0) in cells  # corner at (1,1) touches both
 
@@ -101,7 +102,7 @@ class TestTraverseCells2D:
         for _ in range(50):
             a = rng.uniform(0.0, 16.0, 2)
             b = rng.uniform(0.0, 16.0, 2)
-            cells = occupancy.traverse_cells_2d(tuple(a), tuple(b), cfg)
+            cells = traverse_cells_2d(tuple(a), tuple(b), cfg)
             oracle = sampling_oracle_cells(a, b, cfg)
             assert oracle <= set(cells)
             for extra in set(cells) - oracle:
@@ -116,7 +117,7 @@ class TestTraverseCells2D:
         for p in pts[:, :2]:
             for a, b in ((origin[:2], p), (p, 2 * centre - np.array(origin[:2]))):
                 a, b = tuple(np.asarray(a, dtype=float)), tuple(b.tolist())
-                assert occupancy.traverse_cells_2d(a, b, cfg) == \
+                assert traverse_cells_2d(a, b, cfg) == \
                     oracles.traverse_cells_2d(a, b, cfg)
 
     def test_chain_connectivity(self):
@@ -124,7 +125,7 @@ class TestTraverseCells2D:
         rng = np.random.default_rng(12)
         for _ in range(50):
             a, b = rng.uniform(0, 16, 2), rng.uniform(0, 16, 2)
-            cells = occupancy.traverse_cells_2d(tuple(a), tuple(b), cfg)
+            cells = traverse_cells_2d(tuple(a), tuple(b), cfg)
             for prev, cur in zip(cells, cells[1:]):
                 assert max(abs(prev[0] - cur[0]), abs(prev[1] - cur[1])) <= 1
 
@@ -133,7 +134,7 @@ class TestTraverseCells2D:
         rng = np.random.default_rng(13)
         for _ in range(20):
             a, b = rng.uniform(0, 16, 2), rng.uniform(0, 16, 2)
-            cells = occupancy.traverse_cells_2d(tuple(a), tuple(b), cfg)
+            cells = traverse_cells_2d(tuple(a), tuple(b), cfg)
             assert cells[0] == (int(a[1]), int(a[0]))
             assert cells[-1] == (int(b[1]), int(b[0]))
 

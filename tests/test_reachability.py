@@ -19,7 +19,6 @@ ALLOWED = {
     "losses.box_residuals": "detection head losses, waiting on the detection task",
     "losses.det_losses": "detection head losses, waiting on the detection task",
     "metrics.average_precision": "detection metric, waiting on the detection task",
-    "occupancy.traverse_cells_2d": "the tests' one-ray view of the batched traversal",
 }
 
 
