@@ -113,7 +113,7 @@ class FeaStParams:
     def heads(self) -> int:
         return self.weights.data.shape[0]
 
-    def params(self) -> dict[str, Tensor]:
+    def state(self) -> dict[str, Tensor]:
         return {"weights": self.weights, "steering": self.steering,
                 "offsets": self.offsets, "bias": self.bias}
 
@@ -171,8 +171,8 @@ class DRLSTMAttention:
             weights.append(T.gather_rows(raw, inverse))
         return weights
 
-    def params(self) -> dict[str, Tensor]:
-        return L.collect_params(lstm=self.lstm, head=self.head)
+    def state(self) -> dict[str, Tensor]:
+        return L.collect_state(lstm=self.lstm, head=self.head)
 
 
 class GraphAttention:
@@ -199,10 +199,10 @@ class GraphAttention:
             h = T.relu(feast_conv_shared(h, keys, layer))
         return T.sigmoid(self.head(h))
 
-    def params(self) -> dict[str, Tensor]:
-        return L.collect_params(**{f"enc{i}": layer for i, layer in enumerate(self.encoder)},
-                                **{f"dec{i}": layer for i, layer in enumerate(self.decoder)},
-                                head=self.head)
+    def state(self) -> dict[str, Tensor]:
+        return L.collect_state(**{f"enc{i}": layer for i, layer in enumerate(self.encoder)},
+                               **{f"dec{i}": layer for i, layer in enumerate(self.decoder)},
+                               head=self.head)
 
 
 class PillarAttention:
@@ -221,8 +221,8 @@ class PillarAttention:
         per_pillar = self.point_fc(T.transpose(per_point, (0, 2, 1)))  # (P, 1, 1)
         return T.sigmoid(T.reshape(per_pillar, (p, 1)))
 
-    def params(self) -> dict[str, Tensor]:
-        return L.collect_params(channel_fc=self.channel_fc, point_fc=self.point_fc)
+    def state(self) -> dict[str, Tensor]:
+        return L.collect_state(channel_fc=self.channel_fc, point_fc=self.point_fc)
 
 
 class MultiAttentionFuse:
@@ -267,8 +267,8 @@ class MultiAttentionFuse:
             weights.append(self.pillar_attn(fused, c))
         return _scale(streams, weights)
 
-    def params(self) -> dict[str, Tensor]:
-        return L.collect_params(
+    def state(self) -> dict[str, Tensor]:
+        return L.collect_state(
             lstm=self.lstm_attn, graph=self.graph_attn, pillar=self.pillar_attn,
             fuse1=self.fuse1, fuse2=self.fuse2,
         )

@@ -21,8 +21,8 @@ Angle = Annotated[float, "in [-pi, pi]"]
 
 @dataclass(frozen=True)
 class AugmentConfig:
-    """The augmentations a run enables, the key ``augment`` (``none`` enables
-    none), and the ranges they draw from."""
+    """The augmentations a run enables, the key ``augment`` (``none``, alone,
+    enables none), and the ranges they draw from."""
 
     flags: frozenset[Literal["flip_x", "flip_y", "rotate", "scale", "translate", "none"]] = \
         field(default=frozenset(), metadata={"key": "augment"})
@@ -32,6 +32,8 @@ class AugmentConfig:
     translate_clip: NonNegative = 3.0
 
     def __post_init__(self):
+        if "none" in self.flags and len(self.flags) > 1:
+            raise ConfigError(f"augment none takes no other flag, got {sorted(self.flags)}")
         for name, (lo, hi) in (("rotation_range", self.rotation_range),
                                ("scale_range", self.scale_range)):
             if hi < lo:

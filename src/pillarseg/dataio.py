@@ -223,8 +223,9 @@ class SceneSpec:
     """Synthetic scene description: a ground plane plus boxes and posts.
 
     Each field is the scene-file key of its name. Densities are points per
-    square meter of surface. Box and post placement is sampled uniformly
-    inside the ground extent per frame.
+    square meter of surface: a surface of area A draws round(A * density)
+    points, so a density of 0 draws none. Box and post placement is sampled
+    uniformly inside the ground extent per frame.
     """
 
     ground: tuple[float, float, float, float]  # x_min x_max y_min y_max
@@ -246,7 +247,8 @@ class SceneSpec:
         room = min(x1 - x0, y1 - y0)
         if room < 0:
             raise ConfigError(f"ground extent max must not be below min, got {self.ground}")
-        if self.ground_density == 0 and self.boxes == 0 and self.posts == 0:
+        if not (self.ground_density > 0 or (self.boxes and self.box_density > 0)
+                or (self.posts and self.post_density > 0)):
             raise ConfigError("scene spec produces no surfaces")
         if (self.boxes and max(self.box_size[:2]) > room) or \
                 (self.posts and 2 * self.post_radius > room):
@@ -264,7 +266,7 @@ class SceneSpec:
 def _sample_ground(rng: np.random.Generator, spec: SceneSpec) -> np.ndarray:
     x0, x1, y0, y1 = spec.ground
     area = (x1 - x0) * (y1 - y0)
-    n = max(1, int(round(area * spec.ground_density)))
+    n = int(round(area * spec.ground_density))
     pts = np.empty((n, 3))
     pts[:, 0] = rng.uniform(x0, x1, n)
     pts[:, 1] = rng.uniform(y0, y1, n)
@@ -283,7 +285,7 @@ def _sample_box(rng: np.random.Generator, cx, cy, yaw, w, l, h, density) -> np.n
     ]
     pts = []
     for area, face in faces:
-        n = max(1, int(round(area * density)))
+        n = int(round(area * density))
         u = rng.uniform(-0.5, 0.5, n)
         v = rng.uniform(0.0, 1.0, n)
         if face == "top":
@@ -307,7 +309,7 @@ def _sample_box(rng: np.random.Generator, cx, cy, yaw, w, l, h, density) -> np.n
 
 def _sample_post(rng: np.random.Generator, cx, cy, radius, height, density) -> np.ndarray:
     area = 2 * math.pi * radius * height
-    n = max(1, int(round(area * density)))
+    n = int(round(area * density))
     theta = rng.uniform(0.0, 2 * math.pi, n)
     pts = np.empty((n, 3))
     pts[:, 0] = cx + radius * np.cos(theta)

@@ -10,9 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import pillars as pil
+from . import container, pillars as pil
 from .attention import MultiAttentionFuse
-from .errors import ShapeError
+from .errors import FormatError, ShapeError
 from .nn import layers as L
 from .nn import tensor as T
 from .nn.tensor import Tensor
@@ -64,21 +64,10 @@ class MUNet:
             x = up(x, skip, training)
         return T.conv2d(x, self.head_weight, self.head_bias)
 
-    def params(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for i, block in enumerate(self.downs):
-            out.update({f"down{i}.{k}": v for k, v in block.params().items()})
-        for i, block in enumerate(self.ups):
-            out.update({f"up{i}.{k}": v for k, v in block.params().items()})
-        out["head.weight"] = self.head_weight
-        out["head.bias"] = self.head_bias
-        return out
-
-    def bn_layers(self):
-        for i, block in enumerate(self.downs + self.ups):
-            kind = f"down{i}" if i < len(self.downs) else f"up{i - len(self.downs)}"
-            for cname, conv in (("conv1", block.conv1), ("conv2", block.conv2)):
-                yield f"{kind}.{cname}.bn", conv.bn
+    def state(self) -> dict[str, Tensor | np.ndarray]:
+        return {**L.collect_state(**{f"down{i}": block for i, block in enumerate(self.downs)},
+                                  **{f"up{i}": block for i, block in enumerate(self.ups)}),
+                "head.weight": self.head_weight, "head.bias": self.head_bias}
 
 
 class PillarSegNet:
@@ -162,24 +151,20 @@ class PillarSegNet:
         return self.forward_frames([pset], grid, [occ_channel], training)[0]
 
     # ------------------------------------------------------------------
-    # parameters and buffers
+    # state
     # ------------------------------------------------------------------
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = L.collect_params(pfn_affine=self.pfn_affine, pfn_bn=self.pfn_bn,
-                               unet=self.unet)
+    def state(self) -> dict[str, Tensor | np.ndarray]:
+        """The whole model's state table: every trainable ``Tensor`` and every
+        BatchNorm running-statistic array, named by dotted path."""
+        children = {"pfn_affine": self.pfn_affine, "pfn_bn": self.pfn_bn, "unet": self.unet}
         if self.ma is not None:
-            out.update({f"ma.{k}": v for k, v in self.ma.params().items()})
-        return out
+            children["ma"] = self.ma
+        return L.collect_state(**children)
 
-    def buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name, arr in self.pfn_bn.state().items():
-            out[f"pfn_bn.{name}"] = arr
-        for prefix, bn in self.unet.bn_layers():
-            for name, arr in bn.state().items():
-                out[f"unet.{prefix}.{name}"] = arr
-        return out
+    def parameters(self) -> dict[str, Tensor]:
+        """The ``Tensor`` entries of :meth:`state`, in its order."""
+        return {k: v for k, v in self.state().items() if isinstance(v, Tensor)}
 
     def predict(self, logits: Tensor, supervised_indices: list[int]) -> np.ndarray:
         """(H, W) merged class indices from channel argmax."""
@@ -188,37 +173,31 @@ class PillarSegNet:
         return lookup[chan]
 
 
-def save_checkpoint(path, model: PillarSegNet) -> None:
-    from .container import write_container
+def _checkpoint_entries(model: PillarSegNet) -> dict[str, np.ndarray]:
+    """Checkpoint entry name -> the model's array: ``param.<name>`` for each
+    ``Tensor`` of the state table, then ``buffer.<name>`` for the other entries."""
+    state = model.state()
+    entries = {f"param.{k}": v.data for k, v in state.items() if isinstance(v, Tensor)}
+    entries.update({f"buffer.{k}": v for k, v in state.items() if not isinstance(v, Tensor)})
+    return entries
 
-    arrays = {f"param.{k}": v.data.astype("<f4") for k, v in model.parameters().items()}
-    arrays.update({f"buffer.{k}": v.astype("<f4") for k, v in model.buffers().items()})
-    write_container(path, arrays)
+
+def save_checkpoint(path, model: PillarSegNet) -> None:
+    entries = _checkpoint_entries(model)
+    container.write_container(path, {k: v.astype("<f4") for k, v in entries.items()})
 
 
 def load_checkpoint(path, model: PillarSegNet) -> None:
-    from .container import read_container
-    from .errors import FormatError
-
-    arrays = read_container(path)
-    params = model.parameters()
-    buffers = model.buffers()
-    for key, arr in arrays.items():
-        kind, _, name = key.partition(".")
-        if kind == "param":
-            if name not in params:
-                raise FormatError(f"checkpoint names unknown parameter {name!r}")
-            target = params[name]
-            if target.data.shape != arr.shape:
-                raise FormatError(
-                    f"checkpoint shape {arr.shape} != model shape {target.data.shape} for {name!r}")
-            target.data = arr.astype(target.data.dtype)
-        elif kind == "buffer":
-            if name not in buffers:
-                raise FormatError(f"checkpoint names unknown buffer {name!r}")
-            buffers[name][...] = arr
-        else:
-            raise FormatError(f"unknown checkpoint entry kind {kind!r}")
-    missing = set(params) - {k.partition(".")[2] for k in arrays if k.startswith("param.")}
-    if missing:
-        raise FormatError(f"checkpoint is missing parameters: {sorted(missing)[:3]}...")
+    """Copy every checkpoint entry in place into the model's array of its name.
+    An unknown entry, a missing entry or a shape mismatch is a ``FormatError``."""
+    arrays = container.read_container(path)
+    targets = _checkpoint_entries(model)
+    if arrays.keys() != targets.keys():
+        raise FormatError(f"checkpoint entries differ from the model's: unknown "
+                          f"{sorted(arrays.keys() - targets.keys())[:3]}, missing "
+                          f"{sorted(targets.keys() - arrays.keys())[:3]}")
+    for name, target in targets.items():
+        if arrays[name].shape != target.shape:
+            raise FormatError(
+                f"checkpoint shape {arrays[name].shape} != model shape {target.shape} for {name!r}")
+        target[...] = arrays[name]

@@ -2,7 +2,7 @@
 
 from . import tensor
 from .gradcheck import grad_check, kink_margin, resample_until_smooth
-from .layers import Affine, BatchNorm, BiLSTM, ConvBNReLU, DownBlock, UpBlock, collect_params
+from .layers import Affine, BatchNorm, BiLSTM, ConvBNReLU, DownBlock, UpBlock, collect_state
 from .optim import Adam
 from .tensor import Tape, Tensor, default_dtype, set_default_dtype
 
@@ -17,7 +17,7 @@ __all__ = [
     "ConvBNReLU",
     "DownBlock",
     "UpBlock",
-    "collect_params",
+    "collect_state",
     "grad_check",
     "kink_margin",
     "resample_until_smooth",

@@ -1,7 +1,10 @@
 """Parameterized layers over the tape ops.
 
-Every layer exposes ``params()`` returning a flat ``name -> Tensor`` dict so
-checkpoints can address tensors by dotted path.
+Every layer exposes ``state()``, a flat ``name -> value`` dict of all it
+holds: its trainable ``Tensor``s and, for :class:`BatchNorm`, the running
+statistic arrays. A composite layer names its children's entries by dotted
+path through :func:`collect_state`, so one walk names a whole model for the
+optimizer and for checkpoints.
 """
 
 from __future__ import annotations
@@ -13,11 +16,13 @@ from . import tensor as T
 from .tensor import Tensor
 
 
-def collect_params(**children) -> dict[str, Tensor]:
-    out: dict[str, Tensor] = {}
+def collect_state(**children) -> dict[str, Tensor | np.ndarray]:
+    """Every child's ``state()`` entries, in keyword order, each name prefixed
+    with the child's keyword."""
+    out: dict[str, Tensor | np.ndarray] = {}
     for prefix, child in children.items():
-        for name, p in child.params().items():
-            out[f"{prefix}.{name}"] = p
+        for name, value in child.state().items():
+            out[f"{prefix}.{name}"] = value
     return out
 
 
@@ -36,7 +41,7 @@ class Affine:
             )
         return T.matmul(x, self.weight) + self.bias
 
-    def params(self) -> dict[str, Tensor]:
+    def state(self) -> dict[str, Tensor]:
         return {"weight": self.weight, "bias": self.bias}
 
 
@@ -59,11 +64,10 @@ class BatchNorm:
             training, self.momentum, self.eps, self.channel_axis,
         )
 
-    def params(self) -> dict[str, Tensor]:
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def state(self) -> dict[str, np.ndarray]:
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
+    def state(self) -> dict[str, Tensor | np.ndarray]:
+        """The scale and shift tensors, then the running statistics."""
+        return {"gamma": self.gamma, "beta": self.beta,
+                "running_mean": self.running_mean, "running_var": self.running_var}
 
 
 class BiLSTM:
@@ -92,7 +96,7 @@ class BiLSTM:
         starts = np.cumsum(lengths) - lengths
         return [T.narrow(out, 0, s, n) for s, n in zip(starts.tolist(), lengths)]
 
-    def params(self) -> dict[str, Tensor]:
+    def state(self) -> dict[str, Tensor]:
         return {"w_ih": self.w_ih, "w_hh": self.w_hh, "bias": self.bias}
 
 
@@ -107,8 +111,8 @@ class ConvBNReLU:
     def __call__(self, x, training: bool) -> Tensor:
         return T.relu(self.bn(T.conv2d(x, self.weight, self.bias), training))
 
-    def params(self) -> dict[str, Tensor]:
-        return {"weight": self.weight, "bias": self.bias, **collect_params(bn=self.bn)}
+    def state(self) -> dict[str, Tensor | np.ndarray]:
+        return {"weight": self.weight, "bias": self.bias, **collect_state(bn=self.bn)}
 
 
 class DownBlock:
@@ -122,8 +126,8 @@ class DownBlock:
         skip = self.conv2(self.conv1(x, training), training)
         return skip, T.maxpool2d(skip)
 
-    def params(self) -> dict[str, Tensor]:
-        return collect_params(conv1=self.conv1, conv2=self.conv2)
+    def state(self) -> dict[str, Tensor | np.ndarray]:
+        return collect_state(conv1=self.conv1, conv2=self.conv2)
 
 
 class UpBlock:
@@ -142,5 +146,5 @@ class UpBlock:
         y = T.concat([up, skip], axis=0)
         return self.conv2(self.conv1(y, training), training)
 
-    def params(self) -> dict[str, Tensor]:
-        return collect_params(conv1=self.conv1, conv2=self.conv2)
+    def state(self) -> dict[str, Tensor | np.ndarray]:
+        return collect_state(conv1=self.conv1, conv2=self.conv2)

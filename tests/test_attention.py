@@ -233,7 +233,7 @@ class TestDRLSTMAttention:
 
     def test_zero_parameters_give_half(self, rng):
         attn = A.DRLSTMAttention(4, 3, rng)
-        for p in attn.params().values():
+        for p in attn.state().values():
             p.data[:] = 0.0
         w = attn([T.constant(rng.normal(size=(6, 4)))], [rng.normal(size=(6, 2))])[0]
         np.testing.assert_allclose(w.data, 0.5, atol=1e-15)
@@ -292,7 +292,7 @@ class TestGraphAttention:
 class TestPillarAttention:
     def test_zero_parameters_give_half(self, rng):
         attn = A.PillarAttention(5, 4, rng)
-        for p in attn.params().values():
+        for p in attn.state().values():
             p.data[:] = 0.0
         w = attn(T.constant(rng.normal(size=(3, 4, 5))), rng.normal(size=(3, 3)))
         np.testing.assert_allclose(w.data, 0.5, atol=1e-15)
@@ -340,7 +340,7 @@ class TestMultiAttentionFuse:
 
     def test_zero_parameters_scale_by_eighth(self, rng):
         fuse = self.make(rng)
-        for p in fuse.params().values():
+        for p in fuse.state().values():
             p.data[:] = 0.0
         feats = rng.normal(size=(5, 3, 4))
         mask = np.ones((5, 3), dtype=bool)

@@ -3,6 +3,7 @@ import pytest
 
 from pillarseg import cli, dataio, occupancy
 from pillarseg.config import load_run_config
+from pillarseg.container import read_container, write_container
 from pillarseg.nn import tensor as T
 
 
@@ -88,6 +89,13 @@ class TestDispatch:
         assert run_cli("synth", "--config", "toy.cfg", "--scene", str(scene), "--frames", "1",
                        "--out", str(tmp_path / "s")) == 1
         assert "config error: class 'truck'" in capsys.readouterr().err
+
+    def test_gradcheck_config_key_exit_1(self, tmp_path, capsys):
+        # the suite's sizes are fixed, so a key it would ignore is rejected
+        assert run_cli("gradcheck", "--epochs", "3", "--use_ma", "true",
+                       "--out", str(tmp_path / "gc")) == 1
+        assert "config error: gradcheck takes only --out, got --epochs" in capsys.readouterr().err
+        assert not (tmp_path / "gc").exists()
 
     def test_missing_scan_file_exit_2(self, tmp_path):
         assert run_cli("occupancy", "--scan", str(tmp_path / "nope.bin"),
@@ -293,6 +301,18 @@ class TestTrainEval:
                        "--checkpoint", str(out / "model.ckpt"),
                        "--out", str(tmp_path / "eval")) == code
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+    def test_eval_wrong_length_buffer_exit_2(self, scene_file, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("train", *micro_args(scene_file, "--epochs", "0"),
+                       "--out", str(out)) == 0
+        arrays = read_container(out / "model.ckpt")
+        arrays["buffer.pfn_bn.running_mean"] = np.zeros(5, np.float32)
+        write_container(out / "model.ckpt", arrays)
+        assert run_cli("eval", *micro_args(scene_file), "--checkpoint", str(out / "model.ckpt"),
+                       "--out", str(tmp_path / "eval")) == 2
+        assert "data error: checkpoint shape (5,) != model shape (8,)" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("use_ma", ["false", "true"])

@@ -111,6 +111,7 @@ class TestFlatConfig:
         ("pose_threshold", "0"), ("noise_snr", "0"),
         ("translate_clip", "-1"), ("translate_std", "-5 5 0.05"),
         ("label_weight_unlabeled", "1"), ("loss_weight_unlabeled", "1"),
+        ("augment", "rotate none"),
     ])
     def test_out_of_range_value_rejected(self, key, value):
         with pytest.raises(ConfigError, match=key):

@@ -215,6 +215,19 @@ class TestSyntheticFrames:
         with pytest.raises(ConfigError):
             dataio.SceneSpec(ground=(-4, 4, -4, 4), ground_density=0, boxes=0, posts=0)
 
+    def test_all_zero_densities_spec_errors(self):
+        # boxes and posts at density 0 are no surfaces either
+        with pytest.raises(ConfigError, match="no surfaces"):
+            dataio.SceneSpec(ground=(-4, 4, -4, 4), ground_density=0,
+                             boxes=2, box_density=0, posts=1, post_density=0)
+
+    def test_zero_density_draws_no_points(self):
+        cmap = toy_class_map()
+        spec = dataio.SceneSpec(ground=(-4, 4, -4, 4), ground_density=1.5,
+                                boxes=2, box_density=0, posts=1, post_density=0)
+        _, classes = dataio.generate_synthetic_frame(0, spec, cmap)
+        assert classes.tolist() == [cmap.index_of("ground")] * 96  # 64 m^2 at 1.5 per m^2
+
     @pytest.mark.parametrize("key", ["ground_class", "box_class", "post_class"])
     def test_scene_class_missing_from_class_map_errors(self, key):
         spec = dataio.SceneSpec(ground=(-4, 4, -4, 4), **{key: "truck"})

@@ -497,6 +497,10 @@ class TestCheckpoint:
         model.load_checkpoint(path, clone)
         for name, p in net.parameters().items():
             np.testing.assert_allclose(clone.parameters()[name].data, p.data, atol=1e-7)
+        buffers = {k: v for k, v in net.state().items() if isinstance(v, np.ndarray)}
+        assert len(buffers) == 18  # mean and var of 9 BNs: PFN, 2 per UNet block
+        for name, arr in buffers.items():
+            assert clone.state()[name].astype("<f4").tobytes() == arr.astype("<f4").tobytes()
         a = forward_cloud(net, cloud, grid).data
         b = forward_cloud(clone, cloud, grid).data
         np.testing.assert_allclose(a, b, atol=1e-5)
@@ -519,3 +523,68 @@ class TestCheckpoint:
 
         with pytest.raises(FormatError):
             model.load_checkpoint(path, other)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a: a.update({"buffer.pfn_bn.running_mean": np.ones(1, np.float32)}),
+         r"shape \(1,\) != model shape \(8,\)"),
+        (lambda a: a.update({"buffer.pfn_bn.running_mean": np.ones(5, np.float32)}),
+         r"shape \(5,\) != model shape \(8,\)"),
+        (lambda a: a.pop("buffer.pfn_bn.running_var"), r"missing \['buffer.pfn_bn.running_var'\]"),
+        (lambda a: a.update({"buffer.pfn_bn.running_max": np.ones(8, np.float32)}),
+         r"unknown \['buffer.pfn_bn.running_max'\]"),
+    ], ids=["broadcastable", "wrong-length", "missing", "unknown"])
+    def test_malformed_buffer_rejected(self, tmp_path, edit, message):
+        from pillarseg.container import read_container, write_container
+        from pillarseg.errors import FormatError
+
+        path = tmp_path / "model.ckpt"
+        model.save_checkpoint(path, toy_model(toy_grid()))
+        arrays = read_container(path)
+        edit(arrays)
+        write_container(path, arrays)
+        with pytest.raises(FormatError, match=message):
+            model.load_checkpoint(path, toy_model(toy_grid()))
+
+
+def reachable_state(root) -> list:
+    """Every grad-requiring ``Tensor`` and every ``BatchNorm`` running array
+    that ``root`` reaches through attributes, lists and dataclass fields."""
+    import dataclasses
+
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, T.Tensor):
+            if obj.requires_grad:
+                found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif dataclasses.is_dataclass(obj):
+            stack.extend(getattr(obj, f.name) for f in dataclasses.fields(obj))
+        elif hasattr(obj, "__dict__") and type(obj).__module__.startswith("pillarseg"):
+            if isinstance(obj, nn.BatchNorm):
+                found.extend([obj.running_mean, obj.running_var])
+            stack.extend(vars(obj).values())
+    return found
+
+
+class TestStateCoverage:
+    """A layer left out of a ``collect_state`` call would never train nor be
+    checkpointed; the state table must name everything the model holds."""
+
+    @pytest.mark.parametrize("use_ma", [False, True])
+    def test_state_names_every_tensor_and_running_stat_once(self, use_ma):
+        net = toy_model(toy_grid(), use_ma=use_ma)
+        state = net.state()
+        first: dict[int, str] = {}
+        twice = [name for name, v in state.items() if first.setdefault(id(v), name) != name]
+        assert not twice, f"state() names these entries a second time: {twice}"
+        reached = reachable_state(net)
+        unnamed = [v.shape for v in reached if id(v) not in first]
+        assert not unnamed, f"state() leaves out the arrays of shapes {unnamed}"
+        assert len(reached) == len(state)
+        tensors = [v for v in state.values() if isinstance(v, T.Tensor)]
+        assert list(net.parameters().values()) == tensors
