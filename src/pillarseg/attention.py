@@ -109,10 +109,6 @@ class FeaStParams:
             bias=T.parameter(np.zeros(cout)),
         )
 
-    @property
-    def heads(self) -> int:
-        return self.weights.data.shape[0]
-
     def state(self) -> dict[str, Tensor]:
         return {"weights": self.weights, "steering": self.steering,
                 "offsets": self.offsets, "bias": self.bias}
@@ -125,23 +121,15 @@ def feast_conv_shared(x, key_idx: np.ndarray, p: FeaStParams) -> Tensor:
     ``y_i = b + sum_m (1/|K|) sum_{j in K} p_m(x_i, x_j) W_m x_j`` where
     ``p_m`` is the softmax over heads of ``u_m . (x_j - x_i) + c_m``, so the
     head coefficients sum to one exactly. The score splits as
-    ``(u_m . x_j + c_m) - u_m . x_i``, and all heads aggregate in one product:
-    the (M, V, k) coefficients times the (M, k, out) key projections, summed
-    over the head axis.
+    ``(u_m . x_j + c_m) - u_m . x_i``. It runs as one fused op,
+    :func:`pillarseg.nn.tensor.feast`: head-major (M, V, k) scores and
+    coefficients, built for max(1, 2**20 // (k * M)) nodes at a time, and
+    all heads aggregated in one (M, V, k) @ (M, k, out) product. With fewer
+    than 8 heads and the nodes in one chunk, its output and gradients are
+    bitwise those of the unfused op graph; over several chunks they agree
+    to rounding.
     """
-    x = T.as_tensor(x)
-    v = x.data.shape[0]
-    k = len(key_idx)
-    if k == 0:
-        raise ShapeError("empty key set")
-    xk = T.gather_rows(x, key_idx)
-    steering_t = T.transpose(p.steering, (1, 0))
-    s_keys = T.matmul(xk, steering_t) + p.offsets  # (k, M)
-    s_nodes = T.matmul(x, steering_t)  # (V, M)
-    scores = T.sub(T.reshape(s_keys, (1, k, p.heads)), T.reshape(s_nodes, (v, 1, p.heads)))
-    coeff = T.transpose(T.softmax(scores, axis=2), (2, 0, 1))  # (M, V, k)
-    per_head = T.matmul(coeff, T.matmul(xk, p.weights))  # (M, V, out)
-    return T.mul(T.tsum(per_head, axis=0), 1.0 / k) + p.bias
+    return T.feast(x, key_idx, p.weights, p.steering, p.offsets, p.bias)
 
 
 class DRLSTMAttention:

@@ -218,13 +218,17 @@ class ClassMap:
 # ---------------------------------------------------------------------------
 
 
+_BOX_JITTER = (0.85, 1.15)  # per-frame scale range of each box dimension
+
+
 @dataclass
 class SceneSpec:
     """Synthetic scene description: a ground plane plus boxes and posts.
 
     Each field is the scene-file key of its name. Densities are points per
     square meter of surface: a surface of area A draws round(A * density)
-    points, so a density of 0 draws none. Box and post placement is sampled
+    points, so a density of 0 draws none; a scene in which no surface can
+    draw a point is rejected. Box and post placement is sampled
     uniformly inside the ground extent per frame.
     """
 
@@ -247,9 +251,15 @@ class SceneSpec:
         room = min(x1 - x0, y1 - y0)
         if room < 0:
             raise ConfigError(f"ground extent max must not be below min, got {self.ground}")
-        if not (self.ground_density > 0 or (self.boxes and self.box_density > 0)
-                or (self.posts and self.post_density > 0)):
-            raise ConfigError("scene spec produces no surfaces")
+        # the most points one surface of each kind can draw: the ground and a
+        # post at their fixed areas, a box's largest face at its largest jitter
+        w, l, h = (size * _BOX_JITTER[1] for size in self.box_size)
+        most = [(x1 - x0) * (y1 - y0) * self.ground_density,
+                self.boxes and max(w * l, w * h, l * h) * self.box_density,
+                self.posts and 2 * math.pi * self.post_radius * self.post_height
+                * self.post_density]
+        if not any(round(n) for n in most):
+            raise ConfigError("scene spec produces no surfaces: every surface rounds to 0 points")
         if (self.boxes and max(self.box_size[:2]) > room) or \
                 (self.posts and 2 * self.post_radius > room):
             raise ConfigError(f"boxes or posts do not fit the ground extent {self.ground}")
@@ -342,7 +352,7 @@ def generate_synthetic_frame(
         cy = rng.uniform(y0 + margin, y1 - margin)
         yaw = rng.uniform(-math.pi, math.pi)
         w, l, h = spec.box_size
-        jitter = rng.uniform(0.85, 1.15, 3)
+        jitter = rng.uniform(*_BOX_JITTER, 3)
         box = _sample_box(rng, cx, cy, yaw, w * jitter[0], l * jitter[1], h * jitter[2], spec.box_density)
         chunks.append(box)
         classes.append(np.full(len(box), class_map.index_of(spec.box_class)))

@@ -280,34 +280,6 @@ def tsum(x, axis=None) -> Tensor:
     return _record(out, backward)
 
 
-def softmax(x, axis: int = -1) -> Tensor:
-    """Softmax along `axis`.
-
-    The max and sum run over the leading axis of a C-contiguous copy with
-    `axis` moved first; numpy reduces such slabs elementwise, far faster than
-    a short strided axis. Output and input gradient come back C-contiguous,
-    so later reductions over them keep their order. Slabs are summed in
-    sequence, as numpy sums a contiguous axis shorter than 8 elements: the
-    result equals a reduction along `axis` itself bitwise when that axis is
-    shorter than 8 or not the last one, and to rounding otherwise.
-    """
-    x = as_tensor(x)
-    lead = np.ascontiguousarray(np.moveaxis(x.data, axis, 0))
-    e = np.exp(lead - lead.max(axis=0))
-    s = np.ascontiguousarray(np.moveaxis(e / e.sum(axis=0), 0, axis))
-    out = Tensor(s)
-    if not _recording(x):
-        return out
-
-    def backward(g):
-        s_lead = np.ascontiguousarray(np.moveaxis(s, axis, 0))
-        g_lead = np.ascontiguousarray(np.moveaxis(g, axis, 0))
-        dot = (g_lead * s_lead).sum(axis=0)
-        _accum(x, np.ascontiguousarray(np.moveaxis(s_lead * (g_lead - dot), 0, axis)))
-
-    return _record(out, backward)
-
-
 def log_softmax(x, axis: int = -1) -> Tensor:
     x = as_tensor(x)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
@@ -794,3 +766,125 @@ def lstm(x, w_ih, w_hh, b, lengths=None) -> Tensor:
             _accum(b, dz.sum(axis=0))
 
     return _record(out, backward)
+
+
+# ---------------------------------------------------------------------------
+# fused FeaSt graph convolution (manual backward)
+# ---------------------------------------------------------------------------
+
+_FEAST_CHUNK_ELEMS = 2**20  # score elements (nodes x keys x heads) per node chunk
+
+
+def feast(x, key_idx, weights, steering, offsets, bias) -> Tensor:
+    """Feature-steered graph convolution in which every node aggregates from
+    one shared key set; returns (V, out).
+
+    ``y_i = b + (1/k) sum_m sum_j p_m(x_i, x_j) W_m^T x_j`` over the k keys
+    ``x_j = x[key_idx]``, where ``p_m`` is the softmax over the M heads of
+    ``u_m . x_j + c_m - u_m . x_i`` (steering vectors u, offsets c). Shapes:
+    x (V, in), weights (M, in, out), steering (M, in), offsets (M,), bias (out,).
+
+    Layout: the scores are built head-major, (M, Vc, k), for one chunk of Vc
+    nodes at a time, so the softmax reduces over axis 0 of contiguous slabs
+    and its coefficients feed ``coeff @ (xk @ W)`` with no transpose. A chunk
+    holds ``max(1, _FEAST_CHUNK_ELEMS // (k * M))`` nodes, so the forward
+    needs O(chunk) memory beyond the (V, M) node scores. A recording call keeps
+    every chunk's (M, Vc, k) coefficients, once, for the backward.
+
+    Bitwise contract: for fewer than 8 heads and V within one chunk, the
+    output and the five gradients equal bit for bit those of the unfused op
+    graph (gather, steering products, broadcast subtraction, a softmax over
+    the head axis, one batched product and the head sum). The products are
+    the graph's; each reduction adds its terms in the graph's order; and
+    with one key or one output channel, where numpy's matrix-vector product
+    rounds by operand layout, the coefficients are multiplied node-major, as
+    the graph multiplied them. Over several chunks the gradients of x,
+    weights, steering and offsets add up chunk by chunk and agree to
+    rounding, and so may the output: BLAS can round a row differently when
+    the product holds fewer rows (at the default chunk size the outputs of
+    a V = 12,000 layer were still bitwise equal).
+    """
+    x, weights, steering, offsets, bias = (
+        as_tensor(t) for t in (x, weights, steering, offsets, bias))
+    key_idx = np.asarray(key_idx, dtype=np.int64)
+    v = x.data.shape[0]
+    heads, _, cout = weights.data.shape
+    k = len(key_idx)
+    if k == 0:
+        raise ShapeError("empty key set")
+    xk = x.data[key_idx]
+    steering_t = steering.data.T
+    s_keys = xk @ steering_t + offsets.data  # (k, M)
+    s_nodes = x.data @ steering_t  # (V, M)
+    keys_hm, nodes_hm = s_keys.T[:, None, :], s_nodes.T[:, :, None]
+    proj = xk @ weights.data  # (M, k, out)
+    scale = np.asarray(1.0 / k, dtype=x.data.dtype)
+    rows = max(1, _FEAST_CHUNK_ELEMS // (k * heads))
+    chunks = [slice(start, min(start + rows, v)) for start in range(0, v, rows)]
+    recording = _recording(x, weights, steering, offsets, bias)
+
+    def multiplied(coeff):
+        # with one key or one output channel numpy multiplies a matrix and a
+        # vector, rounding by the matrix layout: those shapes multiply a
+        # node-major copy, the layout the graph multiplied
+        if k > 1 and cout > 1:
+            return coeff
+        return np.ascontiguousarray(coeff.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+    coeffs = []
+    out = np.empty((v, cout), dtype=x.data.dtype)
+    for chunk in chunks:
+        coeff = np.empty((heads, chunk.stop - chunk.start, k), dtype=x.data.dtype)
+        np.subtract(keys_hm, nodes_hm[:, chunk], out=coeff)  # scores
+        coeff -= coeff.max(axis=0)
+        np.exp(coeff, out=coeff)
+        coeff /= coeff.sum(axis=0)
+        out[chunk] = (multiplied(coeff) @ proj).sum(axis=0) * scale + bias.data
+        if recording:
+            coeffs.append(coeff)
+    out = Tensor(out)
+    if not recording:
+        return out
+
+    def backward(g):
+        g_scaled = g * scale
+        g_nodes = np.empty((v, heads), dtype=g.dtype)
+        g_proj = g_keys = None
+        for chunk, coeff in zip(chunks, coeffs):
+            g_c = g_scaled[chunk]
+            part = np.swapaxes(multiplied(coeff), -1, -2) @ g_c  # (M, k, out)
+            g_proj = part if g_proj is None else g_proj + part
+            gsc = g_c @ np.swapaxes(proj, -1, -2)  # (M, Vc, k)
+            gsc -= (gsc * coeff).sum(axis=0)
+            gsc *= coeff  # score gradients
+            # each score gradient goes to its key (summed over the nodes) and,
+            # negated, to its node (summed over the keys), in the graph's order
+            if k == 1:
+                # with no key axis numpy would sum the nodes pairwise as its
+                # inner loop; node-major rows keep the graph's sequential sum
+                node_major = np.ascontiguousarray(gsc[:, :, 0].T)  # (Vc, M)
+                part = _unbroadcast(node_major, (1, heads)).T
+                g_nodes[chunk] = -node_major
+            else:
+                part = _unbroadcast(gsc, (heads, 1, k))[:, 0]  # (M, k)
+                # from +0, one key slab at a time, as numpy reduces a non-last
+                # axis; a last-axis sum would add pairwise
+                acc = np.zeros(gsc.shape[:2], dtype=gsc.dtype)
+                for j in range(k):
+                    acc -= gsc[:, :, j]
+                g_nodes[chunk] = acc.T
+            g_keys = part if g_keys is None else g_keys + part
+        g_keys = np.ascontiguousarray(g_keys.T)  # (k, M)
+        g_xk = (g_proj @ np.swapaxes(weights.data, -1, -2)).sum(axis=0)
+        g_xk = g_xk + g_keys @ steering.data
+        _accum(weights, xk.T @ g_proj)
+        _accum(steering, (x.data.T @ g_nodes + xk.T @ g_keys).T)
+        _accum(offsets, g_keys.sum(axis=0))
+        _accum(bias, g.sum(axis=0))
+        _accum(x, g_nodes @ steering.data)
+        gx = np.zeros_like(x.data)
+        _scatter_add_rows(gx, key_idx, g_xk)
+        _accum(x, gx)
+
+    return _record(out, backward)
+

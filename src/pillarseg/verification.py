@@ -90,11 +90,21 @@ def check_conv_block_up() -> float:
 
 
 def check_feast_conv() -> float:
+    """The fused FeaSt convolution, differentiated through each of its five
+    inputs in turn: x, weights, steering, offsets and bias."""
     rng = _rng(5)
-    params = att.FeaStParams.create(3, 2, 3, rng)
     keys = np.array([0, 2])
-    return grad_check(lambda x: T.tsum(att.feast_conv_shared(x, keys, params)),
-                      rng.normal(size=(4, 3)))
+    inputs = [rng.normal(size=s) for s in [(4, 3), (3, 3, 2), (3, 3), (3,), (2,)]]
+    w = T.constant(rng.normal(size=(4, 2)))
+
+    def through(i):
+        def f(t):
+            args = [T.constant(a) for a in inputs]
+            args[i] = t
+            return T.tsum(T.mul(att.feast_conv_shared(args[0], keys, att.FeaStParams(*args[1:])), w))
+        return f
+
+    return max(grad_check(through(i), a.copy()) for i, a in enumerate(inputs))
 
 
 def check_pillar_attention() -> float:

@@ -12,12 +12,13 @@ must reproduce its valid rows bitwise, seeded sampling included.
 
 The taped references at the end are the direct forms of three autograd ops:
 one LSTM direction per time loop and one sequence at a time, a Python loop
-over segments for the segment max, and a softmax reducing along its own axis. The fused and
-loop-free ops in `pillarseg.nn.tensor` must reproduce their outputs and
-gradients bitwise. `feast_conv_per_head` is the shared-key FeaSt convolution
-with one (V, k) @ (k, out) product per head; `pillarseg.attention` sums all
-heads in one product and must reproduce its output and parameter gradients
-bitwise, and its input gradient to rounding.
+over segments for the segment max, and the FeaSt convolution as a graph of
+taped ops (`feast_conv_graph`, with a softmax reducing along its own axis).
+The fused and loop-free ops in `pillarseg.nn.tensor` must reproduce their
+outputs and gradients bitwise. `feast_conv_per_head` is the shared-key FeaSt
+convolution with one (V, k) @ (k, out) product per head; the fused op sums
+all heads in one product and must reproduce its output and parameter
+gradients bitwise, and its input gradient to rounding.
 """
 
 import math
@@ -393,28 +394,53 @@ def softmax(x, axis=-1):
         return out
 
     def backward(g):
+        # C-contiguous, whatever the layout of g: a later sum over an axis of
+        # 8 or more elements adds pairwise when that axis is innermost in memory
         dot = (g * s).sum(axis=axis, keepdims=True)
-        _accum(x, s * (g - dot))
+        _accum(x, np.ascontiguousarray(s * (g - dot)))
 
     return _record(out, backward)
 
 
-def feast_conv_per_head(x, key_idx, p):
-    """Shared-key FeaSt convolution that aggregates head by head and adds the
-    heads' (V, out) contributions in order."""
-    x = as_tensor(x)
+def _feast_coefficients(x, key_idx, steering, offsets):
+    """The gathered keys and the (V, k, M) head coefficients of the shared-key
+    FeaSt convolution, as taped ops."""
     v = x.data.shape[0]
     k = len(key_idx)
+    heads = steering.data.shape[0]
     xk = T.gather_rows(x, key_idx)
-    steering_t = T.transpose(p.steering, (1, 0))
-    s_keys = T.matmul(xk, steering_t) + p.offsets  # (k, M)
+    steering_t = T.transpose(steering, (1, 0))
+    s_keys = T.matmul(xk, steering_t) + offsets  # (k, M)
     s_nodes = T.matmul(x, steering_t)  # (V, M)
-    scores = T.sub(T.reshape(s_keys, (1, k, p.heads)), T.reshape(s_nodes, (v, 1, p.heads)))
-    coeff = T.softmax(scores, axis=2)  # (V, k, M)
+    scores = T.sub(T.reshape(s_keys, (1, k, heads)), T.reshape(s_nodes, (v, 1, heads)))
+    return xk, softmax(scores, axis=2)
+
+
+def feast_conv_graph(x, key_idx, weights, steering, offsets, bias):
+    """Shared-key FeaSt convolution as a graph of 15 taped ops: the (V, k, M)
+    scores, a softmax over their last (head) axis, and all heads aggregated in
+    one (M, V, k) @ (M, k, out) product of the transposed coefficients.
+
+    This is the form `pillarseg.nn.tensor.feast` fuses. With fewer than 8
+    heads the softmax here sums its head axis in sequence, as the fused op
+    does, and the fused op must reproduce the output and all five gradients
+    bitwise when its nodes fit one chunk.
+    """
+    xk, coeff = _feast_coefficients(as_tensor(x), key_idx, as_tensor(steering), offsets)
+    per_head = T.matmul(T.transpose(coeff, (2, 0, 1)), T.matmul(xk, weights))  # (M, V, out)
+    return T.mul(T.tsum(per_head, axis=0), 1.0 / len(key_idx)) + bias
+
+
+def feast_conv_per_head(x, key_idx, weights, steering, offsets, bias):
+    """Shared-key FeaSt convolution that aggregates head by head and adds the
+    heads' (V, out) contributions in order."""
+    x, weights = as_tensor(x), as_tensor(weights)
+    v, k = x.data.shape[0], len(key_idx)
+    xk, coeff = _feast_coefficients(x, key_idx, as_tensor(steering), offsets)
     out = None
-    for m in range(p.heads):
-        w_m = T.reshape(narrow(p.weights, 0, m, 1), p.weights.data.shape[1:])
+    for m in range(weights.data.shape[0]):
+        w_m = T.reshape(narrow(weights, 0, m, 1), weights.data.shape[1:])
         pm = T.reshape(narrow(coeff, 2, m, 1), (v, k))
         contrib = T.matmul(pm, T.matmul(xk, w_m))
         out = contrib if out is None else T.add(out, contrib)
-    return T.mul(out, 1.0 / k) + p.bias
+    return T.mul(out, 1.0 / k) + bias

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,8 +176,11 @@ class TestFeaStConv:
             finally:
                 T.set_default_dtype(np.float64)
 
+        def per_head(x, keys, p):
+            return oracles.feast_conv_per_head(x, keys, p.weights, p.steering, p.offsets, p.bias)
+
         out, gx, grads = run(A.feast_conv_shared)
-        want_out, want_gx, want_grads = run(oracles.feast_conv_per_head)
+        want_out, want_gx, want_grads = run(per_head)
         for got, want in zip([out, *grads], [want_out, *want_grads]):
             assert got.dtype == want.dtype == dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), f"max abs diff {np.abs(got - want).max()}"
@@ -280,6 +284,23 @@ class TestGraphAttention:
         attn = A.GraphAttention(4, 8, 2, rng, fps_rate=0.05)
         w = attn(T.constant(rng.normal(size=(30, 4)))).data
         assert (w > 0).all() and (w < 1).all()
+
+    def test_forward_memory_is_bounded(self, rng):
+        # scores and coefficients live one node chunk at a time; the unfused
+        # op graph held five (V, k, M) arrays at once and peaked near 61 MiB
+        T.set_default_dtype(np.float32)
+        try:
+            attn = A.GraphAttention(64, 16, 4, rng, fps_rate=0.05)
+            feats = T.constant(rng.normal(size=(4000, 64)))
+            tracemalloc.start()
+            try:
+                attn(feats)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            T.set_default_dtype(np.float64)
+        assert peak < 24 * 2**20
 
     def test_gradcheck(self, rng):
         attn = A.GraphAttention(3, 4, 2, rng, fps_rate=0.5)

@@ -221,6 +221,23 @@ class TestSyntheticFrames:
             dataio.SceneSpec(ground=(-4, 4, -4, 4), ground_density=0,
                              boxes=2, box_density=0, posts=1, post_density=0)
 
+    @pytest.mark.parametrize("kind", [
+        dict(ground_density=0.001, boxes=0, posts=0),  # 64 m^2 of ground: 0.064 points
+        dict(ground_density=0, boxes=1, box_density=0.04, box_size=(1.0, 2.0, 1.0), posts=0),
+        dict(ground_density=0, boxes=0, posts=3, post_radius=0.1, post_height=0.5,
+             post_density=0.1),
+    ])
+    def test_surfaces_rounding_to_no_points_spec_errors(self, kind):
+        # a box face is at most 1.15^2 times its size: 2 m^2 * 1.3225 * 0.04 = 0.11 points
+        with pytest.raises(ConfigError, match="no surfaces"):
+            dataio.SceneSpec(ground=(-4, 4, -4, 4), **kind)
+
+    def test_one_point_surface_is_accepted(self):
+        # 2 m^2 * 1.3225 * 0.2 = 0.53 rounds to one point at the largest jitter
+        spec = dataio.SceneSpec(ground=(-4, 4, -4, 4), ground_density=0, boxes=1,
+                                box_density=0.2, box_size=(1.0, 2.0, 1.0), posts=0)
+        assert spec.boxes == 1
+
     def test_zero_density_draws_no_points(self):
         cmap = toy_class_map()
         spec = dataio.SceneSpec(ground=(-4, 4, -4, 4), ground_density=1.5,

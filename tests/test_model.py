@@ -176,8 +176,9 @@ def make_gt(labels, unlabeled=0):
 class TestOracleOps:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_ma_training_step_gradients_match_oracle_ops(self, rng, monkeypatch, dtype):
-        # the fused LSTM, loop-free segment max and slab softmax against their
-        # direct forms, through one multi-attention step over two frames
+        # the fused LSTM, loop-free segment max and fused FeaSt convolution
+        # against their direct forms, through one multi-attention step over
+        # two frames
         grid = toy_grid()
         frames = [(make_cloud(rng, n=120), make_gt(rng.integers(0, 4, (16, 16))))
                   for _ in range(2)]
@@ -198,7 +199,7 @@ class TestOracleOps:
         fused = gradients()
         monkeypatch.setattr(T, "lstm", oracles.bilstm)
         monkeypatch.setattr(T, "segment_max", oracles.segment_max)
-        monkeypatch.setattr(T, "softmax", oracles.softmax)
+        monkeypatch.setattr(T, "feast", oracles.feast_conv_graph)
         direct = gradients()
         assert fused.keys() == direct.keys()
         for name, g in direct.items():

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from pillarseg import nn
+from pillarseg import nn, verification
 from pillarseg.errors import ShapeError, VerificationError
 from pillarseg.nn import tensor as T
 
@@ -80,39 +80,8 @@ class TestElementwiseGrads:
         # the mean over axis 0 as the model would take it: a sum times 1 / count
         check_op(lambda x: T.tsum(T.mul(T.tsum(x, axis=0), 1.0 / 3)), rng.normal(size=(3, 4)))
 
-    def test_softmax_rows_sum_to_one(self, rng):
-        s = T.softmax(T.constant(rng.normal(size=(6, 9)) * 5), axis=1)
-        np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-12)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @given(shape=st.lists(st.integers(1, 7), min_size=1, max_size=3), axis=st.integers(-3, 2),
-           kind=st.sampled_from(["normal", "integer"]), seed=st.integers(0, 2**32 - 1))
-    def test_softmax_matches_direct_form(self, dtype, shape, axis, kind, seed):
-        # below 8 elements along the axis both forms sum in sequence: bitwise equal
-        axis %= len(shape)
-        rng = np.random.default_rng(seed)
-        x = sample(rng, shape, kind)
-        weights = rng.normal(size=shape)
-        with default_dtype(dtype):
-            got = taped_run(lambda t: T.softmax(t, axis=axis), [x], weights, seed)
-            want = taped_run(lambda t: oracles.softmax(t, axis=axis), [x], weights, seed)
-        assert_bitwise(got, want)
-        assert got[0].flags.c_contiguous and got[1].flags.c_contiguous
-
-    def test_softmax_long_axis_within_rounding(self, rng):
-        # from 8 elements on numpy sums a contiguous axis pairwise
-        x = rng.normal(size=(6, 5, 19)) * 3
-        weights = rng.normal(size=x.shape)
-        got = taped_run(lambda t: T.softmax(t, axis=2), [x], weights, 0)
-        want = taped_run(lambda t: oracles.softmax(t, axis=2), [x], weights, 0)
-        for a, b in zip(got, want):
-            np.testing.assert_allclose(a, b, rtol=1e-12, atol=0)
-        w = T.constant(rng.normal(size=(2, 3, 9)))
-        check_op(lambda t: T.tsum(T.mul(T.softmax(t, axis=2), w)), rng.normal(size=(2, 3, 9)))
-
-    def test_softmax_log_softmax_grads(self, rng):
+    def test_log_softmax_grads(self, rng):
         w = T.constant(rng.normal(size=(3, 4)))
-        check_op(lambda x: T.tsum(T.mul(T.softmax(x, axis=1), w)), rng.normal(size=(3, 4)))
         check_op(lambda x: T.tsum(T.mul(T.log_softmax(x, axis=1), w)), rng.normal(size=(3, 4)))
 
     def test_sigmoid_strictly_inside_unit_interval(self, rng):
@@ -440,6 +409,73 @@ class TestLSTM:
         assert nn.grad_check(f_wih, w_ih0.copy()) < 1e-6
         assert nn.grad_check(f_whh, w_hh0.copy()) < 1e-6
         assert nn.grad_check(f_b, b0.copy()) < 1e-6
+
+
+@contextmanager
+def feast_chunk_elems(n):
+    saved, T._FEAST_CHUNK_ELEMS = T._FEAST_CHUNK_ELEMS, n
+    try:
+        yield
+    finally:
+        T._FEAST_CHUNK_ELEMS = saved
+
+
+class TestFeast:
+    """The fused FeaSt convolution against the unfused graph of taped ops."""
+
+    @staticmethod
+    def runs(data, dtype, v, heads, cin, cout):
+        """Output and the gradients of x, weights, steering, offsets and bias,
+        fused and from the graph, for one drawn case. About a third of the
+        nodes get no upstream gradient, as the rows that a ReLU zeroes do."""
+        keys = np.array(data.draw(st.lists(st.integers(0, v - 1), min_size=1, max_size=v,
+                                           unique=True)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        shapes = [(v, cin), (heads, cin, cout), (heads, cin), (heads,), (cout,)]
+        inputs = [rng.normal(size=s) for s in shapes]
+        weights = rng.normal(size=(v, cout)) * (rng.random((v, 1)) < 0.7)
+        with default_dtype(dtype):
+            got = taped_run(lambda x, *p: T.feast(x, keys, *p), inputs, weights, seed)
+            want = taped_run(lambda x, *p: oracles.feast_conv_graph(x, keys, *p),
+                             inputs, weights, seed)
+        return got, want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(v=st.integers(1, 24), heads=st.integers(1, 7), cin=st.integers(1, 5),
+           cout=st.integers(1, 5), data=st.data())
+    def test_one_chunk_matches_graph_bitwise(self, dtype, v, heads, cin, cout, data):
+        # single nodes, keys, heads and channels included
+        assert_bitwise(*self.runs(data, dtype, v, heads, cin, cout))
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @given(v=st.integers(2, 24), heads=st.integers(1, 7), cin=st.integers(1, 5),
+           cout=st.integers(1, 5), budget=st.integers(1, 60), data=st.data())
+    def test_chunks_match_graph_to_rounding(self, dtype, tol, v, heads, cin, cout, budget, data):
+        # a BLAS product may round a row differently with fewer rows beside
+        # it, and the key-side gradients add up chunk by chunk
+        with feast_chunk_elems(budget):
+            got, want = self.runs(data, dtype, v, heads, cin, cout)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape
+            assert np.abs(a - b).max() <= tol * np.abs(b).max()
+
+    def test_gradients_over_several_chunks(self, monkeypatch):
+        # the criterion-1 check, one node per chunk
+        monkeypatch.setattr(T, "_FEAST_CHUNK_ELEMS", 1)
+        assert verification.check_feast_conv() < 1e-7
+
+    def test_head_coefficients_sum_to_one(self, rng):
+        # with every head's weights alike, steep scores must still aggregate
+        # the plain key mean
+        v, k, cin, cout, heads = 6, 4, 3, 2, 5
+        x = rng.normal(size=(v, cin))
+        keys = rng.choice(v, size=k, replace=False)
+        weights = np.repeat(rng.normal(size=(1, cin, cout)), heads, axis=0)
+        out = T.feast(T.constant(x), keys, weights, rng.normal(size=(heads, cin)) * 5,
+                      rng.normal(size=heads) * 5, np.zeros(cout)).data
+        np.testing.assert_allclose(out, np.tile((x[keys] @ weights[0]).mean(axis=0), (v, 1)),
+                                   atol=1e-12)
 
 
 def conv_sliding_window_oracle(x, w, b, pad=1):

@@ -5,7 +5,9 @@ import pytest
 
 from pillarseg import config, train
 from pillarseg.errors import DivergenceError
-from pillarseg.model import load_checkpoint, save_checkpoint
+from pillarseg.flat import packaged_text, parse_flat
+from pillarseg.labels import SemanticGrid
+from pillarseg.model import PillarSegNet, load_checkpoint, save_checkpoint
 from pillarseg.nn import tensor as T
 
 
@@ -162,3 +164,21 @@ class TestEvalSeparation:
         assert len(baseline) == len(idx)
         for a, b in zip(baseline, tampered):
             np.testing.assert_array_equal(a, b)
+
+
+def test_toy_ma_step_tape_nodes():
+    # one training step of the packaged toy model with multi-attention; the
+    # fused FeaSt op records one node per graph layer, the unfused op graph
+    # recorded 15 (148 nodes in all)
+    values = parse_flat(packaged_text("toy.cfg"))
+    values.update(use_ma=["true"], augment=["none"])
+    cfg = config.build_run_config(values)
+    pack = train.prepare_frame(cfg, 0)
+    with train.model_dtype(cfg):
+        net = PillarSegNet(train.model_config(cfg), seed=cfg.seed)
+        with T.Tape() as tape:
+            logits = net.forward_pillars(train.frame_pset(cfg, pack, 0), cfg.grid, pack.obs_norm,
+                                         training=True)
+            gt = SemanticGrid(pack.label_grid, cfg.class_map.unlabeled_index)
+            T.mul(train.seg_loss(logits, gt, train._loss_config(cfg)), 1.0 / cfg.batch_size)
+    assert len(tape.nodes) <= 92
