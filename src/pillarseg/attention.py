@@ -6,8 +6,9 @@ in input order:
 * DR-LSTM attention: pillars ordered by a 1D principal-component embedding of
   their cell positions, run through a bidirectional LSTM, then a sigmoid head.
 * Key-node graph attention: farthest-point-selected key pillars feed every
-  node through feature-steered graph convolutions over that one key set, in
-  an encoder/decoder stack.
+  node through feature-steered graph convolutions over that one key set
+  (the fused op :func:`pillarseg.nn.tensor.feast`, one call per
+  :class:`FeaStParams` layer), in an encoder/decoder stack.
 * Pillar attention: channel-reducing then point-reducing shared affines over
   the (P, N, C) tensor.
 
@@ -114,24 +115,6 @@ class FeaStParams:
                 "offsets": self.offsets, "bias": self.bias}
 
 
-def feast_conv_shared(x, key_idx: np.ndarray, p: FeaStParams) -> Tensor:
-    """Feature-steered graph convolution in which every node aggregates from
-    one shared key set K.
-
-    ``y_i = b + sum_m (1/|K|) sum_{j in K} p_m(x_i, x_j) W_m x_j`` where
-    ``p_m`` is the softmax over heads of ``u_m . (x_j - x_i) + c_m``, so the
-    head coefficients sum to one exactly. The score splits as
-    ``(u_m . x_j + c_m) - u_m . x_i``. It runs as one fused op,
-    :func:`pillarseg.nn.tensor.feast`: head-major (M, V, k) scores and
-    coefficients, built for max(1, 2**20 // (k * M)) nodes at a time, and
-    all heads aggregated in one (M, V, k) @ (M, k, out) product. With fewer
-    than 8 heads and the nodes in one chunk, its output and gradients are
-    bitwise those of the unfused op graph; over several chunks they agree
-    to rounding.
-    """
-    return T.feast(x, key_idx, p.weights, p.steering, p.offsets, p.bias)
-
-
 class DRLSTMAttention:
     """Bidirectional-LSTM attention over pillars ordered by their 1D spatial
     embedding; ties in the embedding keep the original pillar order.
@@ -184,7 +167,8 @@ class GraphAttention:
         h = T.as_tensor(pillar_feats)
         keys = fps(h.data, self.fps_rate)
         for layer in self.encoder + self.decoder:
-            h = T.relu(feast_conv_shared(h, keys, layer))
+            h = T.relu(T.feast(h, keys, layer.weights, layer.steering, layer.offsets,
+                               layer.bias))
         return T.sigmoid(self.head(h))
 
     def state(self) -> dict[str, Tensor]:

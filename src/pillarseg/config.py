@@ -88,7 +88,7 @@ class RunConfig:
     weight_decay: NonNegative = 0.0
     dtype: Literal["f32", "f64"] = "f32"
     train_frames: Size = 200
-    val_frames: Count = 50
+    val_frames: Size = 50
     noise_snr: Positive | None = None
     # misc
     seed: Count = 0

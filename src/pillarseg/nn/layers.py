@@ -39,7 +39,7 @@ class Affine:
             raise ShapeError(
                 f"affine input {x.data.shape} incompatible with weight {self.weight.data.shape}"
             )
-        return T.matmul(x, self.weight) + self.bias
+        return T.add(T.matmul(x, self.weight), self.bias)
 
     def state(self) -> dict[str, Tensor]:
         return {"weight": self.weight, "bias": self.bias}

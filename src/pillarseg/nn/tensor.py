@@ -88,29 +88,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
-    # arithmetic sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -180,19 +157,6 @@ def add(a, b) -> Tensor:
     def backward(g):
         _accum(a, _unbroadcast(g, a.data.shape))
         _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _record(out, backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data)
-    if not _recording(a, b):
-        return out
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
 
     return _record(out, backward)
 
@@ -784,25 +748,13 @@ def feast(x, key_idx, weights, steering, offsets, bias) -> Tensor:
     ``u_m . x_j + c_m - u_m . x_i`` (steering vectors u, offsets c). Shapes:
     x (V, in), weights (M, in, out), steering (M, in), offsets (M,), bias (out,).
 
-    Layout: the scores are built head-major, (M, Vc, k), for one chunk of Vc
-    nodes at a time, so the softmax reduces over axis 0 of contiguous slabs
-    and its coefficients feed ``coeff @ (xk @ W)`` with no transpose. A chunk
-    holds ``max(1, _FEAST_CHUNK_ELEMS // (k * M))`` nodes, so the forward
-    needs O(chunk) memory beyond the (V, M) node scores. A recording call keeps
-    every chunk's (M, Vc, k) coefficients, once, for the backward.
-
-    Bitwise contract: for fewer than 8 heads and V within one chunk, the
-    output and the five gradients equal bit for bit those of the unfused op
-    graph (gather, steering products, broadcast subtraction, a softmax over
-    the head axis, one batched product and the head sum). The products are
-    the graph's; each reduction adds its terms in the graph's order; and
-    with one key or one output channel, where numpy's matrix-vector product
-    rounds by operand layout, the coefficients are multiplied node-major, as
-    the graph multiplied them. Over several chunks the gradients of x,
-    weights, steering and offsets add up chunk by chunk and agree to
-    rounding, and so may the output: BLAS can round a row differently when
-    the product holds fewer rows (at the default chunk size the outputs of
-    a V = 12,000 layer were still bitwise equal).
+    The scores and coefficients are head-major, (M, Vc, k), for chunks of
+    ``max(1, _FEAST_CHUNK_ELEMS // (k * M))`` nodes, so the forward needs
+    O(chunk) memory beyond the (M, V) node scores; a recording call keeps
+    every chunk's coefficients for the backward. Within one chunk the output
+    and the five gradients equal bit for bit those of the head-major graph
+    of taped ops that computes the same products; over several chunks they
+    agree to rounding.
     """
     x, weights, steering, offsets, bias = (
         as_tensor(t) for t in (x, weights, steering, offsets, bias))
@@ -813,33 +765,22 @@ def feast(x, key_idx, weights, steering, offsets, bias) -> Tensor:
     if k == 0:
         raise ShapeError("empty key set")
     xk = x.data[key_idx]
-    steering_t = steering.data.T
-    s_keys = xk @ steering_t + offsets.data  # (k, M)
-    s_nodes = x.data @ steering_t  # (V, M)
-    keys_hm, nodes_hm = s_keys.T[:, None, :], s_nodes.T[:, :, None]
+    s_keys = steering.data @ xk.T + offsets.data[:, None]  # (M, k)
+    s_nodes = steering.data @ x.data.T  # (M, V)
     proj = xk @ weights.data  # (M, k, out)
     scale = np.asarray(1.0 / k, dtype=x.data.dtype)
     rows = max(1, _FEAST_CHUNK_ELEMS // (k * heads))
     chunks = [slice(start, min(start + rows, v)) for start in range(0, v, rows)]
     recording = _recording(x, weights, steering, offsets, bias)
 
-    def multiplied(coeff):
-        # with one key or one output channel numpy multiplies a matrix and a
-        # vector, rounding by the matrix layout: those shapes multiply a
-        # node-major copy, the layout the graph multiplied
-        if k > 1 and cout > 1:
-            return coeff
-        return np.ascontiguousarray(coeff.transpose(1, 2, 0)).transpose(2, 0, 1)
-
     coeffs = []
     out = np.empty((v, cout), dtype=x.data.dtype)
     for chunk in chunks:
-        coeff = np.empty((heads, chunk.stop - chunk.start, k), dtype=x.data.dtype)
-        np.subtract(keys_hm, nodes_hm[:, chunk], out=coeff)  # scores
+        coeff = s_keys[:, None, :] - s_nodes[:, chunk, None]  # scores
         coeff -= coeff.max(axis=0)
         np.exp(coeff, out=coeff)
         coeff /= coeff.sum(axis=0)
-        out[chunk] = (multiplied(coeff) @ proj).sum(axis=0) * scale + bias.data
+        out[chunk] = (coeff @ proj).sum(axis=0) * scale + bias.data
         if recording:
             coeffs.append(coeff)
     out = Tensor(out)
@@ -848,43 +789,30 @@ def feast(x, key_idx, weights, steering, offsets, bias) -> Tensor:
 
     def backward(g):
         g_scaled = g * scale
-        g_nodes = np.empty((v, heads), dtype=g.dtype)
+        g_nodes = np.empty((heads, v), dtype=g.dtype)
         g_proj = g_keys = None
         for chunk, coeff in zip(chunks, coeffs):
             g_c = g_scaled[chunk]
-            part = np.swapaxes(multiplied(coeff), -1, -2) @ g_c  # (M, k, out)
+            part = np.swapaxes(coeff, -1, -2) @ g_c  # (M, k, out)
             g_proj = part if g_proj is None else g_proj + part
             gsc = g_c @ np.swapaxes(proj, -1, -2)  # (M, Vc, k)
             gsc -= (gsc * coeff).sum(axis=0)
             gsc *= coeff  # score gradients
-            # each score gradient goes to its key (summed over the nodes) and,
-            # negated, to its node (summed over the keys), in the graph's order
-            if k == 1:
-                # with no key axis numpy would sum the nodes pairwise as its
-                # inner loop; node-major rows keep the graph's sequential sum
-                node_major = np.ascontiguousarray(gsc[:, :, 0].T)  # (Vc, M)
-                part = _unbroadcast(node_major, (1, heads)).T
-                g_nodes[chunk] = -node_major
-            else:
-                part = _unbroadcast(gsc, (heads, 1, k))[:, 0]  # (M, k)
-                # from +0, one key slab at a time, as numpy reduces a non-last
-                # axis; a last-axis sum would add pairwise
-                acc = np.zeros(gsc.shape[:2], dtype=gsc.dtype)
-                for j in range(k):
-                    acc -= gsc[:, :, j]
-                g_nodes[chunk] = acc.T
+            part = gsc.sum(axis=1)  # (M, k)
             g_keys = part if g_keys is None else g_keys + part
-        g_keys = np.ascontiguousarray(g_keys.T)  # (k, M)
-        g_xk = (g_proj @ np.swapaxes(weights.data, -1, -2)).sum(axis=0)
-        g_xk = g_xk + g_keys @ steering.data
+            g_nodes[:, chunk] = -gsc.sum(axis=2)
         _accum(weights, xk.T @ g_proj)
-        _accum(steering, (x.data.T @ g_nodes + xk.T @ g_keys).T)
-        _accum(offsets, g_keys.sum(axis=0))
+        # the node term, then the key term, as the graph adds them: one summed
+        # call rounds differently
+        _accum(steering, g_nodes @ x.data)
+        _accum(steering, g_keys @ xk)
+        _accum(offsets, g_keys.sum(axis=1))
         _accum(bias, g.sum(axis=0))
-        _accum(x, g_nodes @ steering.data)
+        _accum(x, (steering.data.T @ g_nodes).T)
+        g_xk = (g_proj @ np.swapaxes(weights.data, -1, -2)).sum(axis=0)
+        g_xk = g_xk + (steering.data.T @ g_keys).T
         gx = np.zeros_like(x.data)
         _scatter_add_rows(gx, key_idx, g_xk)
         _accum(x, gx)
 
     return _record(out, backward)
-

@@ -137,7 +137,7 @@ def evaluate(cfg: RunConfig, net: PillarSegNet, packs: list[FramePack],
                 pred = net.predict(frame_logits, supervised)
                 preds.append(pred)
                 acc.add(pred, pack.label_grid, pack.visible)
-    return losses_sum / max(1, len(packs)), acc.result(), preds
+    return losses_sum / len(packs), acc.result(), preds
 
 
 @contextmanager

@@ -101,7 +101,7 @@ def check_feast_conv() -> float:
         def f(t):
             args = [T.constant(a) for a in inputs]
             args[i] = t
-            return T.tsum(T.mul(att.feast_conv_shared(args[0], keys, att.FeaStParams(*args[1:])), w))
+            return T.tsum(T.mul(T.feast(args[0], keys, *args[1:]), w))
         return f
 
     return max(grad_check(through(i), a.copy()) for i, a in enumerate(inputs))

@@ -13,12 +13,15 @@ must reproduce its valid rows bitwise, seeded sampling included.
 The taped references at the end are the direct forms of three autograd ops:
 one LSTM direction per time loop and one sequence at a time, a Python loop
 over segments for the segment max, and the FeaSt convolution as a graph of
-taped ops (`feast_conv_graph`, with a softmax reducing along its own axis).
-The fused and loop-free ops in `pillarseg.nn.tensor` must reproduce their
-outputs and gradients bitwise. `feast_conv_per_head` is the shared-key FeaSt
-convolution with one (V, k) @ (k, out) product per head; the fused op sums
-all heads in one product and must reproduce its output and parameter
-gradients bitwise, and its input gradient to rounding.
+generic taped ops (`feast_conv_graph`). The fused and loop-free ops in
+`pillarseg.nn.tensor` must reproduce their outputs and gradients bitwise.
+The FeaSt graph is head-major, as the fused op is: (M, k) key scores
+``steering @ xk.T + offsets``, (M, V) node scores ``steering @ x.T``, their
+(M, V, k) difference, a softmax over the head axis 0 and one
+``coeff @ (xk @ W)`` product. `feast_conv_per_head` shares those
+coefficients but aggregates with one (V, k) @ (k, out) product per head; the
+fused op must reproduce its output and parameter gradients bitwise, and its
+input gradient to rounding.
 """
 
 import math
@@ -27,7 +30,8 @@ from itertools import combinations
 import numpy as np
 
 from pillarseg.nn import tensor as T
-from pillarseg.nn.tensor import Tensor, _accum, _record, _recording, as_tensor, concat, narrow
+from pillarseg.nn.tensor import (Tensor, _accum, _record, _recording, _unbroadcast, as_tensor,
+                                 concat, narrow)
 from pillarseg.pillars import PillarSet, cell_indices, crop_mask
 
 
@@ -383,6 +387,20 @@ def segment_max(x, segments, num_segments):
     return _record(out, backward)
 
 
+def sub(a, b):
+    """a - b with numpy broadcasting."""
+    a, b = as_tensor(a), as_tensor(b)
+    out = Tensor(a.data - b.data)
+    if not _recording(a, b):
+        return out
+
+    def backward(g):
+        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(b, _unbroadcast(-g, b.data.shape))
+
+    return _record(out, backward)
+
+
 def softmax(x, axis=-1):
     """Softmax with its max and sum reduced along `axis` itself."""
     x = as_tensor(x)
@@ -394,41 +412,38 @@ def softmax(x, axis=-1):
         return out
 
     def backward(g):
-        # C-contiguous, whatever the layout of g: a later sum over an axis of
-        # 8 or more elements adds pairwise when that axis is innermost in memory
         dot = (g * s).sum(axis=axis, keepdims=True)
-        _accum(x, np.ascontiguousarray(s * (g - dot)))
+        _accum(x, s * (g - dot))
 
     return _record(out, backward)
 
 
 def _feast_coefficients(x, key_idx, steering, offsets):
-    """The gathered keys and the (V, k, M) head coefficients of the shared-key
-    FeaSt convolution, as taped ops."""
+    """The gathered keys and the (M, V, k) head coefficients of the
+    shared-key FeaSt convolution, as taped ops."""
     v = x.data.shape[0]
     k = len(key_idx)
     heads = steering.data.shape[0]
     xk = T.gather_rows(x, key_idx)
-    steering_t = T.transpose(steering, (1, 0))
-    s_keys = T.matmul(xk, steering_t) + offsets  # (k, M)
-    s_nodes = T.matmul(x, steering_t)  # (V, M)
-    scores = T.sub(T.reshape(s_keys, (1, k, heads)), T.reshape(s_nodes, (v, 1, heads)))
-    return xk, softmax(scores, axis=2)
+    s_keys = T.add(T.matmul(steering, T.transpose(xk, (1, 0))),
+                   T.reshape(offsets, (heads, 1)))  # (M, k)
+    s_nodes = T.matmul(steering, T.transpose(x, (1, 0)))  # (M, V)
+    scores = sub(T.reshape(s_keys, (heads, 1, k)), T.reshape(s_nodes, (heads, v, 1)))
+    return xk, softmax(scores, axis=0)
 
 
 def feast_conv_graph(x, key_idx, weights, steering, offsets, bias):
-    """Shared-key FeaSt convolution as a graph of 15 taped ops: the (V, k, M)
-    scores, a softmax over their last (head) axis, and all heads aggregated in
-    one (M, V, k) @ (M, k, out) product of the transposed coefficients.
+    """Shared-key FeaSt convolution as a graph of taped ops: the head-major
+    (M, V, k) scores, a softmax over their first (head) axis, and all heads
+    aggregated in one (M, V, k) @ (M, k, out) product.
 
-    This is the form `pillarseg.nn.tensor.feast` fuses. With fewer than 8
-    heads the softmax here sums its head axis in sequence, as the fused op
-    does, and the fused op must reproduce the output and all five gradients
-    bitwise when its nodes fit one chunk.
+    This is the form `pillarseg.nn.tensor.feast` fuses, and the fused op must
+    reproduce its output and all five gradients bitwise when its nodes fit
+    one chunk.
     """
     xk, coeff = _feast_coefficients(as_tensor(x), key_idx, as_tensor(steering), offsets)
-    per_head = T.matmul(T.transpose(coeff, (2, 0, 1)), T.matmul(xk, weights))  # (M, V, out)
-    return T.mul(T.tsum(per_head, axis=0), 1.0 / len(key_idx)) + bias
+    per_head = T.matmul(coeff, T.matmul(xk, weights))  # (M, V, out)
+    return T.add(T.mul(T.tsum(per_head, axis=0), 1.0 / len(key_idx)), bias)
 
 
 def feast_conv_per_head(x, key_idx, weights, steering, offsets, bias):
@@ -440,7 +455,7 @@ def feast_conv_per_head(x, key_idx, weights, steering, offsets, bias):
     out = None
     for m in range(weights.data.shape[0]):
         w_m = T.reshape(narrow(weights, 0, m, 1), weights.data.shape[1:])
-        pm = T.reshape(narrow(coeff, 2, m, 1), (v, k))
+        pm = T.reshape(narrow(coeff, 0, m, 1), (v, k))
         contrib = T.matmul(pm, T.matmul(xk, w_m))
         out = contrib if out is None else T.add(out, contrib)
-    return T.mul(out, 1.0 / k) + bias
+    return T.add(T.mul(out, 1.0 / k), bias)

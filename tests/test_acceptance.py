@@ -129,7 +129,8 @@ class TestCriterion5FeaStOracle:
                 offsets=T.parameter(rng.normal(size=m)),
                 bias=T.parameter(rng.normal(size=cout)),
             )
-            got = A.feast_conv_shared(T.constant(x), keys, params).data
+            got = T.feast(T.constant(x), keys, params.weights, params.steering,
+                          params.offsets, params.bias).data
 
             out = np.zeros((v, cout))
             for i in range(v):

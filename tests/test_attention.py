@@ -123,7 +123,7 @@ class TestFeaStConv:
         p = make_feast(3, 2, 1, rng)
         x = rng.normal(size=(4, 3))
         keys = np.array([0, 1, 3])
-        out = A.feast_conv_shared(T.constant(x), keys, p).data
+        out = T.feast(T.constant(x), keys, p.weights, p.steering, p.offsets, p.bias).data
         expected = p.bias.data + np.mean([p.weights.data[0].T @ x[j] for j in keys], axis=0)
         for i in range(4):
             np.testing.assert_allclose(out[i], expected, atol=1e-12)
@@ -133,7 +133,8 @@ class TestFeaStConv:
         p.steering.data[:] = 0.0
         p.offsets.data[:] = 1.7
         x = rng.normal(size=(3, 3))
-        out = A.feast_conv_shared(T.constant(x), np.arange(3), p).data
+        out = T.feast(T.constant(x), np.arange(3), p.weights, p.steering, p.offsets,
+                      p.bias).data
         mean_w = p.weights.data.mean(axis=0)
         for i in range(3):
             expected = p.bias.data + np.mean([mean_w.T @ x[j] for j in range(3)], axis=0)
@@ -147,7 +148,7 @@ class TestFeaStConv:
             x = rng.normal(size=(v, cin))
             keys = np.sort(rng.choice(v, size=rng.integers(1, v + 1), replace=False))
             p = make_feast(cin, cout, m, rng)
-            out = A.feast_conv_shared(T.constant(x), keys, p).data
+            out = T.feast(T.constant(x), keys, p.weights, p.steering, p.offsets, p.bias).data
             oracle = feast_scalar_oracle(x, keys, p.weights.data, p.steering.data,
                                          p.offsets.data, p.bias.data)
             np.testing.assert_allclose(out, oracle, atol=1e-12)
@@ -170,17 +171,14 @@ class TestFeaStConv:
             try:
                 x, *params = [T.parameter(a) for a in inputs]
                 with T.Tape() as tape:
-                    out = conv(x, keys, A.FeaStParams(*params))
+                    out = conv(x, keys, *params)
                     tape.backward(T.tsum(T.mul(out, T.constant(upstream))))
                 return out.data, x.grad, [p.grad for p in params]
             finally:
                 T.set_default_dtype(np.float64)
 
-        def per_head(x, keys, p):
-            return oracles.feast_conv_per_head(x, keys, p.weights, p.steering, p.offsets, p.bias)
-
-        out, gx, grads = run(A.feast_conv_shared)
-        want_out, want_gx, want_grads = run(per_head)
+        out, gx, grads = run(T.feast)
+        want_out, want_gx, want_grads = run(oracles.feast_conv_per_head)
         for got, want in zip([out, *grads], [want_out, *want_grads]):
             assert got.dtype == want.dtype == dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes(), f"max abs diff {np.abs(got - want).max()}"
@@ -201,29 +199,27 @@ class TestFeaStConv:
         from pillarseg.errors import ShapeError
 
         with pytest.raises(ShapeError, match="empty key set"):
-            A.feast_conv_shared(T.constant(rng.normal(size=(2, 2))),
-                                np.zeros(0, dtype=np.int64), p)
+            T.feast(T.constant(rng.normal(size=(2, 2))), np.zeros(0, dtype=np.int64),
+                    p.weights, p.steering, p.offsets, p.bias)
 
     def test_shared_key_gradients(self, rng):
         keys = np.array([0, 2])
         p = make_feast(3, 2, 2, rng)
-        assert nn.grad_check(lambda x: T.tsum(A.feast_conv_shared(x, keys, p)),
+        assert nn.grad_check(lambda x: T.tsum(T.feast(x, keys, p.weights, p.steering,
+                                                      p.offsets, p.bias)),
                              rng.normal(size=(4, 3))) < 1e-7
 
     def test_gradients(self, rng):
         x0 = rng.normal(size=(4, 3))
         keys = np.array([1, 2, 3])
         p = make_feast(3, 2, 2, rng)
-        assert nn.grad_check(lambda x: T.tsum(A.feast_conv_shared(x, keys, p)), x0) < 1e-7
+        assert nn.grad_check(lambda x: T.tsum(T.feast(x, keys, p.weights, p.steering,
+                                                      p.offsets, p.bias)), x0) < 1e-7
 
         x = T.constant(x0)
 
         def f_w(w):
-            saved = p.weights
-            p.weights = w
-            out = T.tsum(A.feast_conv_shared(x, keys, p))
-            p.weights = saved
-            return out
+            return T.tsum(T.feast(x, keys, w, p.steering, p.offsets, p.bias))
 
         assert nn.grad_check(f_w, p.weights.data.copy()) < 1e-7
 

@@ -267,6 +267,18 @@ class TestTrainEval:
         assert "non-finite validation loss after epoch 1" in capsys.readouterr().err
         assert not (out / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_validation_set_exit_1(self, scene_file, tmp_path, capsys, command):
+        run = tmp_path / "run"
+        assert run_cli("train", *micro_args(scene_file, "--epochs", "0"),
+                       "--out", str(run)) == 0
+        extra = ["--checkpoint", str(run / "model.ckpt")] if command == "eval" else []
+        out = tmp_path / "out"
+        assert run_cli(command, *micro_args(scene_file, "--val_frames", "0"), *extra,
+                       "--out", str(out)) == 1
+        assert "config error: val_frames must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_runs_in_configured_dtype(self, scene_file, tmp_path, monkeypatch):
         out = tmp_path / "run"
         assert run_cli("train", *micro_args(scene_file, "--epochs", "0"),

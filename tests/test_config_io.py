@@ -74,13 +74,13 @@ class TestFlatConfig:
 
     @pytest.mark.parametrize("key", ["batch_size", "train_frames", "threads", "pfn_channels",
                                      "lstm_hidden", "graph_hidden", "feast_heads",
-                                     "fusion_hidden", "unet_widths"])
+                                     "fusion_hidden", "unet_widths", "val_frames"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_count_below_one_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be at least 1"):
             config.load_run_config(None, {key: [value]})
 
-    @pytest.mark.parametrize("key", ["seed", "epochs", "val_frames"])
+    @pytest.mark.parametrize("key", ["seed", "epochs"])
     def test_count_below_zero_rejected(self, key):
         assert getattr(config.load_run_config(None, {key: ["0"]}), key) == 0
         with pytest.raises(ConfigError, match=f"{key} must be at least 0"):
