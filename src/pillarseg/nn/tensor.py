@@ -433,48 +433,65 @@ def scatter_to_image(x, rows, cols, height: int, width: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:
-    c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((c, kh, kw, h, w), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xp[:, i : i + h, j : j + w]
-    return cols.reshape(c * kh * kw, h * w)
-
-
-def _col2im(cols: np.ndarray, shape: tuple[int, int, int], kh: int, kw: int, pad: int) -> np.ndarray:
-    c, h, w = shape
-    cols = cols.reshape(c, kh, kw, h, w)
-    xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, i : i + h, j : j + w] += cols[:, i, j]
-    return xp[:, pad : pad + h, pad : pad + w]
-
-
 def conv2d(x, weight, bias) -> Tensor:
-    """Same-size 2D convolution of a (C, H, W) tensor with (Cout, Cin, k, k)
-    kernels plus a (Cout,) bias."""
+    """Same-size 2D convolution of a (C, H, W) tensor with (Cout, C, k, k)
+    kernels plus a (Cout,) bias.
+
+    The input is zero-padded by p = k // 2 and flattened row by row into
+    ``xf`` of shape (C, (H + 2p) * row), with ``row = W + 2p``. In that layout
+    tap (i, j) of every output pixel reads the contiguous column slice
+    ``xf[:, i * row + j : i * row + j + span]``, ``span = (H - 1) * row + W``,
+    so the forward is k * k products ``weight[:, :, i, j] @ slice``, summed in
+    the tap order (0, 0), (0, 1), ..., (k - 1, k - 1) into one buffer on the
+    same row stride. The 2p pad columns that end each row are dropped, and
+    the bias is added. The backward lays the output gradient out on that
+    stride and takes one weight-gradient and one input-gradient product per
+    tap; the tape keeps only ``xf``, never a (k * k * C, H * W) column matrix.
+
+    Each output is a sum of k * k partial dot products of length C, not one
+    of length k * k * C, so it rounds differently from a column-matrix
+    convolution; the two agree to rounding.
+    """
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    if weight.data.ndim != 4:
+        raise ShapeError(f"conv2d weight must be (Cout, C, k, k), got {weight.data.shape}")
     cout, cin, kh, kw = weight.data.shape
     if kh != kw or kh % 2 == 0:
         raise ShapeError(f"kernels must be odd squares, got {kh}x{kw}")
     if x.data.ndim != 3 or x.data.shape[0] != cin:
         raise ShapeError(f"conv2d input {x.data.shape} does not match kernel {weight.data.shape}")
+    if bias.data.shape != (cout,):
+        raise ShapeError(f"conv2d bias {bias.data.shape} does not match {cout} kernels")
     pad = kh // 2
     c, h, w = x.data.shape
-    cols = _im2col(x.data, kh, kw, pad)
-    w2 = weight.data.reshape(cout, -1)
-    out = Tensor((w2 @ cols + bias.data[:, None]).reshape(cout, h, w))
+    row = w + 2 * pad
+    span = (h - 1) * row + w
+    xp = np.zeros((c, h + 2 * pad, row), dtype=x.data.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = x.data
+    xf = xp.reshape(c, -1)
+    taps = [(i, j, i * row + j) for i in range(kh) for j in range(kw)]
+    w_taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (k, k, Cout, C)
+    acc = np.zeros((cout, h, row), dtype=xf.dtype)
+    acc_span = acc.reshape(cout, -1)[:, :span]
+    for i, j, off in taps:
+        acc_span += w_taps[i, j] @ xf[:, off : off + span]
+    out = Tensor(acc[:, :, :w] + bias.data[:, None, None])
     if not _recording(x, weight, bias):
         return out
 
     def backward(g):
-        g2 = g.reshape(cout, -1)
-        _accum(weight, (g2 @ cols.T).reshape(weight.data.shape))
-        _accum(bias, g2.sum(axis=1))
-        _accum(x, _col2im(w2.T @ g2, x.data.shape, kh, kw, pad))
+        gp = np.zeros((cout, h, row), dtype=g.dtype)
+        gp[:, :, :w] = g
+        g_span = gp.reshape(cout, -1)[:, :span]
+        gw = np.empty_like(weight.data)
+        gxf = np.zeros_like(xf)
+        for i, j, off in taps:
+            # (C, span) @ (span, Cout) is the faster orientation of this long product
+            gw[:, :, i, j] = (xf[:, off : off + span] @ g_span.T).T
+            gxf[:, off : off + span] += w_taps[i, j].T @ g_span
+        _accum(weight, gw)
+        _accum(bias, g.reshape(cout, -1).sum(axis=1))
+        _accum(x, gxf.reshape(c, h + 2 * pad, row)[:, pad : pad + h, pad : pad + w])
 
     return _record(out, backward)
 
@@ -482,6 +499,8 @@ def conv2d(x, weight, bias) -> Tensor:
 def maxpool2d(x) -> Tensor:
     """2x2 max pooling with stride 2 on a (C, H, W) tensor; extents must be even."""
     x = as_tensor(x)
+    if x.data.ndim != 3:
+        raise ShapeError(f"maxpool2d needs a (C, H, W) input, got {x.data.shape}")
     c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2d needs even extents, got {h}x{w}")
@@ -510,6 +529,8 @@ def maxpool2d(x) -> Tensor:
 def upsample2x(x) -> Tensor:
     """Nearest-neighbor 2x upsampling of a (C, H, W) tensor."""
     x = as_tensor(x)
+    if x.data.ndim != 3:
+        raise ShapeError(f"upsample2x needs a (C, H, W) input, got {x.data.shape}")
     out = Tensor(x.data.repeat(2, axis=1).repeat(2, axis=2))
     if not _recording(x):
         return out

@@ -10,11 +10,14 @@ floats; the batched engine in `pillarseg.occupancy` must reproduce it bitwise.
 with a Python loop over the pillars; the loop-free `pillarseg.pillars.pillarize`
 must reproduce its valid rows bitwise, seeded sampling included.
 
-The taped references at the end are the direct forms of three autograd ops:
+The taped references at the end are the direct forms of four autograd ops:
 one LSTM direction per time loop and one sequence at a time, a Python loop
-over segments for the segment max, and the FeaSt convolution as a graph of
-generic taped ops (`feast_conv_graph`). The fused and loop-free ops in
-`pillarseg.nn.tensor` must reproduce their outputs and gradients bitwise.
+over segments for the segment max, the FeaSt convolution as a graph of
+generic taped ops (`feast_conv_graph`), and the 2D convolution as one product
+with an im2col column matrix (`conv2d_im2col`). The fused and loop-free ops in
+`pillarseg.nn.tensor` must reproduce their outputs and gradients bitwise,
+except the shifted-slice `conv2d`, which sums its products tap by tap and so
+agrees with the column-matrix form to rounding.
 The FeaSt graph is head-major, as the fused op is: (M, k) key scores
 ``steering @ xk.T + offsets``, (M, V) node scores ``steering @ x.T``, their
 (M, V, k) difference, a softmax over the head axis 0 and one
@@ -459,3 +462,47 @@ def feast_conv_per_head(x, key_idx, weights, steering, offsets, bias):
         contrib = T.matmul(pm, T.matmul(xk, w_m))
         out = contrib if out is None else T.add(out, contrib)
     return T.add(T.mul(out, 1.0 / k), bias)
+
+
+def _im2col(x, k, pad):
+    c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((c, k, k, h, w), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, i, j] = xp[:, i : i + h, j : j + w]
+    return cols.reshape(c * k * k, h * w)
+
+
+def _col2im(cols, shape, k, pad):
+    c, h, w = shape
+    cols = cols.reshape(c, k, k, h, w)
+    xp = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    for i in range(k):
+        for j in range(k):
+            xp[:, i : i + h, j : j + w] += cols[:, i, j]
+    return xp[:, pad : pad + h, pad : pad + w]
+
+
+def conv2d_im2col(x, weight, bias):
+    """Same-size convolution of a (C, H, W) tensor with (Cout, C, k, k) odd
+    square kernels as one (Cout, k * k * C) @ (k * k * C, H * W) product with
+    the im2col column matrix; the backward scatters the input gradient's
+    columns back with col2im."""
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    cout, _, k, _ = weight.data.shape
+    pad = k // 2
+    c, h, w = x.data.shape
+    cols = _im2col(x.data, k, pad)
+    w2 = weight.data.reshape(cout, -1)
+    out = Tensor((w2 @ cols + bias.data[:, None]).reshape(cout, h, w))
+    if not _recording(x, weight, bias):
+        return out
+
+    def backward(g):
+        g2 = g.reshape(cout, -1)
+        _accum(weight, (g2 @ cols.T).reshape(weight.data.shape))
+        _accum(bias, g2.sum(axis=1))
+        _accum(x, _col2im(w2.T @ g2, x.data.shape, k, pad))
+
+    return _record(out, backward)

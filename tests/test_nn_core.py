@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
@@ -518,6 +519,60 @@ class TestConv:
         check_op(lambda x: T.tsum(T.conv2d(x, T.constant(w0), T.constant(b0))), x0)
         check_op(lambda w: T.tsum(T.conv2d(T.constant(x0), w, T.constant(b0))), w0)
         check_op(lambda b: T.tsum(T.conv2d(T.constant(x0), T.constant(w0), b)), b0)
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @given(k=st.sampled_from([1, 3, 5]), h=st.integers(1, 12), w=st.integers(1, 12),
+           cin=st.integers(1, 8), cout=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    @example(k=5, h=1, w=7, cin=8, cout=1, seed=0)
+    @example(k=5, h=6, w=1, cin=1, cout=8, seed=1)
+    @example(k=3, h=1, w=1, cin=3, cout=2, seed=2)
+    @example(k=1, h=3, w=5, cin=8, cout=8, seed=3)
+    def test_matches_im2col_oracle_to_rounding(self, dtype, tol, k, h, w, cin, cout, seed):
+        # the op sums k * k products of length C, the oracle takes one product
+        # of length k * k * C: output and gradients agree to rounding, about
+        # 1e-6 of the largest entry in f32
+        rng = np.random.default_rng(seed)
+        inputs = [rng.normal(size=s) for s in [(cin, h, w), (cout, cin, k, k), (cout,)]]
+        weights = rng.normal(size=(cout, h, w))
+        with default_dtype(dtype):
+            got = taped_run(T.conv2d, inputs, weights, seed)
+            want = taped_run(oracles.conv2d_im2col, inputs, weights, seed)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape
+            assert np.abs(a - b).max() <= tol * np.abs(b).max()
+
+    def test_tape_holds_no_column_matrix(self):
+        # what a recorded convolution keeps for its backward must stay well
+        # below a (k * k * C, H * W) column matrix
+        rng = np.random.default_rng(0)
+        c, h, w, k = 33, 64, 64, 3
+        with default_dtype(np.float32):
+            x = T.parameter(rng.normal(size=(c, h, w)))
+            weight = T.parameter(rng.normal(size=(16, c, k, k)))
+            bias = T.parameter(np.zeros(16))
+            with T.Tape():
+                tracemalloc.start()
+                try:
+                    out = T.conv2d(x, weight, bias)
+                    held, _ = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+        assert out.data.shape == (16, h, w)
+        assert held < k * k * c * h * w * 4 / 2
+
+    @pytest.mark.parametrize("op, shapes", [
+        ("conv2d", [(1, 4, 4), (2, 1, 3), (2,)]),
+        ("conv2d", [(1, 4, 4), (2, 1, 3, 3), (1,)]),
+        ("conv2d", [(1, 4, 4), (2, 1, 3, 3), (2, 1)]),
+        ("maxpool2d", [(4, 4)]),
+        ("maxpool2d", [(1, 1, 4, 4)]),
+        ("upsample2x", [(4, 4)]),
+        ("upsample2x", [(1, 1, 4, 4)]),
+    ], ids=["conv2d-weight-3d", "conv2d-bias-size", "conv2d-bias-2d", "maxpool2d-2d",
+            "maxpool2d-4d", "upsample2x-2d", "upsample2x-4d"])
+    def test_malformed_shape_rejected(self, op, shapes):
+        with pytest.raises(ShapeError):
+            getattr(T, op)(*(T.constant(np.zeros(s)) for s in shapes))
 
     def test_even_kernel_rejected(self, rng):
         with pytest.raises(ShapeError):
