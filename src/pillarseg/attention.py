@@ -9,11 +9,18 @@ in input order:
   node through feature-steered graph convolutions over that one key set
   (the fused op :func:`pillarseg.nn.tensor.feast`, one call per
   :class:`FeaStParams` layer), in an encoder/decoder stack.
-* Pillar attention: channel-reducing then point-reducing shared affines over
-  the (P, N, C) tensor.
+* Pillar attention: a channel-reducing affine per point, then a
+  point-reducing affine over each pillar's N slots.
 
 Fusion applies them in the fixed order LSTM -> graph -> pillar
-(local-global-local) and returns only the attended streams.
+(local-global-local) and returns only the attended points.
+
+Past the LSTM stage the points of a frame are rows, not a (P, N, C) tensor
+(:class:`SlotRows`): the V valid slots in slot order, then one row per pillar
+that stands for all of its padded slots. A padded slot of a pillar set is
+exactly zero, so every padded slot of a pillar takes the same value through
+the fusion, and one row computes it. Only the one-channel per-slot scores of
+the pillar attention go back to (P, N).
 """
 
 from __future__ import annotations
@@ -177,21 +184,54 @@ class GraphAttention:
                                head=self.head)
 
 
+@dataclass(frozen=True)
+class SlotRows:
+    """Row layout of a frame's (P, N, C) points, from its (P, N) slot mask.
+
+    Rows 0 .. V - 1 are the V valid slots in slot order (pillar-major, as
+    ``x[mask]``); row V + p is the pad row of pillar p, which stands for all
+    of its padded slots, zero on input. A full pillar's pad row is computed
+    and never read.
+    """
+
+    valid: np.ndarray  # (V,) flat slot index p * N + k of each valid row
+    pillar: np.ndarray  # (V + P,) pillar of each row
+    slot_row: np.ndarray  # (P * N,) the row that holds each slot
+    shape: tuple[int, int]  # (P, N)
+
+    @classmethod
+    def of(cls, mask) -> "SlotRows":
+        mask = np.asarray(mask, dtype=bool)
+        p, n = mask.shape
+        valid = np.flatnonzero(mask)
+        slot_row = np.repeat(len(valid) + np.arange(p), n)
+        slot_row[valid] = np.arange(len(valid))
+        return cls(valid, np.concatenate([valid // n, np.arange(p)]), slot_row, (p, n))
+
+    def rows(self, x) -> Tensor:
+        """(V + P, C) rows of a (P, N, C) tensor: its valid slots, then a zero
+        pad row per pillar."""
+        x = T.as_tensor(x)
+        p, n, c = x.data.shape
+        points = T.gather_rows(T.reshape(x, (p * n, c)), self.valid)
+        return T.concat([points, T.constant(np.zeros((p, c)))], axis=0)
+
+
 class PillarAttention:
-    """Channel-reducing then point-reducing attention over (P, N, C) features
-    with the pillar centers concatenated per point."""
+    """Channel-reducing attention per row of a frame's points (see
+    :class:`SlotRows`), with the pillar centers concatenated per row, then
+    point-reducing attention over each pillar's N slot scores."""
 
     def __init__(self, channels: int, max_points: int, rng: np.random.Generator):
         self.channel_fc = L.Affine(channels + 3, 1, rng)
         self.point_fc = L.Affine(max_points, 1, rng)
 
-    def __call__(self, aug_feats, centers: np.ndarray) -> Tensor:
-        aug_feats = T.as_tensor(aug_feats)
-        p, n, _ = aug_feats.data.shape
-        cat = T.concat([aug_feats, T.broadcast_middle(T.constant(centers), n)], axis=2)
-        per_point = T.relu(self.channel_fc(cat))  # (P, N, 1)
-        per_pillar = self.point_fc(T.transpose(per_point, (0, 2, 1)))  # (P, 1, 1)
-        return T.sigmoid(T.reshape(per_pillar, (p, 1)))
+    def __call__(self, rows, layout: SlotRows, centers: np.ndarray) -> Tensor:
+        """(P, 1) weights from (V + P, C) rows and (P, 3) centers."""
+        cat = T.concat([rows, T.constant(centers[layout.pillar])], axis=1)
+        per_row = T.relu(self.channel_fc(cat))  # (V + P, 1)
+        per_slot = T.reshape(T.gather_rows(per_row, layout.slot_row), layout.shape)  # (P, N)
+        return T.sigmoid(self.point_fc(per_slot))
 
     def state(self) -> dict[str, Tensor]:
         return L.collect_state(channel_fc=self.channel_fc, point_fc=self.point_fc)
@@ -199,15 +239,25 @@ class PillarAttention:
 
 class MultiAttentionFuse:
     """Compose the three attentions over the augmented point tensors of a
-    chunk of frames, and return the attended (P, N, C) stream of each frame.
+    chunk of frames, and return the attended (V, C) point rows of each frame.
 
     The order is LSTM -> graph -> pillar (local-global-local); the LSTM stage
-    orders pillars by the x, y of their centers. Before the pillar stage, the
-    LSTM-weighted pooled features are concatenated channel-wise into its input
-    and passed through two shared affine+ReLU layers. Each stage's (P, 1)
-    weights scale the running stream, so the output keeps the input shape.
-    Only the LSTM stage runs the chunk's frames together; every other op runs
-    per frame, so each frame's output is bitwise that of a chunk of one.
+    orders pillars by the x, y of their centers. Each stage's (P, 1) weights
+    scale the running stream, so an output row is its input point times its
+    pillar's three weights. The LSTM stage pools the dense (P, N, C) input
+    and the graph stage pools the LSTM-scaled dense stream; the rest runs on
+    the rows of :class:`SlotRows`, scaled by the product of the LSTM and graph
+    weights. That product rounds differently from scaling by one weight after
+    the other, so the rows agree with a dense stage-by-stage stream to
+    rounding. Before the pillar stage, each row gets the LSTM-weighted pooled
+    features of its pillar concatenated channel-wise and passes through two
+    shared affine+ReLU layers.
+
+    Precondition: every slot outside a frame's mask is exactly zero, as in a
+    :class:`~pillarseg.pillars.PillarSet`; one pad row per pillar carries all
+    of its padded slots through the fusion. Only the LSTM stage runs the
+    chunk's frames together; every other op runs per frame, so each frame's
+    output is bitwise that of a chunk of one.
     """
 
     def __init__(self, channels: int, max_points: int, rng: np.random.Generator, *,
@@ -221,31 +271,31 @@ class MultiAttentionFuse:
 
     def __call__(self, aug_feats, masks, centers) -> list[Tensor]:
         """Attend over a chunk of frames: each argument is a list with one
-        entry per frame (centers (P, 3)), and so is the output."""
+        entry per frame (centers (P, 3)), and so is the output, the attended
+        rows of each frame's valid slots in slot order."""
         streams = [T.as_tensor(f) for f in aug_feats]
-
         pooled = [T.masked_max_pool(s, m) for s, m in zip(streams, masks)]
         weights = self.lstm_attn(pooled, [c[:, :2] for c in centers])
-        lstm_weighted = [T.mul(p, w) for p, w in zip(pooled, weights)]
-        streams = _scale(streams, weights)
+        return [self._attend_rows(*frame)
+                for frame in zip(streams, masks, pooled, weights, centers)]
 
-        pooled = [T.masked_max_pool(s, m) for s, m in zip(streams, masks)]
-        streams = _scale(streams, [self.graph_attn(p) for p in pooled])
-
-        weights = []
-        for stream, partner, c in zip(streams, lstm_weighted, centers):
-            cat = T.concat([stream, T.broadcast_middle(partner, stream.data.shape[1])], axis=2)
-            fused = T.relu(self.fuse2(T.relu(self.fuse1(cat))))
-            weights.append(self.pillar_attn(fused, c))
-        return _scale(streams, weights)
+    def _attend_rows(self, stream: Tensor, mask: np.ndarray, pooled: Tensor, w_lstm: Tensor,
+                     centers: np.ndarray) -> Tensor:
+        """The graph and pillar stages of one frame, given its LSTM stage."""
+        layout = SlotRows.of(mask)
+        scaled = T.mul(stream, T.reshape(w_lstm, (-1, 1, 1)))
+        w_lg = T.mul(w_lstm, self.graph_attn(T.masked_max_pool(scaled, mask)))
+        rows = layout.rows(stream)
+        attended = T.mul(rows, T.gather_rows(w_lg, layout.pillar))
+        partner = T.gather_rows(T.mul(pooled, w_lstm), layout.pillar)
+        fused = T.relu(self.fuse2(T.relu(self.fuse1(T.concat([attended, partner], axis=1)))))
+        w_all = T.mul(w_lg, self.pillar_attn(fused, layout, centers))
+        v = len(layout.valid)
+        points = T.narrow(rows, 0, 0, v)
+        return T.mul(points, T.gather_rows(w_all, layout.pillar[:v]))
 
     def state(self) -> dict[str, Tensor]:
         return L.collect_state(
             lstm=self.lstm_attn, graph=self.graph_attn, pillar=self.pillar_attn,
             fuse1=self.fuse1, fuse2=self.fuse2,
         )
-
-
-def _scale(streams: list[Tensor], weights: list[Tensor]) -> list[Tensor]:
-    """Each (P, N, C) stream times its (P, 1) per-pillar weights."""
-    return [T.mul(s, T.reshape(w, (-1, 1, 1))) for s, w in zip(streams, weights)]

@@ -94,37 +94,40 @@ class PillarSegNet:
     # forward pieces
     # ------------------------------------------------------------------
 
-    def pfn_forward(self, aug_feats, mask: np.ndarray, training: bool) -> Tensor:
-        """Shared affine+BN+ReLU per valid point, then a masked max per pillar.
+    def pfn_forward(self, rows, pillar_ids: np.ndarray, num_pillars: int,
+                    training: bool) -> Tensor:
+        """Shared affine+BN+ReLU per point row, then a max per pillar.
 
-        Pillars with zero valid points contribute zero vectors. Padded slots
-        never enter the batch statistics.
+        ``rows`` (V, C) are a frame's valid points and ``pillar_ids`` (V,)
+        their pillars, of ``num_pillars``. Pillars with no row contribute zero
+        vectors; padded slots are never rows, so they never enter the batch
+        statistics.
         """
-        aug_feats = T.as_tensor(aug_feats)
-        p, n, c = aug_feats.data.shape
-        idx = np.flatnonzero(mask.ravel())
-        if idx.size == 0:
-            return T.constant(np.zeros((p, self.cfg.pfn_channels)))
-        flat = T.reshape(aug_feats, (p * n, c))
-        pts = T.gather_rows(flat, idx)
-        h = T.relu(self.pfn_bn(self.pfn_affine(pts), training))
-        return T.segment_max(h, idx // n, p)
+        if len(pillar_ids) == 0:
+            return T.constant(np.zeros((num_pillars, self.cfg.pfn_channels)))
+        h = T.relu(self.pfn_bn(self.pfn_affine(rows), training))
+        return T.segment_max(h, pillar_ids, num_pillars)
 
     def pseudo_images(self, psets: list[pil.PillarSet], grid: pil.GridConfig,
                       training: bool) -> list[Tensor]:
         """(pfn_channels, H, W) scatter of encoded pillars per frame; MA runs
         first, over the chunk's non-empty frames together, when enabled.
-        Unaffected by the occupancy flag."""
-        feats = [T.constant(pset.features) for pset in psets]
+        Unaffected by the occupancy flag.
+
+        The PFN takes each frame's valid points as (V, C) rows in slot order:
+        the attended rows under MA, else the pillar set's own, gathered once
+        outside the tape."""
+        attended = {}
         live = [i for i, pset in enumerate(psets) if pset.valid_pillars]
         if self.ma is not None and live:
             centers = [pil.pillar_centers(psets[i], grid) for i in live]
-            streams = self.ma([feats[i] for i in live], [psets[i].mask for i in live], centers)
-            for i, stream in zip(live, streams):
-                feats[i] = stream
+            attended = dict(zip(live, self.ma([T.constant(psets[i].features) for i in live],
+                                              [psets[i].mask for i in live], centers)))
         images = []
-        for pset, f in zip(psets, feats):
-            pooled = self.pfn_forward(f, pset.mask, training)
+        for i, pset in enumerate(psets):
+            rows = attended[i] if i in attended else T.constant(pset.features[pset.mask])
+            pooled = self.pfn_forward(rows, np.nonzero(pset.mask)[0], pset.valid_pillars,
+                                      training)
             images.append(T.scatter_to_image(pooled, pset.pillar_coords[:, 0],
                                              pset.pillar_coords[:, 1], grid.height, grid.width))
         return images

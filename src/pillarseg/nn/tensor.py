@@ -321,19 +321,6 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
     return _record(out, backward)
 
 
-def broadcast_middle(x, n: int) -> Tensor:
-    """(P, D) -> (P, n, D) by repetition along a new middle axis."""
-    x = as_tensor(x)
-    out = Tensor(np.broadcast_to(x.data[:, None, :], (x.data.shape[0], n, x.data.shape[1])).copy())
-    if not _recording(x):
-        return out
-
-    def backward(g):
-        _accum(x, g.sum(axis=1))
-
-    return _record(out, backward)
-
-
 # ---------------------------------------------------------------------------
 # gather / scatter
 # ---------------------------------------------------------------------------

@@ -111,9 +111,10 @@ def check_pillar_attention() -> float:
     rng = _rng(6)
     attn = att.PillarAttention(3, 4, rng)
     centers = rng.normal(size=(3, 3))
+    layout = att.SlotRows.of(np.ones((3, 4), dtype=bool))
 
     def f(x):
-        return T.tsum(T.mul(x, T.reshape(attn(x, centers), (-1, 1, 1))))
+        return T.tsum(T.mul(x, T.reshape(attn(layout.rows(x), layout, centers), (-1, 1, 1))))
 
     x = resample_until_smooth(lambda a: np.random.default_rng(300 + a).normal(size=(3, 4, 3)), f)
     return grad_check(f, x)

@@ -25,6 +25,12 @@ The FeaSt graph is head-major, as the fused op is: (M, k) key scores
 coefficients but aggregates with one (V, k) @ (k, out) product per head; the
 fused op must reproduce its output and parameter gradients bitwise, and its
 input gradient to rounding.
+
+`multi_attention_dense` is the multi-attention fusion on the zero-padded
+(P, N, C) tensor, every slot through every stage. `MultiAttentionFuse` must
+reproduce its valid slots and its parameter gradients to rounding, since it
+folds the LSTM and graph weights into one product per pillar and carries
+all padded slots of a pillar in one row.
 """
 
 import math
@@ -506,3 +512,52 @@ def conv2d_im2col(x, weight, bias):
         _accum(x, _col2im(w2.T @ g2, x.data.shape, k, pad))
 
     return _record(out, backward)
+
+
+def broadcast_middle(x, n):
+    """(P, D) -> (P, n, D) by repetition along a new middle axis."""
+    x = as_tensor(x)
+    out = Tensor(np.broadcast_to(x.data[:, None, :], (x.data.shape[0], n, x.data.shape[1])).copy())
+    if not _recording(x):
+        return out
+
+    def backward(g):
+        _accum(x, g.sum(axis=1))
+
+    return _record(out, backward)
+
+
+def pillar_attention_dense(attn, aug_feats, centers):
+    """`attn`'s (P, 1) weights over a dense (P, N, C) tensor: the channel
+    affine on every slot, with the pillar centers concatenated per slot."""
+    aug_feats = as_tensor(aug_feats)
+    p, n, _ = aug_feats.data.shape
+    cat = concat([aug_feats, broadcast_middle(T.constant(centers), n)], axis=2)
+    per_point = T.relu(attn.channel_fc(cat))  # (P, N, 1)
+    per_pillar = attn.point_fc(T.transpose(per_point, (0, 2, 1)))  # (P, 1, 1)
+    return T.sigmoid(T.reshape(per_pillar, (p, 1)))
+
+
+def multi_attention_dense(fuse, aug_feats, masks, centers):
+    """The attended (P, N, C) stream of each frame of a chunk under `fuse`'s
+    parameters: the LSTM, graph and pillar weights scale the whole stream in
+    turn, and the fusion affines run on every slot, padded or not."""
+
+    def scale(streams, weights):
+        return [T.mul(s, T.reshape(w, (-1, 1, 1))) for s, w in zip(streams, weights)]
+
+    streams = [as_tensor(f) for f in aug_feats]
+    pooled = [T.masked_max_pool(s, m) for s, m in zip(streams, masks)]
+    weights = fuse.lstm_attn(pooled, [c[:, :2] for c in centers])
+    lstm_weighted = [T.mul(p, w) for p, w in zip(pooled, weights)]
+    streams = scale(streams, weights)
+
+    pooled = [T.masked_max_pool(s, m) for s, m in zip(streams, masks)]
+    streams = scale(streams, [fuse.graph_attn(p) for p in pooled])
+
+    weights = []
+    for stream, partner, c in zip(streams, lstm_weighted, centers):
+        cat = concat([stream, broadcast_middle(partner, stream.data.shape[1])], axis=2)
+        fused = T.relu(fuse.fuse2(T.relu(fuse.fuse1(cat))))
+        weights.append(pillar_attention_dense(fuse.pillar_attn, fused, c))
+    return scale(streams, weights)

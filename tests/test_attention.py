@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import oracles
@@ -306,12 +306,19 @@ class TestGraphAttention:
         assert err < 1e-6
 
 
+def pillar_attend(attn, feats, centers):
+    """`attn`'s weights over a dense (P, N, C) tensor whose slots are all valid."""
+    feats = T.as_tensor(feats)
+    layout = A.SlotRows.of(np.ones(feats.data.shape[:2], dtype=bool))
+    return attn(layout.rows(feats), layout, centers)
+
+
 class TestPillarAttention:
     def test_zero_parameters_give_half(self, rng):
         attn = A.PillarAttention(5, 4, rng)
         for p in attn.state().values():
             p.data[:] = 0.0
-        w = attn(T.constant(rng.normal(size=(3, 4, 5))), rng.normal(size=(3, 3)))
+        w = pillar_attend(attn, T.constant(rng.normal(size=(3, 4, 5))), rng.normal(size=(3, 3)))
         np.testing.assert_allclose(w.data, 0.5, atol=1e-15)
 
     def test_hand_scalar_case(self, rng):
@@ -322,7 +329,7 @@ class TestPillarAttention:
         b2 = attn.point_fc.bias.data
         f = 0.7
         center = np.array([0.3, -0.2, 0.1])
-        w = attn(T.constant(np.array([[[f]]])), center[None, :]).data
+        w = pillar_attend(attn, T.constant(np.array([[[f]]])), center[None, :]).data
         pre = max(np.dot(np.concatenate([[f], center]), w1[:, 0]) + b1[0], 0.0)
         expected = 1.0 / (1.0 + math.exp(-(pre * w2[0, 0] + b2[0])))
         assert w[0, 0] == pytest.approx(expected, abs=1e-12)
@@ -330,7 +337,8 @@ class TestPillarAttention:
     def test_weight_count_is_pillar_count(self, rng):
         for n in (1, 4, 9):
             attn = A.PillarAttention(6, n, rng)
-            w = attn(T.constant(rng.normal(size=(7, n, 6))), rng.normal(size=(7, 3)))
+            w = pillar_attend(attn, T.constant(rng.normal(size=(7, n, 6))),
+                              rng.normal(size=(7, 3)))
             assert w.data.shape == (7, 1)
 
     def test_gradcheck(self, rng):
@@ -338,7 +346,7 @@ class TestPillarAttention:
         centers = rng.normal(size=(2, 3))
 
         def f(x):
-            return T.tsum(T.mul(x, T.reshape(attn(x, centers), (-1, 1, 1))))
+            return T.tsum(T.mul(x, T.reshape(pillar_attend(attn, x, centers), (-1, 1, 1))))
 
         x = nn.resample_until_smooth(
             lambda a: np.random.default_rng(200 + a).normal(size=(2, 4, 3)), f)
@@ -346,7 +354,7 @@ class TestPillarAttention:
 
 
 def fuse_one(fuse, feats, mask, centers):
-    """Stream of a chunk of one frame."""
+    """Attended (V, C) rows of a chunk of one frame."""
     return fuse([feats], [mask], [centers])[0]
 
 
@@ -362,12 +370,13 @@ class TestMultiAttentionFuse:
         feats = rng.normal(size=(5, 3, 4))
         mask = np.ones((5, 3), dtype=bool)
         out = fuse_one(fuse, T.constant(feats), mask, rng.normal(size=(5, 3)))
-        np.testing.assert_allclose(out.data, feats / 8.0, atol=1e-12)
+        np.testing.assert_allclose(out.data, feats[mask] / 8.0, atol=1e-12)
 
     def test_single_pillar_composes_blocks(self, rng):
         fuse = self.make(rng)
         feats = rng.normal(size=(1, 3, 4))
         mask = np.array([[True, True, False]])
+        feats[~mask] = 0.0  # a padded slot is zero, as in every PillarSet
         centers = rng.normal(size=(1, 3))
         out = fuse_one(fuse, T.constant(feats), mask, centers)
 
@@ -384,9 +393,11 @@ class TestMultiAttentionFuse:
                              axis=2)
         h = np.maximum(cat @ fuse.fuse1.weight.data + fuse.fuse1.bias.data, 0.0)
         h = np.maximum(h @ fuse.fuse2.weight.data + fuse.fuse2.bias.data, 0.0)
-        wp = fuse.pillar_attn(T.constant(h), centers).data
+        # the valid slots' rows, then the padded slot's as the pillar's pad row
+        rows = np.concatenate([h[mask], h[~mask]])
+        wp = fuse.pillar_attn(T.constant(rows), A.SlotRows.of(mask), centers).data
         stream = stream * wp[:, :, None]
-        np.testing.assert_allclose(out.data, stream, atol=1e-12)
+        np.testing.assert_allclose(out.data, stream[mask], atol=1e-12)
 
     def test_shape_contract(self, rng):
         fuse = self.make(rng)
@@ -394,7 +405,7 @@ class TestMultiAttentionFuse:
             feats = rng.normal(size=(p, n, 4))
             mask = np.ones((p, n), dtype=bool)
             out = fuse_one(fuse, T.constant(feats), mask, rng.normal(size=(p, 3)))
-            assert out.data.shape == (p, n, 4)
+            assert out.data.shape == (p * n, 4)
 
     def test_all_weights_in_open_interval(self, rng):
         fuse = self.make(rng)
@@ -403,12 +414,12 @@ class TestMultiAttentionFuse:
         centers = rng.normal(size=(6, 3))
         pooled = T.constant(feats.max(axis=1))
         weights = [fuse.lstm_attn([pooled], [centers[:, :2]])[0], fuse.graph_attn(pooled),
-                   fuse.pillar_attn(T.constant(feats), centers)]
+                   pillar_attend(fuse.pillar_attn, T.constant(feats), centers)]
         for w in weights:
             assert w.data.shape == (6, 1)
             assert (w.data > 0).all() and (w.data < 1).all()
         # every stage scales a pillar's points by one weight in (0, 1)
-        out = fuse_one(fuse, T.constant(feats), mask, centers).data
+        out = fuse_one(fuse, T.constant(feats), mask, centers).data.reshape(feats.shape)
         ratio = out / feats
         assert (ratio > 0).all() and (ratio < 1).all()
         np.testing.assert_allclose(ratio, ratio[:, :1, :1] * np.ones_like(ratio), rtol=1e-12)
@@ -424,3 +435,67 @@ class TestMultiAttentionFuse:
         x = nn.resample_until_smooth(
             lambda a: np.random.default_rng(300 + a).normal(size=(4, 2, 3)), f)
         assert nn.grad_check(f, x) < 1e-4
+
+    @staticmethod
+    def taped(run, fuse, feats, masks, centers, weights):
+        """Each frame's (V, C) rows from `run`, the gradient of every
+        parameter of `fuse` by name, for the loss sum(rows * weights) over the
+        frames, and the forward's smallest distance of a ReLU input from its
+        kink."""
+        params = fuse.state()
+        for param in params.values():
+            param.grad = None
+        with T.Tape(track_kinks=True) as tape:
+            rows = run(fuse, [T.constant(f) for f in feats], masks, centers)
+            loss = T.tsum(T.concat([T.mul(r, T.constant(w)) for r, w in zip(rows, weights)]))
+            tape.backward(loss)
+        grads = {name: param.grad for name, param in params.items()}
+        return [r.data for r in rows], grads, tape.min_kink_margin()
+
+    @staticmethod
+    def oracle_rows(fuse, feats, masks, centers):
+        streams = oracles.multi_attention_dense(fuse, feats, masks, centers)
+        return [T.gather_rows(T.reshape(s, (-1, s.data.shape[2])), np.flatnonzero(m))
+                for s, m in zip(streams, masks)]
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+           counts=st.lists(st.lists(st.integers(1, 6), min_size=1, max_size=12),
+                           min_size=1, max_size=3))
+    @example(n=1, seed=0, counts=[[1]])
+    @example(n=6, seed=1, counts=[[6] * 12, [1, 6, 2], [3]])
+    @example(n=4, seed=2, counts=[[1] * 12])
+    def test_rows_match_dense_oracle(self, dtype, tol, n, seed, counts):
+        # the row layout folds the LSTM and graph weights into one product
+        # per pillar, so rows and gradients agree with the dense stream's
+        # valid slots to rounding, not bitwise. Each frame holds P pillars
+        # of 1 to N valid points, full pillars included.
+        rng = np.random.default_rng(seed)
+        counts = [np.minimum(c, n) for c in counts]
+        masks = [np.arange(n)[None, :] < np.asarray(c)[:, None] for c in counts]
+        feats = [np.where(m[:, :, None], rng.normal(size=m.shape + (4,)), 0.0) for m in masks]
+        centers = [rng.normal(size=(len(m), 3)) for m in masks]
+        weights = [rng.normal(size=(int(m.sum()), 4)) for m in masks]
+        T.set_default_dtype(dtype)
+        try:
+            fuse = self.make(rng, max_points=n)
+            got_rows, got, got_margin = self.taped(lambda f, *a: f(*a), fuse, feats, masks,
+                                                   centers, weights)
+            want_rows, want, want_margin = self.taped(self.oracle_rows, fuse, feats, masks,
+                                                      centers, weights)
+        finally:
+            T.set_default_dtype(np.float64)
+        # a rounding difference must not move a ReLU input across its kink
+        assume(min(got_margin, want_margin) > 1e-4)
+        for a, b in zip(got_rows, want_rows, strict=True):
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape
+            assert np.abs(a - b).max() <= tol * np.abs(b).max()
+        # every gradient within tol of the largest gradient entry: the sums
+        # that form one parameter's gradient, as a FeaSt steering or bias
+        # gradient over the nodes, may cancel far below the terms they add
+        scale = max(np.abs(b).max() for b in want.values())
+        assert got.keys() == want.keys()
+        for name, b in want.items():
+            a = got[name]
+            assert a.dtype == b.dtype == dtype and a.shape == b.shape
+            assert np.abs(a - b).max() <= tol * scale, name

