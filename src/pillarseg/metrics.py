@@ -1,5 +1,5 @@
 """Evaluation metrics: dataset-level per-class IoU / mIoU, accumulated frame
-by frame over visible labeled cells, and ranked-list average precision."""
+by frame over visible labeled cells."""
 
 from __future__ import annotations
 
@@ -55,19 +55,3 @@ class IoUAccumulator:
         defined = per_class[np.isfinite(per_class)]
         miou = float(defined.mean()) if defined.size else float("nan")
         return IoUResult(per_class, miou, int(self.confusion.sum()))
-
-
-def average_precision(matches, num_gt: int) -> float:
-    """Recall-step summation over a ranked detection list.
-
-    ``matches`` holds one boolean per detection, already sorted by descending
-    score; ``num_gt`` is the number of ground-truth positives."""
-    if num_gt <= 0:
-        raise ConfigError("average precision needs at least one ground-truth positive")
-    matches = np.asarray(list(matches), dtype=bool)
-    if matches.size == 0:
-        return 0.0
-    tp = np.cumsum(matches)
-    ranks = np.arange(1, len(matches) + 1)
-    precision = tp / ranks
-    return float(precision[matches].sum() / num_gt)

@@ -4,7 +4,7 @@ from . import tensor
 from .gradcheck import grad_check, kink_margin, resample_until_smooth
 from .layers import Affine, BatchNorm, BiLSTM, ConvBNReLU, DownBlock, UpBlock, collect_state
 from .optim import Adam
-from .tensor import Tape, Tensor, default_dtype, set_default_dtype
+from .tensor import Tape, Tensor, set_default_dtype
 
 __all__ = [
     "tensor",
@@ -21,6 +21,5 @@ __all__ = [
     "grad_check",
     "kink_margin",
     "resample_until_smooth",
-    "default_dtype",
     "set_default_dtype",
 ]

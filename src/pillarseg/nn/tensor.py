@@ -29,10 +29,6 @@ def set_default_dtype(dtype) -> None:
     _DEFAULT_DTYPE = np.dtype(dtype).type
 
 
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
 class Tape:
     """Topologically ordered operation records for one backward pass."""
 

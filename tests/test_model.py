@@ -283,70 +283,6 @@ class TestSegLoss:
         assert err < 1e-7
 
 
-class TestBoxResiduals:
-    def test_gt_equals_anchor(self):
-        box = losses.Box3D(1.0, 2.0, 0.5, 1.8, 4.2, 1.6, 0.3)
-        np.testing.assert_allclose(losses.box_residuals(box, box), np.zeros(7), atol=1e-15)
-
-    def test_pi_rotation_gives_zero_angle_residual(self):
-        anchor = losses.Box3D(0, 0, 0, 1, 2, 1, 0.0)
-        gt = losses.Box3D(0, 0, 0, 1, 2, 1, math.pi)
-        res = losses.box_residuals(gt, anchor)
-        assert abs(res[6]) < 1e-12
-
-    def test_hand_case_diagonal_normalization(self):
-        anchor = losses.Box3D(0, 0, 0, 1, 2, 1, 0)
-        gt = losses.Box3D(1, 0, 0, 1, 2, 1, 0)
-        res = losses.box_residuals(gt, anchor)
-        np.testing.assert_allclose(res[0], 1 / math.sqrt(5), atol=1e-12)
-        np.testing.assert_allclose(res[1:], 0.0, atol=1e-12)
-
-    def test_log_dimension_ratios(self):
-        anchor = losses.Box3D(0, 0, 0, 1, 2, 4, 0)
-        gt = losses.Box3D(0, 0, 0, 2, 2, 2, 0)
-        res = losses.box_residuals(gt, anchor)
-        assert res[3] == pytest.approx(math.log(2))
-        assert res[4] == pytest.approx(0.0)
-        assert res[5] == pytest.approx(math.log(0.5))
-
-
-class TestDetLosses:
-    def test_zero_residuals_perfect_probs(self):
-        cfg = losses.DetLossConfig()
-        l_loc, l_cls, _, _ = losses.det_losses(
-            np.zeros((1, 7)), np.array([1.0]), np.array([[5.0, -5.0]]), np.array([0]),
-            cfg, n_pos=1)
-        assert l_loc == 0.0
-        assert l_cls == pytest.approx(0.0, abs=1e-12)
-
-    def test_focal_spot_value(self):
-        expected = 0.25 * 0.25 * math.log(2.0)
-        got = losses.focal_loss(np.array([0.5]), 0.25, 2.0)[0]
-        assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_total_weighting(self):
-        # component losses (1, 1, 1) with betas (2, 1, 0.2), n_pos 2 -> 1.6
-        cfg = losses.DetLossConfig()
-        total = (cfg.beta_loc * 1.0 + cfg.beta_cls * 1.0 + cfg.beta_dir * 1.0) / 2
-        assert total == pytest.approx(1.6)
-
-    def test_smooth_l1_shape(self):
-        np.testing.assert_allclose(losses.smooth_l1(np.array([0.5, 2.0])), [0.125, 1.5])
-
-    def test_bad_prob_rejected(self):
-        cfg = losses.DetLossConfig()
-        with pytest.raises(ConfigError):
-            losses.det_losses(np.zeros((1, 7)), np.array([0.0]),
-                              np.array([[0.0, 0.0]]), np.array([0]), cfg, 1)
-
-    def test_directional_cross_entropy(self):
-        cfg = losses.DetLossConfig()
-        _, _, l_dir, _ = losses.det_losses(
-            np.zeros((1, 7)), np.array([1.0]), np.array([[0.0, 0.0]]), np.array([1]),
-            cfg, n_pos=1)
-        assert l_dir == pytest.approx(math.log(2.0), abs=1e-12)
-
-
 def confusion_matrix_oracle(pred, gt, mask, classes):
     out = {}
     for k in classes:
@@ -420,26 +356,6 @@ class TestIoU:
         with pytest.raises(ConfigError):
             frame_iou(np.array([[1, 4]], dtype=np.int16), gt, np.ones((1, 2), dtype=bool),
                       [1, 2])
-
-
-class TestAveragePrecision:
-    def test_all_correct(self):
-        assert metrics.average_precision([True, True, True], 3) == 1.0
-
-    def test_first_wrong_second_right(self):
-        assert metrics.average_precision([False, True], 1) == 0.5
-
-    def test_empty_detections(self):
-        assert metrics.average_precision([], 4) == 0.0
-
-    def test_zero_gt_errors(self):
-        with pytest.raises(ConfigError):
-            metrics.average_precision([True], 0)
-
-    def test_interleaved(self):
-        # matches at ranks 1 and 3 with 2 gt: (1/1 + 2/3) / 2
-        expected = (1.0 + 2.0 / 3.0) / 2.0
-        assert metrics.average_precision([True, False, True], 2) == pytest.approx(expected)
 
 
 class TestFullModelGradients:

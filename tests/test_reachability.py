@@ -14,13 +14,6 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "pillarseg"
 
-# qualified name -> why it stays although nothing in the program names it
-ALLOWED = {
-    "losses.box_residuals": "detection head losses, waiting on the detection task",
-    "losses.det_losses": "detection head losses, waiting on the detection task",
-    "metrics.average_precision": "detection metric, waiting on the detection task",
-}
-
 
 def definitions() -> dict[str, str]:
     """Qualified name -> bare name of every top-level function and class and
@@ -59,6 +52,4 @@ def identifiers() -> set[str]:
 def test_every_definition_is_reached():
     used = identifiers()
     unreached = {qual for qual, name in definitions().items() if name not in used}
-    assert sorted(unreached - set(ALLOWED)) == [], "defined but named nowhere in the program"
-    # an entry whose name the program now reaches, or that is gone, leaves the list
-    assert sorted(set(ALLOWED) - unreached) == [], "allowed but reached or not defined"
+    assert sorted(unreached) == [], "defined but named nowhere in the program"

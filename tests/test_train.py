@@ -122,7 +122,7 @@ class TestTrainToy:
     def test_default_dtype_restored_after_training(self, scene_file):
         cfg = micro_config(scene_file, epochs=["0"])
         train.train_toy(cfg)
-        assert T.default_dtype() == np.float64
+        assert T.constant(0.0).data.dtype == np.float64
 
 
 def assert_fields_equal(a, b):
