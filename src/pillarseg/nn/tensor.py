@@ -151,8 +151,10 @@ def add(a, b) -> Tensor:
         return out
 
     def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
 
     return _record(out, backward)
 
@@ -164,8 +166,10 @@ def mul(a, b) -> Tensor:
         return out
 
     def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _record(out, backward)
 
@@ -181,8 +185,10 @@ def matmul(a, b) -> Tensor:
         return out
 
     def backward(g):
-        _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _record(out, backward)
 
@@ -295,7 +301,8 @@ def concat(tensors: Sequence, axis: int = 0) -> Tensor:
 
     def backward(g):
         for t, piece in zip(ts, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
+            if t.requires_grad:
+                _accum(t, piece)
 
     return _record(out, backward)
 
@@ -607,14 +614,13 @@ def lstm(x, w_ih, w_hh, b, lengths=None) -> Tensor:
     ``[:H]`` of each sequence run forward in time and ``[H:]`` in reverse,
     each from zero hidden and cell states.
 
-    One time loop of ``max(lengths)`` steps carries a (2B, 1, H) state, a
-    forward and a reverse row per sequence: step s advances the forward rows
-    at t = s and the reverse rows at t = L - 1 - s, with the recurrent product
-    as one batched (2B, 1, H) @ (H, 4H) matmul. Past the end of a shorter
-    sequence its rows see zero inputs; a padded row feeds only itself and is
-    never read, so no mask is needed. The input projection runs per sequence,
-    since a row-concatenated product is not bitwise equal to per-sequence
-    ones. So each sequence's output equals that of a chunk of one bitwise.
+    One time loop of ``max(lengths)`` steps carries 2B state rows, a forward
+    and a reverse row per sequence: step s advances the forward rows at t = s
+    and the reverse rows at t = L - 1 - s. Past the end of a shorter sequence
+    its rows see zero inputs; a padded row feeds only itself and is never
+    read, so no mask is needed. The input projection runs per sequence, since
+    a row-concatenated product is not bitwise equal to per-sequence ones. So
+    each sequence's output equals that of a chunk of one bitwise.
 
     Gates are packed (input, forget, output, candidate) along the last axis of
     the (Cin, 4H) / (H, 4H) weights. The loop works on the negated i, f and o
@@ -622,13 +628,27 @@ def lstm(x, w_ih, w_hh, b, lengths=None) -> Tensor:
     reciprocal give their sigmoid 1 / (1 + exp(-z)) with no negation per
     step; negation is exact, so the gates are bitwise unchanged.
 
+    The loop is gate-major. A step costs about ten numpy calls on (2B, H)
+    blocks, so numpy's per-call overhead, not arithmetic, sets its pace, and
+    a call on a contiguous block is about twice as fast as on a strided view
+    of a row-major (2B, 4H) gate array. Each step keeps one record of seven
+    (2B, H) blocks: i, f, o, tanh g, the cell entering the step, tanh of the
+    cell it makes, and the hidden state entering it; the input projection is
+    laid out (steps, 4, 2B, H) to match. So every elementwise operand is one
+    contiguous block, and the cell update is one multiply of [i, f] by
+    [tanh g, cell] and one add of the two halves. The recurrent product stays
+    a row-major (2B, 1, H) @ (H, 4H) matmul, one gemv per row as a
+    single-sequence run computes it, read back through a transposed view.
+
     Backward is a manual backprop-through-time pass in one reverse loop over
-    the same steps. A padded step has no output gradient, so a shorter
+    the same records. A padded step has no output gradient, so a shorter
     sequence's rows enter its last step with zero gradients (up to sign).
-    Each of x, w_ih, w_hh and b receives two gradient terms, the reverse
-    direction's first, so for one sequence the sums equal those of two
-    single-direction passes. Over several sequences each term is one product
-    over all rows, equal to per-sequence sums only to rounding.
+    Each step's gate gradients are formed gate-major and written row-major,
+    as the operand of the ``w_hh`` product. Each of x, w_ih, w_hh and b
+    receives two gradient terms, the reverse direction's first, so for one
+    sequence the sums equal those of two single-direction passes. Over
+    several sequences each term is one product over all rows, equal to
+    per-sequence sums only to rounding.
     """
     x, w_ih, w_hh, b = as_tensor(x), as_tensor(w_ih), as_tensor(w_hh), as_tensor(b)
     n, cin = x.data.shape
@@ -650,41 +670,42 @@ def lstm(x, w_ih, w_hh, b, lengths=None) -> Tensor:
     rev = lengths[seq] - 1 - fwd  # and in reverse
 
     pre = np.concatenate([x.data[s:s + k] @ w_ih.data + b.data for s, k in zip(starts, lengths)])
-    pre_steps = np.zeros((steps, nseq, 2, 1, 4 * hidden), dtype=pre.dtype)
-    pre_steps[fwd, seq, 0, 0] = pre
-    pre_steps[rev, seq, 1, 0] = pre
-    pre_steps = pre_steps.reshape(steps, rows, 1, 4 * hidden)
-    np.negative(pre_steps[..., :h3], out=pre_steps[..., :h3])
+    pre = pre.reshape(n, 4, hidden)
+    pre_steps = np.zeros((steps, 4, nseq, 2, hidden), dtype=pre.dtype)
+    pre_steps[fwd, :, seq, 0] = pre
+    pre_steps[rev, :, seq, 1] = pre
+    pre_steps = pre_steps.reshape(steps, 4, rows, hidden)
+    np.negative(pre_steps[:, :3], out=pre_steps[:, :3])
     w_fold = w_hh.data.copy()
     np.negative(w_fold[:, :h3], out=w_fold[:, :h3])
 
-    # per step s: post-activation gates and tanh(cell); cells[s] and states[s]
-    # are the cell and hidden state entering step s, zero at s = 0
-    acts = np.empty((steps, rows, 1, 4 * hidden), dtype=dtype)
-    gates = acts[:, :, 0]
-    tanh_cells = np.empty((steps, rows, hidden), dtype=dtype)
-    cells = np.zeros((steps + 1, rows, hidden), dtype=dtype)
-    states = np.zeros((steps + 1, rows, 1, hidden), dtype=dtype)
-    ig = np.empty((rows, hidden), dtype=dtype)
-    ones = np.ones((rows, h3), dtype=dtype)  # an array adds faster than a Python float
+    # record[s] holds step s's blocks i, f, o, tanh g, cell in, tanh(cell out)
+    # and hidden in; step s writes its cell and hidden state into record[s + 1]
+    record = np.empty((steps + 1, 7, rows, hidden), dtype=dtype)
+    record[0, 4:] = 0.0
+    product = np.empty((rows, 1, 4 * hidden), dtype=dtype)
+    product_gates = product.reshape(rows, 4, hidden).transpose(1, 0, 2)
+    pair = np.empty((2, rows, hidden), dtype=dtype)
+    ig, fc = pair
+    ones = np.ones((3, rows, hidden), dtype=dtype)  # an array adds faster than a Python float
+    steps_rec, next_rec = record[:-1], record[1:]
     # iterating the arrays builds every step's views in C, before any step runs
-    for a, p, sig, g, i, f, o, c_in, c, tc, h_in, h in zip(
-            acts, pre_steps, gates[..., :h3], gates[..., h3:], gates[..., :hidden],
-            gates[..., hidden:2 * hidden], gates[..., 2 * hidden:h3], cells[:-1], cells[1:],
-            tanh_cells, states[:-1], states[1:, :, 0]):
-        np.matmul(h_in, w_fold, out=a)
-        np.add(a, p, out=a)
+    for p, z, sig, g, i_f, g_c, o, tc, h_in, c, h in zip(
+            pre_steps, steps_rec[:, :4], steps_rec[:, :3], steps_rec[:, 3], steps_rec[:, :2],
+            steps_rec[:, 3:5], steps_rec[:, 2], steps_rec[:, 5], steps_rec[:, 6, :, None],
+            next_rec[:, 4], next_rec[:, 6]):
+        np.matmul(h_in, w_fold, out=product)
+        np.add(product_gates, p, out=z)
         np.exp(sig, out=sig)
         np.add(sig, ones, out=sig)
         np.reciprocal(sig, out=sig)  # sigmoid of i, f, o
         np.tanh(g, out=g)
-        np.multiply(f, c_in, out=c)
-        np.multiply(i, g, out=ig)
-        np.add(c, ig, out=c)
+        np.multiply(i_f, g_c, out=pair)
+        np.add(ig, fc, out=c)  # bitwise f * c + i * g
         np.tanh(c, out=tc)
         np.multiply(o, tc, out=h)
 
-    by_seq = states.reshape(steps + 1, nseq, 2, hidden)
+    by_seq = record[:, 6].reshape(steps + 1, nseq, 2, hidden)
     out = Tensor(np.concatenate([by_seq[fwd + 1, seq, 0], by_seq[rev + 1, seq, 1]], axis=1))
     if not _recording(x, w_ih, w_hh, b):
         return out
@@ -694,41 +715,46 @@ def lstm(x, w_ih, w_hh, b, lengths=None) -> Tensor:
         g_steps[fwd, seq, 0] = g_out[:, :hidden]
         g_steps[rev, seq, 1] = g_out[:, hidden:]
         g_steps = g_steps.reshape(steps, rows, hidden)
-        # gate blocks (i, f, o, g): the gradient of each is dc * partner, except
-        # o's, dh * tanh(cell), times the activation derivative
-        blocks = gates.reshape(steps, rows, 4, hidden)
-        partner = blocks[:, :, [3, 1, 2, 0]]
-        partner[:, :, 1] = cells[:-1]
-        deriv = np.empty_like(blocks)
-        np.multiply(blocks[:, :, :3], 1.0 - blocks[:, :, :3], out=deriv[:, :, :3])
-        np.subtract(1.0, blocks[:, :, 3] * blocks[:, :, 3], out=deriv[:, :, 3])
+        # gate blocks (i, f, o, g): the gradient of each is dc * partner (g,
+        # cell in, -, i), except o's, dh * tanh(cell), times the activation
+        # derivative; the o partner is o itself, finite and overwritten
+        gates = steps_rec[:, :4]
+        partner = steps_rec[:, [3, 4, 2, 0]]
+        deriv = np.empty_like(gates)
+        np.multiply(gates[:, :3], 1.0 - gates[:, :3], out=deriv[:, :3])
+        np.subtract(1.0, gates[:, 3] * gates[:, 3], out=deriv[:, 3])
+        tanh_cells = steps_rec[:, 5]
         tanh_deriv = 1.0 - tanh_cells * tanh_cells
+        # dpre is row-major, the layout of the input of the dz @ w_hh.T gemv
         dpre = np.empty((steps, rows, 1, 4 * hidden), dtype=dtype)
-        dz_blocks = dpre.reshape(steps, rows, 4, hidden)
+        dpre_gates = dpre.reshape(steps, rows, 4, hidden).transpose(0, 2, 1, 3)
+        dz_step = np.empty((4, rows, hidden), dtype=dtype)
+        dz_o = dz_step[2]
         dh = np.empty((rows, hidden), dtype=dtype)
-        dc = np.empty((rows, 1, hidden), dtype=dtype)
+        dc = np.empty((rows, hidden), dtype=dtype)
         dh_next = np.zeros((rows, 1, hidden), dtype=dtype)
         dc_next = np.zeros((rows, hidden), dtype=dtype)
-        dc_flat, dh_next_flat = dc[:, 0], dh_next[:, 0]
+        dh_next_flat = dh_next[:, 0]
         w_hh_t = w_hh.data.T
-        for g, o, td, dz_row, dz, dz_o, part, dv, tc, f in zip(
-                g_steps[::-1], blocks[::-1, :, 2], tanh_deriv[::-1], dpre[::-1],
-                dz_blocks[::-1], dz_blocks[::-1, :, 2], partner[::-1], deriv[::-1],
-                tanh_cells[::-1], blocks[::-1, :, 1]):
+        for g, o, td, part, dv, tc, f, dz_gates, dz_row in zip(
+                g_steps[::-1], steps_rec[::-1, 2], tanh_deriv[::-1], partner[::-1],
+                deriv[::-1], steps_rec[::-1, 5], steps_rec[::-1, 1], dpre_gates[::-1],
+                dpre[::-1]):
             np.add(g, dh_next_flat, out=dh)
-            np.multiply(dh, o, out=dc_flat)
-            np.multiply(dc_flat, td, out=dc_flat)
-            np.add(dc_flat, dc_next, out=dc_flat)
-            np.multiply(dc, part, out=dz)
+            np.multiply(dh, o, out=dc)
+            np.multiply(dc, td, out=dc)
+            np.add(dc, dc_next, out=dc)
+            np.multiply(dc, part, out=dz_step)
             np.multiply(dh, tc, out=dz_o)
-            np.multiply(dz, dv, out=dz)
+            np.multiply(dz_step, dv, out=dz_gates)
             np.matmul(dz_row, w_hh_t, out=dh_next)
-            np.multiply(dc_flat, f, out=dc_next)
+            np.multiply(dc, f, out=dc_next)
         # per direction in time order, reverse first
         dpre_by_seq = dpre.reshape(steps, nseq, 2, 4 * hidden)
         for d, step in ((1, rev), (0, fwd)):
             dz = dpre_by_seq[step, seq, d]
-            _accum(x, dz @ w_ih.data.T)
+            if x.requires_grad:
+                _accum(x, dz @ w_ih.data.T)
             _accum(w_ih, x.data.T @ dz)
             _accum(w_hh, by_seq[step, seq, d].T @ dz)
             _accum(b, dz.sum(axis=0))

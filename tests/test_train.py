@@ -206,3 +206,32 @@ def test_toy_ma_forward_tape_memory():
             finally:
                 tracemalloc.stop()
     assert held < 28 * 2**20
+
+
+@pytest.mark.parametrize("use_ma", [True, False])
+def test_training_step_forms_no_unread_gradients(monkeypatch, use_ma):
+    # a backward rule forms an operand's gradient only when the operand has
+    # requires_grad; one toy-MA step used to form 12 arrays (1.37 MiB) that
+    # nothing read, among them a (P, N, C) product for a constant input
+    cfg = dataclasses.replace(toy_ma_config(), use_ma=use_ma)
+    pack = train.prepare_frame(cfg, 0)
+    unread = []
+    accum = T._accum
+
+    def spy(t, g):
+        if not t.requires_grad:
+            unread.append(g.shape)
+        accum(t, g)
+
+    monkeypatch.setattr(T, "_accum", spy)
+    with train.model_dtype(cfg):
+        net = PillarSegNet(train.model_config(cfg), seed=cfg.seed)
+        with T.Tape() as tape:
+            logits = net.forward_pillars(train.frame_pset(cfg, pack, 0), cfg.grid, pack.obs_norm,
+                                         training=True)
+            gt = SemanticGrid(pack.label_grid, cfg.class_map.unlabeled_index)
+            loss = T.mul(train.seg_loss(logits, gt, train._loss_config(cfg)), 1.0 / cfg.batch_size)
+            tape.backward(loss)
+    params = [p for p in net.state().values() if isinstance(p, T.Tensor)]
+    assert params and all(p.grad is not None for p in params)
+    assert unread == []
