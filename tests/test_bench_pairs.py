@@ -63,9 +63,3 @@ def test_one_pair_and_every_metric(monkeypatch):
     assert "| `val_miou` | 0.44226 [0.44226, 0.44226] |" in table
     assert "| `train_step_ms` | 130 [130, 130] | 110 [110, 110] | -15.4% | 1/1 | yes |  |" in table
 
-
-def test_pairs_must_have_seeds(monkeypatch, tmp_path):
-    bp = load(monkeypatch)
-    with pytest.raises(SystemExit):
-        bp.main(["--parent", str(tmp_path), "--change", str(tmp_path), "--workload", "toy-ma",
-                 "--seeds", "1", "2", "--pairs", "3", "--out", str(tmp_path / "out.json")])

@@ -351,6 +351,7 @@ class TestLSTM:
     @given(lengths=st.lists(st.integers(0, 9), min_size=1, max_size=5),
            cin=st.integers(1, 5), hidden=st.integers(1, 5),
            kind=st.sampled_from(["normal", "integer"]), seed=st.integers(0, 2**32 - 1))
+    @example(lengths=[300, 0, 257], cin=10, hidden=16, kind="normal", seed=6)
     def test_ragged_chunk_matches_per_sequence_oracle(self, dtype, lengths, cin, hidden, kind,
                                                       seed):
         # one time loop over a chunk of sequences, shorter ones zero-padded:
@@ -372,33 +373,12 @@ class TestLSTM:
             assert g.dtype == w.dtype and g.shape == w.shape
             np.testing.assert_allclose(g, w, rtol=0, atol=tol * np.abs(w).max(initial=1.0))
 
-    @staticmethod
-    def toy_size_runs(dtype, n, lengths, seed):
-        """T.lstm and the oracle at the toy model's LSTM size (10 channels,
-        H = 16) over hundreds of steps, beyond the reach of the properties."""
-        rng = np.random.default_rng(seed)
-        cin, hidden = 10, 16
-        inputs = [rng.normal(size=shape) * 0.5 for shape in
-                  ((n, cin), (cin, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,))]
-        weights = rng.normal(size=(n, 2 * hidden))
-        with default_dtype(dtype):
-            got = taped_run(lambda *a: T.lstm(*a, lengths=lengths), inputs, weights, seed)
-            want = taped_run(lambda *a: oracles.bilstm(*a, lengths=lengths), inputs, weights,
-                             seed)
-        return got, want
-
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_toy_size_sequence_matches_oracle_bitwise(self, dtype):
-        assert_bitwise(*self.toy_size_runs(dtype, 400, None, seed=5))
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_toy_size_ragged_chunk_matches_oracle(self, dtype):
-        got, want = self.toy_size_runs(dtype, 557, [300, 0, 257], seed=6)
-        assert_bitwise(got[:1], want[:1])
-        tol = 1e-5 if dtype == np.float32 else 1e-12
-        for g, w in zip(got[1:], want[1:]):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            np.testing.assert_allclose(g, w, rtol=0, atol=tol * np.abs(w).max(initial=1.0))
+        # the toy model's LSTM size (10 channels, H = 16) over 400 steps, a
+        # sequence length beyond the property's parameters
+        self.test_matches_two_direction_oracle.hypothesis.inner_test(
+            self, dtype, t_len=400, cin=10, hidden=16, kind="normal", seed=5)
 
     def test_lengths_must_split_rows(self):
         x, w_ih, w_hh, b = (T.constant(np.zeros(s)) for s in ((4, 3), (3, 8), (2, 8), (8,)))

@@ -2,11 +2,13 @@
 """Run the benchmark in alternating pairs of two checkouts and compare them.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --workload toy-ma \\
-        --pairs 10 --seeds 101 102 103 104 105 106 107 108 109 110 --out pairs.json
+        --seeds 101 102 103 104 105 106 107 108 109 110 --out pairs.json
 
-Pair k runs ``perfbench/run.py --seed <seeds[k]>`` once in each checkout, one
-run at a time: the parent first in even pairs, the change first in odd ones,
-so a slow spell of a shared machine does not always fall on the same side.
+There is one pair per seed. Pair k runs the benchmark's ``command`` from
+``BENCHMARK.json`` with ``--seed <seeds[k]>`` and its ``run_seconds`` once in
+each checkout, one run at a time: the parent first in even pairs, the change
+first in odd ones, so a slow spell of a shared machine does not always fall on
+the same side.
 For every metric it prints each side's median and quartiles
 (``statistics.quantiles(values, n=4)``, as ``perfbench/sweep.py`` takes them),
 the relative change of the median, the pairs the change wins by the metric's
@@ -76,9 +78,9 @@ def table(summary: dict[str, dict], pairs: int, bounds: dict[str, float | None])
     return "\n".join(lines)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+def run_once(spec: dict, checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    cmd = spec["command"] + ["--workload", workload, "--seed", str(seed),
+                             "--seconds", str(spec["run_seconds"]), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -93,14 +95,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", nargs="+", type=int, required=True,
                         help="one seed per pair, in order")
-    parser.add_argument("--pairs", type=int, help="pairs to run (default: one per seed)")
-    parser.add_argument("--seconds", type=float, default=18)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", type=Path, required=True, help="JSON file for the results")
     args = parser.parse_args(argv)
-    count = len(args.seeds) if args.pairs is None else args.pairs
-    if not 1 <= count <= len(args.seeds):
-        parser.error(f"--pairs {count} needs 1 to {len(args.seeds)} pairs, one seed each")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = spec["end_to_end"] + spec["per_layer"]
@@ -108,21 +105,22 @@ def main(argv: list[str] | None = None) -> int:
     bounds = {m["name"]: m.get("bound") for m in metrics}
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs = []
-    for k, seed in enumerate(args.seeds[:count]):
+    count = len(args.seeds)
+    for k, seed in enumerate(args.seeds):
         order = SIDES if k % 2 == 0 else SIDES[::-1]
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(checkouts[side], args.workload, seed, args.seconds, args.trace)
+            pair[side] = run_once(spec, checkouts[side], args.workload, seed, args.trace)
         pairs.append(pair)
         print(f"pair {k + 1}/{count} seed {seed}: " + ", ".join(
             f"{side} correct={pair[side]['correct']} failed={pair[side]['failed']}"
             f"/{pair[side]['attempted']}" for side in SIDES), flush=True)
 
     summary = summarize(pairs, better)
-    print(f"\n{args.workload}, {count} pairs (seeds {', '.join(map(str, args.seeds[:count]))}):\n")
+    print(f"\n{args.workload}, {count} pairs (seeds {', '.join(map(str, args.seeds))}):\n")
     print(table(summary, count, bounds))
     args.out.write_text(json.dumps(
-        {"workload": args.workload, "seconds": args.seconds, "trace": args.trace,
+        {"workload": args.workload, "seconds": spec["run_seconds"], "trace": args.trace,
          "checkouts": {side: str(path) for side, path in checkouts.items()},
          "pairs": pairs, "summary": summary}, indent=1) + "\n")
     return 0
