@@ -42,17 +42,15 @@ def pca_1d(positions: np.ndarray) -> np.ndarray:
     of their 2x2 covariance.
 
     Sign convention: the largest-magnitude loading is positive. An eigenvalue
-    tie (isotropic covariance) breaks toward the x-axis. A single position
-    scores 0.
+    tie (isotropic covariance) breaks toward the x-axis, so a single position,
+    whose covariance is zero, scores 0.
     """
     positions = np.asarray(positions, dtype=np.float64)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ShapeError(f"positions must be (P, 2), got {positions.shape}")
     p = len(positions)
-    if p == 0:
+    if p == 0:  # the mean of no positions would warn
         return np.zeros(0)
-    if p == 1:
-        return np.zeros(1)
     centered = positions - positions.mean(axis=0)
     cov = (centered.T @ centered) / p
     evals, evecs = np.linalg.eigh(cov)
@@ -87,8 +85,6 @@ def fps_k(feats: np.ndarray, k: int) -> np.ndarray:
     k = min(k, p)
     selected = np.empty(k, dtype=np.int64)
     selected[0] = 0
-    if k == 1:
-        return selected
     d2 = ((feats - feats[0]) ** 2).sum(axis=1)
     for i in range(1, k):
         nxt = int(np.argmax(d2))  # argmax takes the first maximum on ties

@@ -29,8 +29,8 @@ subcommands:
   train      toy training on synthetic scenes
   eval       evaluate a checkpoint and render predictions
 
-common flags: --config PATH, --out DIR, --seed N, --threads N, plus any
-config key as an override, e.g. --epochs 3 --unet_widths 16 32
+common flags: --config PATH, --out DIR, --seed N, plus any config key as an
+override, e.g. --epochs 3 --unet_widths 16 32
 """
 
 
@@ -75,7 +75,6 @@ def _write_run_log(out_dir: Path, cfg: RunConfig, extra_lines: list[str]) -> Non
 def cmd_synth(overrides: dict[str, list[str]]) -> int:
     out_dir = _pop(overrides, "out", Path, Path("synth_out"))
     frames = _pop(overrides, "frames", Count, 8)
-    spacing = _pop(overrides, "spacing", float, 2.0)
     cfg = load_run_config(_pop(overrides, "config", str), overrides)
     scans_dir = out_dir / "velodyne"
     labels_dir = out_dir / "labels"
@@ -89,11 +88,12 @@ def cmd_synth(overrides: dict[str, list[str]]) -> int:
         (scans_dir / f"{i:06d}.bin").write_bytes(dataio.serialize_point_cloud(cloud))
         (labels_dir / f"{i:06d}.label").write_bytes(
             dataio.serialize_labels(classes.astype(np.uint32)))
-        poses.append(dataio.Pose(np.eye(3), np.array([i * spacing, 0.0, 0.0])))
+        # each frame is its own world; the poses only step 2 m along x
+        poses.append(dataio.Pose(np.eye(3), np.array([i * 2.0, 0.0, 0.0])))
     (out_dir / "poses.txt").write_text(dataio.serialize_poses(poses))
     map_name = cfg.raw.get("classmap", [DEFAULT_CLASSMAP])[0]
     (out_dir / "classmap.map").write_text(resolve_text(map_name))
-    _write_run_log(out_dir, cfg, [f"frames {frames}", f"spacing {spacing}"])
+    _write_run_log(out_dir, cfg, [f"frames {frames}"])
     print(f"wrote {frames} synthetic frames to {out_dir}")
     return 0
 
@@ -235,7 +235,7 @@ def cmd_eval(overrides: dict[str, list[str]]) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for pack, index, pred in zip(packs, val_idx, preds):
         render.write_raw16(out_dir / f"pred_{index:06d}.raw", pred)
-        rgb = render.render_class_map(pred, colors, observed=pack.visible)
+        rgb = render.render_class_map(pred, colors, pack.visible)
         render.write_ppm(out_dir / f"pred_{index:06d}.ppm", rgb)
     report = {"miou": repr(result.miou), "evaluated_cells": str(result.evaluated_cells)}
     for k, v in result.defined().items():

@@ -75,10 +75,6 @@ class RunConfig:
     label_weights: np.ndarray = field(init=False)
     loss_weights: np.ndarray = field(init=False)
     pose_threshold: Positive | None = None
-    # modes; dense-train and dense-eval are rejected until dense labels are
-    # wired into training and evaluation
-    mode: Literal["sparse-train"] = "sparse-train"
-    eval_mode: Literal["sparse-eval"] = "sparse-eval"
     # training
     epochs: Count = 6
     batch_size: Size = 2  # frames per optimiser step, and per inference chunk
@@ -92,7 +88,9 @@ class RunConfig:
     noise_snr: Positive | None = None
     # misc
     seed: Count = 0
-    threads: Size = 1
+    # frames are prepared serially; the key stays only because
+    # perfbench/run.py writes it
+    threads: Annotated[int, "exactly 1"] = 1
     palette: str = "palette_toy.txt"
     raw: dict[str, list[str]] = field(default_factory=dict)
 

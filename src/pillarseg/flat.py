@@ -39,6 +39,7 @@ from .errors import ConfigError, FormatError
 _BOUNDS = {
     "at least 0": lambda v: v >= 0,
     "at least 1": lambda v: v >= 1,
+    "exactly 1": lambda v: v == 1,
     "above 0": lambda v: v > 0,
     "in [0, 1)": lambda v: 0 <= v < 1,
     "in (0, 1]": lambda v: 0 < v <= 1,

@@ -172,7 +172,7 @@ def augment_points(pset: PillarSet, cfg: GridConfig) -> PillarSet:
 
 
 def compact(pset: PillarSet) -> PillarSet:
-    """Storage form of a cached pillar set: the features cast to float32."""
+    """Float32 form of a pillar set, the form that frames train and infer on."""
     return replace(pset, features=pset.features.astype(np.float32))
 
 

@@ -99,11 +99,8 @@ def class_colors(class_names: list[str], palette: dict[str, tuple[int, int, int]
     return colors
 
 
-def render_class_map(labels: np.ndarray, colors: np.ndarray,
-                     observed: np.ndarray | None = None) -> np.ndarray:
+def render_class_map(labels: np.ndarray, colors: np.ndarray, observed: np.ndarray) -> np.ndarray:
     """Color image of a class-index grid through a :func:`class_colors`
     table; unobserved cells are painted white."""
     rgb = colors[np.asarray(labels, dtype=np.int64)]
-    if observed is not None:
-        rgb = np.where(observed[:, :, None], rgb, np.uint8(255))
-    return rgb
+    return np.where(observed[:, :, None], rgb, np.uint8(255))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
@@ -34,7 +33,7 @@ class FramePack:
     label_grid: np.ndarray  # (H, W) merged indices
     obs_norm: np.ndarray  # (H, W) in [0, 1]
     visible: np.ndarray  # (H, W) bool, observability count > 0
-    pset: pil.PillarSet | None = None  # cached when augmentation is off
+    pset: pil.PillarSet | None = None  # cached unless the frame is augmented
 
 
 @dataclass
@@ -75,7 +74,8 @@ def prepare_frame(cfg: RunConfig, index: int, augment_seed: int | None = None) -
         classes = np.concatenate([
             classes, np.full(len(cloud) - before, cfg.class_map.unlabeled_index)
         ])
-    if augment_seed is not None and cfg.augment.enabled:
+    augmented = augment_seed is not None and cfg.augment.enabled
+    if augmented:
         xyz = aug.apply_augment(cloud.xyz, cfg.augment, augment_seed)
         cloud = PointCloud(xyz.astype(np.float32), cloud.reflectance)
     grid = cfg.grid
@@ -83,26 +83,23 @@ def prepare_frame(cfg: RunConfig, index: int, augment_seed: int | None = None) -
                                    label_config(cfg)).labels
     omap = occ.observability(cloud, grid)
     pack = FramePack(cloud, classes, label_grid, omap.normalized(), omap.counts > 0)
-    if augment_seed is None or not cfg.augment.enabled:
-        full = pil.augment_points(pil.pillarize(cloud, grid, frame_seed(cfg.seed, index)), grid)
-        pack.pset = pil.compact(full)
+    if not augmented:
+        pack.pset = frame_pset(cfg, pack, index)
     return pack
 
 
 def prepare_frames(cfg: RunConfig, indices, augment_seeds=None):
     seeds = augment_seeds or [None] * len(indices)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(lambda args: prepare_frame(cfg, *args),
-                                 zip(indices, seeds)))
     return [prepare_frame(cfg, i, s) for i, s in zip(indices, seeds)]
 
 
 def frame_pset(cfg: RunConfig, pack: FramePack, index: int) -> pil.PillarSet:
+    """The pack's cached pillar set, or one built from its cloud when none is
+    cached (an augmented frame); either is in :func:`pillars.compact` form."""
     if pack.pset is not None:
         return pack.pset
-    return pil.augment_points(pil.pillarize(pack.cloud, cfg.grid,
-                                            frame_seed(cfg.seed, index)), cfg.grid)
+    pset = pil.pillarize(pack.cloud, cfg.grid, frame_seed(cfg.seed, index))
+    return pil.compact(pil.augment_points(pset, cfg.grid))
 
 
 def _loss_config(cfg: RunConfig) -> SegLossConfig:

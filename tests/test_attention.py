@@ -33,7 +33,8 @@ class TestPCA1D:
         np.testing.assert_allclose(scores, pos[:, 0] - pos[:, 0].mean(), atol=1e-12)
 
     def test_single_point(self):
-        assert A.pca_1d(np.array([[3.0, 4.0]]))[0] == 0.0
+        scores = A.pca_1d(np.array([[3.0, 4.0]]))  # through the isotropic-tie branch
+        assert scores.tolist() == [0.0] and not np.signbit(scores[0])
 
     def test_isotropic_tie_breaks_to_x(self):
         pos = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])

@@ -46,10 +46,13 @@ class TestDispatch:
         assert "unknown subcommand" in capsys.readouterr().err
 
     def test_mode_pairing_rejected(self, scene_file, tmp_path, capsys):
-        code = run_cli("train", *micro_args(scene_file), "--mode", "dense-train",
-                       "--eval_mode", "sparse-eval", "--out", str(tmp_path / "t"))
-        assert code == 1
-        assert "dense-train" in capsys.readouterr().err
+        # training and evaluation use sparse labels only; no key selects a mode
+        for key, value in (("mode", "sparse-train"), ("eval_mode", "sparse-eval")):
+            code = run_cli("train", *micro_args(scene_file), f"--{key}", value,
+                           "--out", str(tmp_path / "t"))
+            assert code == 1
+            assert f"config error: unknown config key '{key}'" in capsys.readouterr().err
+        assert not (tmp_path / "t").exists()
 
     def test_bad_config_key_exit_1(self, tmp_path, capsys):
         assert run_cli("train", "--bogus_key", "1", "--out", str(tmp_path / "t")) == 1
@@ -57,12 +60,18 @@ class TestDispatch:
     def test_bad_flag_value_exit_1(self, tmp_path, capsys):
         assert run_cli("synth", "--frames", "abc", "--out", str(tmp_path / "s")) == 1
         assert "'frames'" in capsys.readouterr().err
+        # synth steps its poses a fixed 2 m; the spacing is no flag
+        assert run_cli("synth", "--spacing", "3", "--out", str(tmp_path / "s")) == 1
+        assert "config error: unknown config key 'spacing'" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     def test_out_of_range_value_exit_1(self, scene_file, tmp_path, capsys):
         assert run_cli("train", *micro_args(scene_file), "--beta1", "1",
                        "--out", str(tmp_path / "t")) == 1
         assert "config error: beta1" in capsys.readouterr().err
+        assert run_cli("train", *micro_args(scene_file), "--threads", "2",
+                       "--out", str(tmp_path / "t")) == 1
+        assert "config error: threads must be exactly 1, got 2" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
     def test_class_weight_out_of_range_exit_1(self, scene_file, tmp_path, capsys):

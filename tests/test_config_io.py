@@ -33,7 +33,6 @@ class TestFlatConfig:
         cfg = config.load_run_config(None)
         assert cfg.grid.height == 64 and cfg.grid.width == 64
         assert cfg.class_map.num_supervised == 3
-        assert cfg.mode == "sparse-train"
 
     def test_packaged_toy_config(self):
         cfg = config.load_run_config("toy.cfg")
@@ -41,24 +40,14 @@ class TestFlatConfig:
         assert cfg.loss_weights[cfg.class_map.index_of("object")] == 5.0
 
     def test_unknown_key_rejected(self):
-        # the attention block order and the BatchNorm momentum are fixed, not keys
+        # the attention block order and the BatchNorm momentum are fixed, not
+        # keys; training and evaluation use sparse labels only, so there is no
+        # mode key until a dense mode changes what they do
         for key, tokens in (("no_such_key", ["1"]), ("ma_order", ["G", "L", "P"]),
-                            ("bn_momentum", ["0.9"])):
+                            ("bn_momentum", ["0.9"]), ("mode", ["sparse-train"]),
+                            ("eval_mode", ["sparse-eval"])):
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 config.load_run_config(None, {key: tokens})
-
-    def test_dense_train_requires_dense_eval(self):
-        with pytest.raises(ConfigError, match="dense-train"):
-            config.load_run_config(None, {"mode": ["dense-train"],
-                                          "eval_mode": ["sparse-eval"]})
-
-    def test_dense_modes_rejected_until_wired(self):
-        # dense labels are not wired into training or evaluation yet
-        with pytest.raises(ConfigError, match="dense-train"):
-            config.load_run_config(None, {"mode": ["dense-train"],
-                                          "eval_mode": ["dense-eval"]})
-        with pytest.raises(ConfigError, match="dense-eval"):
-            config.load_run_config(None, {"eval_mode": ["dense-eval"]})
 
     def test_overrides_replace_file_values(self):
         cfg = config.load_run_config("toy.cfg", {"epochs": ["2"]})
@@ -72,13 +61,20 @@ class TestFlatConfig:
         text = config.echo_config({"b": ["2"], "a": ["1", "3"]})
         assert text == "a = 1 3\nb = 2\n"
 
-    @pytest.mark.parametrize("key", ["batch_size", "train_frames", "threads", "pfn_channels",
+    @pytest.mark.parametrize("key", ["batch_size", "train_frames", "pfn_channels",
                                      "lstm_hidden", "graph_hidden", "feast_heads",
                                      "fusion_hidden", "unet_widths", "val_frames"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_count_below_one_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"{key} must be at least 1"):
             config.load_run_config(None, {key: [value]})
+
+    @pytest.mark.parametrize("value", ["0", "-1", "2"])
+    def test_threads_must_be_one(self, value):
+        # frames are prepared serially
+        assert config.load_run_config(None, {"threads": ["1"]}).threads == 1
+        with pytest.raises(ConfigError, match="threads must be exactly 1"):
+            config.load_run_config(None, {"threads": [value]})
 
     @pytest.mark.parametrize("key", ["seed", "epochs"])
     def test_count_below_zero_rejected(self, key):

@@ -139,17 +139,20 @@ def assert_fields_equal(a, b):
 
 class TestPrepareFrames:
     @pytest.mark.parametrize("augmented", [False, True])
-    def test_thread_pool_matches_serial(self, scene_file, augmented):
+    def test_serial_packs_repeat(self, scene_file, augmented):
+        cfg = micro_config(scene_file, noise_snr=["10"], augment=["flip_x", "rotate", "scale"])
         idx = [0, 1, 2]
         seeds = [train.frame_seed(5, 500_000 + i) for i in idx] if augmented else None
-        packs = [train.prepare_frames(micro_config(scene_file, noise_snr=["10"],
-                                                   augment=["flip_x", "rotate", "scale"],
-                                                   threads=[threads]), idx, seeds)
-                 for threads in ("1", "2")]
+        packs = [train.prepare_frames(cfg, idx, seeds) for _ in range(2)]
         assert len(packs[1]) == len(idx)
+        # an augmented frame caches no pillar set; frame_pset builds it
         assert all((pack.pset is None) == augmented for pack in packs[1])
-        for serial, pooled in zip(*packs):
-            assert_fields_equal(serial, pooled)
+        for first, again, i in zip(*packs, idx):
+            assert_fields_equal(first, again)
+            assert train.frame_pset(cfg, first, i).features.dtype == np.float32
+        # noise_snr adds noise points to every frame
+        quiet = train.prepare_frames(micro_config(scene_file), idx)
+        assert all(len(noisy.cloud) > len(plain.cloud) for noisy, plain in zip(packs[0], quiet))
 
 
 class TestEvalSeparation:
