@@ -12,6 +12,7 @@ switch to 32-bit via :func:`set_default_dtype`.
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,6 +140,23 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, warning as numpy does when it makes a NaN from NaN-free operands.
+
+    numpy warns after a product whenever the floating-point invalid flag is
+    set, and its OpenBLAS float32 kernels at times set that flag for finite
+    operands whose product is finite: the warning then comes at random, on
+    one call and not on the same call repeated. So the flag is ignored and
+    the result is checked instead, which still warns on a NaN the product
+    really makes, such as inf * 0.
+    """
+    with np.errstate(invalid="ignore"):
+        out = a @ b
+    if np.isnan(out).any() and not (np.isnan(a).any() or np.isnan(b).any()):
+        warnings.warn("invalid value encountered in matmul", RuntimeWarning, stacklevel=2)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # elementwise / arithmetic
 # ---------------------------------------------------------------------------
@@ -180,15 +198,15 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.data.shape} @ {b.data.shape}")
     if a.data.shape[-1] != b.data.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    out = Tensor(a.data @ b.data)
+    out = Tensor(_product(a.data, b.data))
     if not _recording(a, b):
         return out
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+            _accum(a, _unbroadcast(_product(g, np.swapaxes(b.data, -1, -2)), a.data.shape))
         if b.requires_grad:
-            _accum(b, _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+            _accum(b, _unbroadcast(_product(np.swapaxes(a.data, -1, -2), g), b.data.shape))
 
     return _record(out, backward)
 
@@ -795,9 +813,9 @@ def feast(x, key_idx, weights, steering, offsets, bias) -> Tensor:
     if k == 0:
         raise ShapeError("empty key set")
     xk = x.data[key_idx]
-    s_keys = steering.data @ xk.T + offsets.data[:, None]  # (M, k)
-    s_nodes = steering.data @ x.data.T  # (M, V)
-    proj = xk @ weights.data  # (M, k, out)
+    s_keys = _product(steering.data, xk.T) + offsets.data[:, None]  # (M, k)
+    s_nodes = _product(steering.data, x.data.T)  # (M, V)
+    proj = _product(xk, weights.data)  # (M, k, out)
     scale = np.asarray(1.0 / k, dtype=x.data.dtype)
     rows = max(1, _FEAST_CHUNK_ELEMS // (k * heads))
     chunks = [slice(start, min(start + rows, v)) for start in range(0, v, rows)]
@@ -810,7 +828,7 @@ def feast(x, key_idx, weights, steering, offsets, bias) -> Tensor:
         coeff -= coeff.max(axis=0)
         np.exp(coeff, out=coeff)
         coeff /= coeff.sum(axis=0)
-        out[chunk] = (coeff @ proj).sum(axis=0) * scale + bias.data
+        out[chunk] = _product(coeff, proj).sum(axis=0) * scale + bias.data
         if recording:
             coeffs.append(coeff)
     out = Tensor(out)
@@ -823,24 +841,24 @@ def feast(x, key_idx, weights, steering, offsets, bias) -> Tensor:
         g_proj = g_keys = None
         for chunk, coeff in zip(chunks, coeffs):
             g_c = g_scaled[chunk]
-            part = np.swapaxes(coeff, -1, -2) @ g_c  # (M, k, out)
+            part = _product(np.swapaxes(coeff, -1, -2), g_c)  # (M, k, out)
             g_proj = part if g_proj is None else g_proj + part
-            gsc = g_c @ np.swapaxes(proj, -1, -2)  # (M, Vc, k)
+            gsc = _product(g_c, np.swapaxes(proj, -1, -2))  # (M, Vc, k)
             gsc -= (gsc * coeff).sum(axis=0)
             gsc *= coeff  # score gradients
             part = gsc.sum(axis=1)  # (M, k)
             g_keys = part if g_keys is None else g_keys + part
             g_nodes[:, chunk] = -gsc.sum(axis=2)
-        _accum(weights, xk.T @ g_proj)
+        _accum(weights, _product(xk.T, g_proj))
         # the node term, then the key term, as the graph adds them: one summed
         # call rounds differently
-        _accum(steering, g_nodes @ x.data)
-        _accum(steering, g_keys @ xk)
+        _accum(steering, _product(g_nodes, x.data))
+        _accum(steering, _product(g_keys, xk))
         _accum(offsets, g_keys.sum(axis=1))
         _accum(bias, g.sum(axis=0))
-        _accum(x, (steering.data.T @ g_nodes).T)
-        g_xk = (g_proj @ np.swapaxes(weights.data, -1, -2)).sum(axis=0)
-        g_xk = g_xk + (steering.data.T @ g_keys).T
+        _accum(x, _product(steering.data.T, g_nodes).T)
+        g_xk = _product(g_proj, np.swapaxes(weights.data, -1, -2)).sum(axis=0)
+        g_xk = g_xk + _product(steering.data.T, g_keys).T
         gx = np.zeros_like(x.data)
         _scatter_add_rows(gx, key_idx, g_xk)
         _accum(x, gx)

@@ -49,6 +49,20 @@ class TestFlatConfig:
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 config.load_run_config(None, {key: tokens})
 
+    def test_dense_train_requires_dense_eval(self):
+        # no dense mode is wired, so dense training is rejected with either eval mode
+        for eval_mode in ("sparse-eval", "dense-eval"):
+            with pytest.raises(ConfigError, match="unknown config key 'mode'"):
+                config.load_run_config(None, {"mode": ["dense-train"],
+                                              "eval_mode": [eval_mode]})
+
+    def test_dense_modes_rejected_until_wired(self):
+        # dense labels are not wired into training or evaluation yet
+        with pytest.raises(ConfigError, match="unknown config key 'eval_mode'"):
+            config.load_run_config(None, {"eval_mode": ["dense-eval"]})
+        with pytest.raises(ConfigError, match="unknown config key 'mode'"):
+            config.load_run_config(None, {"mode": ["dense-train"]})
+
     def test_overrides_replace_file_values(self):
         cfg = config.load_run_config("toy.cfg", {"epochs": ["2"]})
         assert cfg.epochs == 2

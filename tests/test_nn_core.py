@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -211,6 +212,20 @@ class TestMatmulAffine:
     def test_batched_matmul_grads(self, rng):
         b = T.constant(rng.normal(size=(5, 3, 2)))
         check_op(lambda x: T.tsum(T.matmul(x, b)), rng.normal(size=(5, 4, 3)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matmul_warns_on_the_nan_it_makes(self, dtype):
+        # the product's result decides, not the invalid flag: inf * 0 makes
+        # a NaN and warns as numpy does, a NaN operand passes on quietly
+        b = np.array([[0.0], [1.0]])
+        with default_dtype(dtype):
+            with pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
+                out = T.matmul(np.array([[np.inf, 1.0]]), b).data
+            assert out.dtype == dtype and np.isnan(out).all()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.isnan(T.matmul(np.array([[np.nan, 1.0]]), b).data).all()
+                assert T.matmul(np.array([[np.inf, 1.0]]), b[::-1]).data[0, 0] == np.inf
 
 
 class TestBatchNorm:
