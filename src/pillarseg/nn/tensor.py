@@ -363,58 +363,112 @@ def gather_rows(x, idx) -> Tensor:
     return _record(out, backward)
 
 
+def _first_max(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The rank of the first candidate at the max, per output element.
+
+    ``blocks[r]`` holds the rank-r candidates of the first ``len(blocks[r])``
+    outputs, so each block spans a prefix of the one before it along axis 0,
+    and every output has a rank-0 candidate. A chain of in-place
+    ``np.maximum`` calls gives the max, and the rank is the count of leading
+    ranks whose candidate is not at it. That is the pick of ``np.argmax``:
+    ``==`` treats +0 and -0 as equal, and a NaN max is met by the first NaN.
+    Callers gather their output from that candidate, so it keeps the
+    candidate's own bits, the sign of a zero included.
+    """
+    top = blocks[0].copy()
+    for b in blocks[1:]:
+        np.maximum(top[: len(b)], b, out=top[: len(b)])
+    nan = np.isnan(top).any()
+    rank = np.zeros(top.shape, dtype=np.intp)
+    ahead = np.ones(top.shape, dtype=bool)  # the max is still to come
+    for b in blocks[:-1]:  # an output's last candidate needs no test
+        k = len(b)
+        miss = b != top[:k]
+        if nan:
+            miss &= b == b
+        ahead[:k] &= miss
+        rank[:k] += ahead[:k]
+    return rank
+
+
+def _segment_first_max(x: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """First max per column over segments of rows of the 2-D ``x``.
+
+    ``rows`` lists rows of ``x`` grouped by segment, and ``counts`` (all
+    positive) gives the segments' row counts in that order. Returns a
+    (segments, C) array of flat indices into ``x``: per segment and column, the
+    first of the segment's rows at the max (:func:`_first_max`).
+
+    The rows are laid out by rank. Segments are sorted by descending count, and
+    the rank-r rows of every segment that has one form one contiguous block, so
+    the blocks of :func:`_first_max` shrink with r.
+    """
+    by_count = np.argsort(-counts, kind="stable")
+    sorted_counts = counts[by_count]
+    # widths[r]: the segments with more than r rows, a prefix in by_count order
+    widths = np.searchsorted(-sorted_counts, -np.arange(sorted_counts.max(initial=1)))
+    offsets = np.concatenate([[0], np.cumsum(widths)])
+    starts = (np.cumsum(counts) - counts)[by_count]
+    seg = np.arange(len(rows)) - np.repeat(offsets[:-1], widths)
+    ranked_rows = rows[starts[seg] + np.repeat(np.arange(len(widths)), widths)]
+    ranked = x[ranked_rows]
+    rank = _first_max([ranked[a:b] for a, b in zip(offsets[:-1], offsets[1:])])
+    width = x.shape[1]
+    src = np.empty((len(counts), width), dtype=np.intp)
+    src[by_count] = (ranked_rows * width)[offsets[rank] + np.arange(len(counts))[:, None]]
+    src += np.arange(width)
+    return src
+
+
 def segment_max(x, segments, num_segments: int) -> Tensor:
     """Per-segment max over rows; empty segments yield zero rows (no gradient).
 
-    Ties route the gradient to the first row of the segment attaining the max.
-    Segment ids may come in any order. A stable sort groups the rows; each
-    non-empty segment's rows then fill one row of a (C, segments, longest)
-    slab padded with -inf, whose argmax is the first row at the max.
+    Segment ids may come in any order. Each output takes the first of its
+    segment's rows at the max, as ``np.argmax`` picks it (``_first_max``, the
+    kernel behind every max pool here), and the gradient goes to that row.
     """
     x = as_tensor(x)
     segments = np.asarray(segments, dtype=np.int64)
-    n, width = x.data.shape
-    data = np.zeros((num_segments, width), dtype=x.data.dtype)
-    order = np.argsort(segments, kind="stable")
-    sorted_seg = segments[order]
-    starts = np.flatnonzero(np.diff(sorted_seg, prepend=sorted_seg[:1] - 1))
-    seg_ids = sorted_seg[starts]
-    counts = np.diff(starts, append=n)
-    slab = np.full((width, len(starts), counts.max(initial=1)), -np.inf, dtype=x.data.dtype)
-    slab[:, np.repeat(np.arange(len(starts)), counts),
-         np.arange(n) - np.repeat(starts, counts)] = x.data[order].T
-    arg = order[starts + slab.argmax(axis=2)].T  # source row per (non-empty segment, column)
-    data[seg_ids] = np.take_along_axis(x.data, arg, axis=0)
+    counts = np.bincount(segments, minlength=num_segments)
+    seg_ids = np.flatnonzero(counts)
+    src = _segment_first_max(x.data, np.argsort(segments, kind="stable"), counts[seg_ids])
+    data = np.zeros((num_segments, x.data.shape[1]), dtype=x.data.dtype)
+    data[seg_ids] = x.data.reshape(-1)[src]
     out = Tensor(data)
     if not _recording(x):
         return out
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        gx[arg, np.arange(width)] += g[seg_ids]  # added to zeros: -0.0 turns +0.0, as summed
-        _accum(x, gx)
+        gx = np.zeros(x.data.size, dtype=x.data.dtype)
+        gx[src] += g[seg_ids]  # added to zeros: -0.0 turns +0.0, as summed
+        _accum(x, gx.reshape(x.data.shape))
 
     return _record(out, backward)
 
 
 def masked_max_pool(x, mask) -> Tensor:
-    """(P, N, C) max over the N axis restricted to mask; empty rows yield zero."""
+    """(P, N, C) max over the N axis restricted to mask; empty rows yield zero.
+
+    Only the slots that ``mask`` keeps are read. Each output takes the first
+    kept slot at the max, as ``np.argmax`` picks it (``_first_max``, the kernel
+    behind every max pool here), and the gradient goes to that slot.
+    """
     x = as_tensor(x)
     mask = np.asarray(mask, dtype=bool)
-    neg = np.where(mask[:, :, None], x.data, -np.inf)
-    any_valid = mask.any(axis=1)
-    idx = np.argmax(neg, axis=1)  # (P, C)
-    pooled = np.take_along_axis(x.data, idx[:, None, :], axis=1)[:, 0, :]
-    pooled = np.where(any_valid[:, None], pooled, 0.0)
-    out = Tensor(pooled)
+    p, n, c = x.data.shape
+    counts = mask.sum(axis=1)
+    live = np.flatnonzero(counts)
+    src = _segment_first_max(x.data.reshape(p * n, c), np.flatnonzero(mask), counts[live])
+    data = np.zeros((p, c), dtype=x.data.dtype)
+    data[live] = x.data.reshape(-1)[src]
+    out = Tensor(data)
     if not _recording(x):
         return out
 
     def backward(g):
-        gx = np.zeros_like(x.data)
-        gg = np.where(any_valid[:, None], g, 0.0)
-        np.put_along_axis(gx, idx[:, None, :], gg[:, None, :], axis=1)
-        _accum(x, gx)
+        gx = np.zeros(x.data.size, dtype=x.data.dtype)
+        gx[src] = g[live]
+        _accum(x, gx.reshape(p, n, c))
 
     return _record(out, backward)
 
@@ -505,31 +559,39 @@ def conv2d(x, weight, bias) -> Tensor:
 
 
 def maxpool2d(x) -> Tensor:
-    """2x2 max pooling with stride 2 on a (C, H, W) tensor; extents must be even."""
+    """2x2 max pooling with stride 2 on a (C, H, W) tensor; extents must be even.
+
+    The four window corners are strided views, taken in row-major order. Each
+    output takes the first corner at the max, as ``np.argmax`` picks it
+    (``_first_max``, the kernel behind every max pool here), and the gradient
+    goes to that corner.
+    """
     x = as_tensor(x)
     if x.data.ndim != 3:
         raise ShapeError(f"maxpool2d needs a (C, H, W) input, got {x.data.shape}")
     c, h, w = x.data.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2d needs even extents, got {h}x{w}")
-    windows = x.data.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(
-        c, h // 2, w // 2, 4
-    )
-    idx = np.argmax(windows, axis=3)
-    pooled = np.take_along_axis(windows, idx[..., None], axis=3)[..., 0]
+    rank = _first_max([x.data[:, i::2, j::2] for i in (0, 1) for j in (0, 1)])
+    # flat index of each window's first corner, plus the winning corner's offset
+    src = np.array([0, 1, w, w + 1])[rank]
+    src += np.arange(0, c * h * w, h * w)[:, None, None] + np.arange(0, h * w, 2 * w)[:, None]
+    src += np.arange(0, w, 2)
     tape = active_tape()
     if tape is not None and tape.track_kinks:
+        windows = x.data.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(
+            c, h // 2, w // 2, 4
+        )
         part = np.partition(windows, -2, axis=3)
         tape.kink_margins.append(float((part[..., -1] - part[..., -2]).min()))
-    out = Tensor(pooled)
+    out = Tensor(x.data.reshape(-1)[src])
     if not _recording(x):
         return out
 
     def backward(g):
-        gw = np.zeros_like(windows)
-        np.put_along_axis(gw, idx[..., None], g[..., None], axis=3)
-        gx = gw.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
-        _accum(x, gx)
+        gx = np.zeros(c * h * w, dtype=x.data.dtype)
+        gx[src] = g
+        _accum(x, gx.reshape(c, h, w))
 
     return _record(out, backward)
 

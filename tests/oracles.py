@@ -10,11 +10,12 @@ floats; the batched engine in `pillarseg.occupancy` must reproduce it bitwise.
 with a Python loop over the pillars; the loop-free `pillarseg.pillars.pillarize`
 must reproduce its valid rows bitwise, seeded sampling included.
 
-The taped references at the end are the direct forms of four autograd ops:
+The taped references at the end are the direct forms of six autograd ops:
 one LSTM direction per time loop and one sequence at a time, a Python loop
-over segments for the segment max, the FeaSt convolution as a graph of
-generic taped ops (`feast_conv_graph`), and the 2D convolution as one product
-with an im2col column matrix (`conv2d_im2col`). The fused and loop-free ops in
+over segments for the segment max and over pillars for the masked max pool,
+one argmax over a copy of the 2x2 windows for the image max pool, the FeaSt
+convolution as a graph of generic taped ops (`feast_conv_graph`), and the 2D
+convolution as one product with an im2col column matrix (`conv2d_im2col`). The fused and loop-free ops in
 `pillarseg.nn.tensor` must reproduce their outputs and gradients bitwise,
 except the shifted-slice `conv2d`, which sums its products tap by tap and so
 agrees with the column-matrix form to rounding.
@@ -395,6 +396,54 @@ def segment_max(x, segments, num_segments):
 
     return _record(out, backward)
 
+
+def masked_max_pool(x, mask):
+    """Per-pillar max over the slots that `mask` keeps, one numpy argmax per
+    pillar with a kept slot; zero rows for the others."""
+    x = as_tensor(x)
+    mask = np.asarray(mask, dtype=bool)
+    p, _, c = x.data.shape
+    data = np.zeros((p, c), dtype=x.data.dtype)
+    arg = {}
+    for i in range(p):
+        slots = np.flatnonzero(mask[i])
+        if len(slots):
+            block = x.data[i, slots]
+            local = np.argmax(block, axis=0)
+            data[i] = block[local, np.arange(c)]
+            arg[i] = slots[local]
+    out = Tensor(data)
+    if not _recording(x):
+        return out
+
+    def backward(g):
+        gx = np.zeros_like(x.data)
+        for i, slots in arg.items():
+            gx[i, slots, np.arange(c)] = g[i]
+        _accum(x, gx)
+
+    return _record(out, backward)
+
+
+def maxpool2d(x):
+    """2x2 max pooling with stride 2 by one numpy argmax over a (C, H/2, W/2, 4)
+    copy of the windows, corners in row-major order."""
+    x = as_tensor(x)
+    c, h, w = x.data.shape
+    windows = x.data.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(
+        c, h // 2, w // 2, 4
+    )
+    idx = np.argmax(windows, axis=3)
+    out = Tensor(np.take_along_axis(windows, idx[..., None], axis=3)[..., 0])
+    if not _recording(x):
+        return out
+
+    def backward(g):
+        gw = np.zeros_like(windows)
+        np.put_along_axis(gw, idx[..., None], g[..., None], axis=3)
+        _accum(x, gw.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w))
+
+    return _record(out, backward)
 
 def sub(a, b):
     """a - b with numpy broadcasting."""

@@ -182,7 +182,7 @@ def make_gt(labels, unlabeled=0):
 class TestOracleOps:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_ma_training_step_gradients_match_oracle_ops(self, rng, monkeypatch, dtype):
-        # the fused LSTM, loop-free segment max and fused FeaSt convolution
+        # the fused LSTM, the three max pools and the fused FeaSt convolution
         # against their direct forms, through one multi-attention step over
         # two frames
         grid = toy_grid()
@@ -205,6 +205,8 @@ class TestOracleOps:
         fused = gradients()
         monkeypatch.setattr(T, "lstm", oracles.bilstm)
         monkeypatch.setattr(T, "segment_max", oracles.segment_max)
+        monkeypatch.setattr(T, "masked_max_pool", oracles.masked_max_pool)
+        monkeypatch.setattr(T, "maxpool2d", oracles.maxpool2d)
         monkeypatch.setattr(T, "feast", oracles.feast_conv_graph)
         direct = gradients()
         assert fused.keys() == direct.keys()

@@ -56,12 +56,18 @@ def assert_bitwise(got, want):
 
 
 def sample(rng, shape, kind):
-    """Generic normals, small integers (ties), or signed zeros, -inf and ones."""
+    """Generic normals, small integers (ties), signed zeros, -inf and ones, or
+    those with +inf and NaN."""
     if kind == "normal":
         return rng.normal(size=shape) * 2.0
     if kind == "integer":
         return rng.integers(-2, 3, size=shape).astype(np.float64)
-    return rng.choice(np.array([0.0, -0.0, -np.inf, 1.0]), size=shape)
+    if kind == "special":
+        return rng.choice(np.array([0.0, -0.0, -np.inf, 1.0]), size=shape)
+    return rng.choice(np.array([0.0, -0.0, -np.inf, np.inf, np.nan, 1.0]), size=shape)
+
+
+POOL_KINDS = st.sampled_from(["normal", "integer", "special", "nonfinite"])
 
 
 class TestElementwiseGrads:
@@ -130,11 +136,11 @@ class TestShapeOps:
         np.testing.assert_array_equal(out.data, np.zeros((2, 3)))
         assert x.grad.shape == (0, 3)
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # -inf inputs in the loss
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf inputs in the loss
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @given(n=st.integers(1, 30), width=st.integers(1, 5), segments=st.integers(1, 12),
-           used=st.integers(1, 12), kind=st.sampled_from(["normal", "integer", "special"]),
-           seed=st.integers(0, 2**32 - 1))
+           used=st.integers(1, 12), kind=POOL_KINDS, seed=st.integers(0, 2**32 - 1))
+    @example(n=27, width=3, segments=4, used=1, kind="integer", seed=3)  # one 27-row segment
     def test_segment_max_matches_loop_oracle(self, dtype, n, width, segments, used, kind, seed):
         # ids drawn from a random subset of the segments, unsorted: some stay empty
         rng = np.random.default_rng(seed)
@@ -146,6 +152,32 @@ class TestShapeOps:
             got = taped_run(lambda t: T.segment_max(t, seg, segments), [x], weights, seed)
             want = taped_run(lambda t: oracles.segment_max(t, seg, segments), [x], weights, seed)
         assert_bitwise(got, want)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf inputs in the loss
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(pillars=st.integers(1, 8), slots=st.integers(1, 24), width=st.integers(1, 4),
+           kind=POOL_KINDS, seed=st.integers(0, 2**32 - 1))
+    @example(pillars=3, slots=22, width=2, kind="integer", seed=3)  # 20 and 22 kept slots
+    def test_masked_max_pool_matches_loop_oracle(self, dtype, pillars, slots, width, kind, seed):
+        # arbitrary masks: each pillar keeps its slots at its own random rate,
+        # so some keep none and many drop slot 0
+        rng = np.random.default_rng(seed)
+        mask = rng.random((pillars, slots)) < rng.random((pillars, 1))
+        x = sample(rng, (pillars, slots, width), kind)
+        weights = rng.normal(size=(pillars, width))
+        with default_dtype(dtype):
+            got = taped_run(lambda t: T.masked_max_pool(t, mask), [x], weights, seed)
+            want = taped_run(lambda t: oracles.masked_max_pool(t, mask), [x], weights, seed)
+        assert_bitwise(got, want)
+
+    def test_masked_max_pool_reads_only_kept_slots(self):
+        # slot 0 is masked out: its 5.0 is neither the max nor given a gradient
+        x = T.parameter(np.array([[[5.0], [-np.inf]]]))
+        with T.Tape() as tape:
+            out = T.masked_max_pool(x, np.array([[False, True]]))
+            tape.backward(T.tsum(out))
+        assert out.data.tolist() == [[-np.inf]]
+        assert x.grad.tolist() == [[[0.0], [1.0]]]
 
     def test_masked_max_pool(self, rng):
         mask = np.array([[True, True, False], [True, False, False], [False, False, False]])
@@ -612,6 +644,19 @@ class TestConv:
         assert (up.data[:, ::2, ::2] == x).all()
         check_op(lambda t: T.tsum(T.maxpool2d(t)), x)
         check_op(lambda t: T.tsum(T.upsample2x(t)), x)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf inputs in the loss
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(channels=st.integers(1, 3), rows=st.integers(1, 4), cols=st.integers(1, 4),
+           kind=POOL_KINDS, seed=st.integers(0, 2**32 - 1))
+    def test_maxpool_matches_window_oracle(self, dtype, channels, rows, cols, kind, seed):
+        rng = np.random.default_rng(seed)
+        x = sample(rng, (channels, 2 * rows, 2 * cols), kind)
+        weights = rng.normal(size=(channels, rows, cols))
+        with default_dtype(dtype):
+            got = taped_run(T.maxpool2d, [x], weights, seed)
+            want = taped_run(oracles.maxpool2d, [x], weights, seed)
+        assert_bitwise(got, want)
 
     def test_maxpool_odd_extent_rejected(self):
         with pytest.raises(ShapeError):

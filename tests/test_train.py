@@ -192,6 +192,27 @@ def test_toy_ma_step_tape_nodes():
     assert len(tape.nodes) <= 92
 
 
+def test_toy_pfn_segment_max_memory():
+    # one T.segment_max forward over a toy frame's PFN rows, (V, 32) float32
+    # in pillars of at most 20 points: 3,793 rows in 1,085 pillars on frame
+    # 0, peaking at 1.76 MiB. The bound is one (32, pillars, 20) slab of the
+    # rows padded to the longest pillar, 2.65 MiB, which the op never builds
+    cfg = config.build_run_config(parse_flat(packaged_text("toy.cfg")))
+    pset = train.frame_pset(cfg, train.prepare_frame(cfg, 0), 0)
+    pillar_ids = np.repeat(np.arange(pset.valid_pillars), pset.valid_points)
+    rows = np.random.default_rng(0).normal(size=(len(pillar_ids), cfg.pfn_channels))
+    with train.model_dtype(cfg):
+        x = T.constant(np.maximum(rows, 0.0))
+        tracemalloc.start()
+        try:
+            T.segment_max(x, pillar_ids, pset.valid_pillars)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert x.data.dtype == np.float32
+    assert peak < cfg.pfn_channels * pset.valid_pillars * cfg.grid.max_points * 4
+
+
 def test_toy_ma_forward_tape_memory():
     # what one toy-ma training forward of frame 0 leaves held for its
     # backward: 24.0 MiB with the fusion on point rows, against 33.5 MiB
