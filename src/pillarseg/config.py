@@ -17,9 +17,9 @@ file.
 Values are checked once, here. The reader checks each value against its
 field's type hint: token count, finiteness, range, allowed words and flags.
 The ``__post_init__`` of each dataclass it builds checks only what relates
-fields (a range's order, the grid's extent, a scene's fit in its ground), and
-``ClassMap.parse`` checks the class map. So the modules fed a
-:class:`RunConfig` take its values as given.
+fields (a range's order, the grid's extent and its fit to the UNet's pools, a
+scene's fit in its ground), and ``ClassMap.parse`` checks the class map. So
+the modules fed a :class:`RunConfig` take its values as given.
 """
 
 from __future__ import annotations
@@ -108,6 +108,11 @@ class RunConfig:
                         raise ConfigError(f"{key} sets nothing: unlabeled cells get no label or loss")
                     target[names.index(name)] = read_value(key, tokens, hint)
         self.label_weights[self.class_map.unlabeled_index] = 0.0
+        levels, (w, h) = len(self.unet_widths), (self.grid.width, self.grid.height)
+        if w % 2**levels or h % 2**levels:
+            raise ConfigError(f"x_range, y_range and pillar_size give a {w} x {h} grid that "
+                              f"{levels} unet_widths cannot pool: both extents must divide "
+                              f"by 2^{levels} = {2**levels}")
 
 
 def build_run_config(values: dict[str, list[str]]) -> RunConfig:

@@ -36,7 +36,8 @@ class ModelConfig:
 class MUNet:
     """UNet without the usual image-input stem: the encoder starts directly at
     the pseudo-image width. Down blocks halve the extent, up blocks restore it
-    through skip concatenation; a 1x1 convolution emits the class logits."""
+    through skip concatenation; a 1x1 convolution emits the class logits. That
+    head is the one convolution no BatchNorm follows, so it alone adds a bias."""
 
     def __init__(self, cin: int, widths: tuple[int, ...], num_classes: int,
                  rng: np.random.Generator):
@@ -53,7 +54,7 @@ class MUNet:
             current = out_w
         self.head_weight = T.parameter(
             rng.normal(0.0, np.sqrt(2.0 / widths[0]), (num_classes, widths[0], 1, 1)))
-        self.head_bias = T.parameter(np.zeros(num_classes))
+        self.head_bias = T.parameter(np.zeros((num_classes, 1, 1)))
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         skips = []
@@ -62,7 +63,7 @@ class MUNet:
             skips.append(skip)
         for up, skip in zip(self.ups, reversed(skips)):
             x = up(x, skip, training)
-        return T.conv2d(x, self.head_weight, self.head_bias)
+        return T.add(T.conv2d(x, self.head_weight), self.head_bias)
 
     def state(self) -> dict[str, Tensor | np.ndarray]:
         return {**L.collect_state(**{f"down{i}": block for i, block in enumerate(self.downs)},
@@ -85,7 +86,9 @@ class PillarSegNet:
                 heads=cfg.feast_heads, fps_rate=cfg.fps_rate,
                 fusion_hidden=cfg.fusion_hidden,
             )
-        self.pfn_affine = L.Affine(pil.AUGMENTED_CHANNELS, cfg.pfn_channels, rngs[1])
+        cin = pil.AUGMENTED_CHANNELS
+        self.pfn_weight = T.parameter(  # no bias: pfn_bn would cancel it
+            rngs[1].normal(0.0, np.sqrt(2.0 / cin), (cin, cfg.pfn_channels)))
         self.pfn_bn = L.BatchNorm(cfg.pfn_channels)
         unet_in = cfg.pfn_channels + (1 if cfg.use_occupancy else 0)
         self.unet = MUNet(unet_in, cfg.unet_widths, cfg.num_classes, rngs[2])
@@ -96,7 +99,7 @@ class PillarSegNet:
 
     def pfn_forward(self, rows, pillar_ids: np.ndarray, num_pillars: int,
                     training: bool) -> Tensor:
-        """Shared affine+BN+ReLU per point row, then a max per pillar.
+        """Shared linear map+BN+ReLU per point row, then a max per pillar.
 
         ``rows`` (V, C) are a frame's valid points and ``pillar_ids`` (V,)
         their pillars, of ``num_pillars``. Pillars with no row contribute zero
@@ -105,7 +108,7 @@ class PillarSegNet:
         """
         if len(pillar_ids) == 0:
             return T.constant(np.zeros((num_pillars, self.cfg.pfn_channels)))
-        h = T.relu(self.pfn_bn(self.pfn_affine(rows), training))
+        h = T.relu(self.pfn_bn(T.matmul(rows, self.pfn_weight), training))
         return T.segment_max(h, pillar_ids, num_pillars)
 
     def pseudo_images(self, psets: list[pil.PillarSet], grid: pil.GridConfig,
@@ -160,10 +163,10 @@ class PillarSegNet:
     def state(self) -> dict[str, Tensor | np.ndarray]:
         """The whole model's state table: every trainable ``Tensor`` and every
         BatchNorm running-statistic array, named by dotted path."""
-        children = {"pfn_affine": self.pfn_affine, "pfn_bn": self.pfn_bn, "unet": self.unet}
+        children = {"pfn_bn": self.pfn_bn, "unet": self.unet}
         if self.ma is not None:
             children["ma"] = self.ma
-        return L.collect_state(**children)
+        return {"pfn_weight": self.pfn_weight, **L.collect_state(**children)}
 
     def parameters(self) -> dict[str, Tensor]:
         """The ``Tensor`` entries of :meth:`state`, in its order."""

@@ -34,12 +34,7 @@ class Affine:
         self.bias = T.parameter(np.zeros(cout))
 
     def __call__(self, x) -> Tensor:
-        x = T.as_tensor(x)
-        if x.data.shape[-1] != self.weight.data.shape[0]:
-            raise ShapeError(
-                f"affine input {x.data.shape} incompatible with weight {self.weight.data.shape}"
-            )
-        return T.add(T.matmul(x, self.weight), self.bias)
+        return T.add(T.matmul(x, self.weight), self.bias)  # matmul checks the shapes
 
     def state(self) -> dict[str, Tensor]:
         return {"weight": self.weight, "bias": self.bias}
@@ -48,21 +43,16 @@ class Affine:
 class BatchNorm:
     """Per-channel batch normalization with running statistics."""
 
-    def __init__(self, channels: int, momentum: float = 0.9, eps: float = 1e-5,
-                 channel_axis: int = -1):
+    def __init__(self, channels: int, channel_axis: int = -1):
         self.gamma = T.parameter(np.ones(channels))
         self.beta = T.parameter(np.zeros(channels))
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = momentum
-        self.eps = eps
         self.channel_axis = channel_axis
 
     def __call__(self, x, training: bool) -> Tensor:
-        return T.batch_norm(
-            x, self.gamma, self.beta, self.running_mean, self.running_var,
-            training, self.momentum, self.eps, self.channel_axis,
-        )
+        return T.batch_norm(x, self.gamma, self.beta, self.running_mean, self.running_var,
+                            training, self.channel_axis)
 
     def state(self) -> dict[str, Tensor | np.ndarray]:
         """The scale and shift tensors, then the running statistics."""
@@ -101,18 +91,19 @@ class BiLSTM:
 
 
 class ConvBNReLU:
-    """3x3 convolution, per-channel BatchNorm, ReLU."""
+    """3x3 convolution, per-channel BatchNorm, ReLU. The convolution has no
+    bias: BatchNorm subtracts the batch mean, which would cancel it, and its
+    shift ``beta`` takes that role."""
 
     def __init__(self, cin: int, cout: int, rng: np.random.Generator):
         self.weight = T.parameter(rng.normal(0.0, np.sqrt(2.0 / (cin * 9)), (cout, cin, 3, 3)))
-        self.bias = T.parameter(np.zeros(cout))
         self.bn = BatchNorm(cout, channel_axis=0)
 
     def __call__(self, x, training: bool) -> Tensor:
-        return T.relu(self.bn(T.conv2d(x, self.weight, self.bias), training))
+        return T.relu(self.bn(T.conv2d(x, self.weight), training))
 
     def state(self) -> dict[str, Tensor | np.ndarray]:
-        return {"weight": self.weight, "bias": self.bias, **collect_state(bn=self.bn)}
+        return {"weight": self.weight, **collect_state(bn=self.bn)}
 
 
 class DownBlock:

@@ -495,9 +495,10 @@ def scatter_to_image(x, rows, cols, height: int, width: int) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def conv2d(x, weight, bias) -> Tensor:
+def conv2d(x, weight) -> Tensor:
     """Same-size 2D convolution of a (C, H, W) tensor with (Cout, C, k, k)
-    kernels plus a (Cout,) bias.
+    kernels, with no bias: every convolution but the logits head feeds a
+    BatchNorm, which would cancel one, and the head adds its own.
 
     The input is zero-padded by p = k // 2 and flattened row by row into
     ``xf`` of shape (C, (H + 2p) * row), with ``row = W + 2p``. In that layout
@@ -505,16 +506,17 @@ def conv2d(x, weight, bias) -> Tensor:
     ``xf[:, i * row + j : i * row + j + span]``, ``span = (H - 1) * row + W``,
     so the forward is k * k products ``weight[:, :, i, j] @ slice``, summed in
     the tap order (0, 0), (0, 1), ..., (k - 1, k - 1) into one buffer on the
-    same row stride. The 2p pad columns that end each row are dropped, and
-    the bias is added. The backward lays the output gradient out on that
-    stride and takes one weight-gradient and one input-gradient product per
-    tap; the tape keeps only ``xf``, never a (k * k * C, H * W) column matrix.
+    same row stride. One copy drops the 2p pad columns that end each row, so
+    the output is a fresh contiguous array, not a view of that buffer. The
+    backward lays the output gradient out on that stride and takes one
+    weight-gradient and one input-gradient product per tap; the tape keeps
+    only ``xf``, never a (k * k * C, H * W) column matrix.
 
     Each output is a sum of k * k partial dot products of length C, not one
     of length k * k * C, so it rounds differently from a column-matrix
     convolution; the two agree to rounding.
     """
-    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    x, weight = as_tensor(x), as_tensor(weight)
     if weight.data.ndim != 4:
         raise ShapeError(f"conv2d weight must be (Cout, C, k, k), got {weight.data.shape}")
     cout, cin, kh, kw = weight.data.shape
@@ -522,8 +524,6 @@ def conv2d(x, weight, bias) -> Tensor:
         raise ShapeError(f"kernels must be odd squares, got {kh}x{kw}")
     if x.data.ndim != 3 or x.data.shape[0] != cin:
         raise ShapeError(f"conv2d input {x.data.shape} does not match kernel {weight.data.shape}")
-    if bias.data.shape != (cout,):
-        raise ShapeError(f"conv2d bias {bias.data.shape} does not match {cout} kernels")
     pad = kh // 2
     c, h, w = x.data.shape
     row = w + 2 * pad
@@ -537,8 +537,8 @@ def conv2d(x, weight, bias) -> Tensor:
     acc_span = acc.reshape(cout, -1)[:, :span]
     for i, j, off in taps:
         acc_span += w_taps[i, j] @ xf[:, off : off + span]
-    out = Tensor(acc[:, :, :w] + bias.data[:, None, None])
-    if not _recording(x, weight, bias):
+    out = Tensor(np.ascontiguousarray(acc[:, :, :w]))
+    if not _recording(x, weight):
         return out
 
     def backward(g):
@@ -552,7 +552,6 @@ def conv2d(x, weight, bias) -> Tensor:
             gw[:, :, i, j] = (xf[:, off : off + span] @ g_span.T).T
             gxf[:, off : off + span] += w_taps[i, j].T @ g_span
         _accum(weight, gw)
-        _accum(bias, g.reshape(cout, -1).sum(axis=1))
         _accum(x, gxf.reshape(c, h + 2 * pad, row)[:, pad : pad + h, pad : pad + w])
 
     return _record(out, backward)
@@ -617,22 +616,17 @@ def upsample2x(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def batch_norm(
-    x,
-    gamma,
-    beta,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-    momentum: float = 0.9,
-    eps: float = 1e-5,
-    channel_axis: int = -1,
-) -> Tensor:
-    """Per-channel normalization over all non-channel axes.
+BN_MOMENTUM, BN_EPS = 0.9, 1e-5
+
+
+def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray,
+               training: bool, channel_axis: int = -1) -> Tensor:
+    """Per-channel normalization over all non-channel axes, ``x - mean`` over
+    ``sqrt(var + BN_EPS)``.
 
     Train mode normalizes by batch statistics (biased variance) and updates the
-    running arrays in place with ``running = momentum*running + (1-m)*batch``;
-    inference mode uses the running statistics.
+    running arrays in place with ``running = m*running + (1-m)*batch``,
+    ``m = BN_MOMENTUM``; inference mode uses the running statistics.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     axis = channel_axis % x.data.ndim
@@ -649,15 +643,15 @@ def batch_norm(
             raise ShapeError("batch_norm train mode needs a non-empty batch")
         mean = x.data.mean(axis=reduce_axes)
         var = x.data.var(axis=reduce_axes)
-        running_mean *= momentum
-        running_mean += (1.0 - momentum) * mean
-        running_var *= momentum
-        running_var += (1.0 - momentum) * var
+        running_mean *= BN_MOMENTUM
+        running_mean += (1.0 - BN_MOMENTUM) * mean
+        running_var *= BN_MOMENTUM
+        running_var += (1.0 - BN_MOMENTUM) * var
     else:
         mean = running_mean.astype(x.data.dtype)
         var = running_var.astype(x.data.dtype)
 
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - expand(mean)) * expand(inv_std)
     out = Tensor(xhat * expand(gamma.data) + expand(beta.data))
     if not _recording(x, gamma, beta):

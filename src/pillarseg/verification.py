@@ -174,14 +174,14 @@ def check_full_model() -> float:
     loss_cfg = losses.SegLossConfig(np.ones(4), 0)
 
     def f(w):
-        saved = net.pfn_affine.weight
-        net.pfn_affine.weight = w
+        saved = net.pfn_weight
+        net.pfn_weight = w
         out = losses.seg_loss(net.forward_pillars(pset, grid, occ_norm, training=True),
                               gt, loss_cfg)
-        net.pfn_affine.weight = saved
+        net.pfn_weight = saved
         return out
 
-    return grad_check(f, net.pfn_affine.weight.data.copy())
+    return grad_check(f, net.pfn_weight.data.copy())
 
 
 SUITE = [

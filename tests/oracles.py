@@ -539,25 +539,24 @@ def _col2im(cols, shape, k, pad):
     return xp[:, pad : pad + h, pad : pad + w]
 
 
-def conv2d_im2col(x, weight, bias):
+def conv2d_im2col(x, weight):
     """Same-size convolution of a (C, H, W) tensor with (Cout, C, k, k) odd
     square kernels as one (Cout, k * k * C) @ (k * k * C, H * W) product with
     the im2col column matrix; the backward scatters the input gradient's
     columns back with col2im."""
-    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
+    x, weight = as_tensor(x), as_tensor(weight)
     cout, _, k, _ = weight.data.shape
     pad = k // 2
     c, h, w = x.data.shape
     cols = _im2col(x.data, k, pad)
     w2 = weight.data.reshape(cout, -1)
-    out = Tensor((w2 @ cols + bias.data[:, None]).reshape(cout, h, w))
-    if not _recording(x, weight, bias):
+    out = Tensor((w2 @ cols).reshape(cout, h, w))
+    if not _recording(x, weight):
         return out
 
     def backward(g):
         g2 = g.reshape(cout, -1)
         _accum(weight, (g2 @ cols.T).reshape(weight.data.shape))
-        _accum(bias, g2.sum(axis=1))
         _accum(x, _col2im(w2.T @ g2, x.data.shape, k, pad))
 
     return _record(out, backward)

@@ -81,6 +81,16 @@ class TestDispatch:
         assert "config error: loss_weight_vehicle" in capsys.readouterr().err
         assert not (tmp_path / "t").exists()
 
+    def test_unpoolable_grid_exit_1(self, tmp_path, capsys):
+        # a 66 x 64 grid reached maxpool2d after the frames were prepared and
+        # exited 2 there; it is now rejected while the config is read
+        assert run_cli("train", "--config", "toy.cfg", "--x_range", "-16", "17",
+                       "--out", str(tmp_path / "t")) == 1
+        err = capsys.readouterr().err
+        assert "config error: x_range, y_range and pillar_size give a 66 x 64 grid" in err
+        assert "unet_widths" in err
+        assert not (tmp_path / "t").exists()
+
     def test_usage_lists_every_subcommand(self):
         listed = cli.USAGE.split("subcommands:\n", 1)[1].split("\n\n", 1)[0]
         assert [line.split()[0] for line in listed.splitlines()] == list(cli._SUBCOMMANDS)

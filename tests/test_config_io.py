@@ -127,6 +127,20 @@ class TestFlatConfig:
         with pytest.raises(ConfigError, match=key):
             config.load_run_config("toy.cfg", {key: value.split()})
 
+    @pytest.mark.parametrize("overrides, grid", [
+        ({"x_range": ["-16", "17"]}, "66 x 64"),
+        ({"y_range": ["-16", "15"]}, "64 x 62"),
+        ({"unet_widths": ["4"] * 7}, "64 x 64"),
+        ({"pillar_size": ["0.64", "0.5", "0.25"]}, "50 x 64"),
+    ], ids=["x-range", "y-range", "unet-levels", "pillar-size"])
+    def test_unpoolable_grid_rejected(self, overrides, grid):
+        # the M-UNet pools the grid by 2 once per unet_widths entry; a grid
+        # that does not divide by 2^levels used to fail in maxpool2d
+        with pytest.raises(ConfigError, match=f"x_range, y_range and pillar_size give a {grid} "
+                                              f"grid that .* unet_widths cannot pool"):
+            config.load_run_config("toy.cfg", overrides)
+        assert config.load_run_config("toy.cfg", {"x_range": ["-16", "18"]}).grid.width == 68
+
     def test_class_map_without_scene_classes_loads(self):
         # the default scene names toy classes; only generating a frame needs them
         cfg = config.load_run_config(None, {"classmap": ["nuscenes_16.map"]})
@@ -138,7 +152,7 @@ class TestFlatConfig:
 
     def test_semantickitti_reference_config_parses(self):
         cfg = config.load_run_config("semantickitti.cfg")
-        assert cfg.grid.width == 1000 and cfg.grid.height == 500
+        assert cfg.grid.width == 1024 and cfg.grid.height == 512
         assert cfg.class_map.num_supervised == 12
         assert cfg.use_ma
 

@@ -62,9 +62,9 @@ class TestPFN:
         mask = np.zeros((1, grid.max_points), dtype=bool)
         mask[0, 0] = True
         out = pfn_dense(net, aug, mask).data
-        pre = aug[0, 0] @ net.pfn_affine.weight.data + net.pfn_affine.bias.data
+        pre = aug[0, 0] @ net.pfn_weight.data
         bn = net.pfn_bn
-        normed = bn.gamma.data * (pre - bn.running_mean) / np.sqrt(bn.running_var + bn.eps) \
+        normed = bn.gamma.data * (pre - bn.running_mean) / np.sqrt(bn.running_var + T.BN_EPS) \
             + bn.beta.data
         np.testing.assert_allclose(out[0], np.maximum(normed, 0.0), atol=1e-12)
 
@@ -374,14 +374,14 @@ class TestFullModelGradients:
         cfg = losses.SegLossConfig(np.ones(4), 0)
 
         def f(w):
-            saved = net.pfn_affine.weight
-            net.pfn_affine.weight = w
+            saved = net.pfn_weight
+            net.pfn_weight = w
             logits = net.forward_pillars(pset, grid, occ_norm, training=True)
             out = losses.seg_loss(logits, gt, cfg)
-            net.pfn_affine.weight = saved
+            net.pfn_weight = saved
             return out
 
-        w0 = net.pfn_affine.weight.data.copy()
+        w0 = net.pfn_weight.data.copy()
         err = nn.grad_check(f, w0, coords=range(0, w0.size, 7))
         assert err < 1e-4
 
@@ -470,6 +470,31 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=message):
             model.load_checkpoint(path, toy_model(toy_grid()))
 
+    def test_checkpoint_with_biases_before_batchnorm_rejected(self, tmp_path):
+        # the layout before the biases that BatchNorm cancels were deleted:
+        # pfn_affine.weight and .bias, a bias per UNet convolution and a (K,)
+        # head bias
+        from pillarseg.container import read_container, write_container
+        from pillarseg.errors import FormatError
+
+        path = tmp_path / "model.ckpt"
+        model.save_checkpoint(path, toy_model(toy_grid()))
+        arrays = read_container(path)
+        arrays["param.pfn_affine.weight"] = arrays.pop("param.pfn_weight")
+        arrays["param.pfn_affine.bias"] = np.zeros(8, np.float32)
+        convs = [k.removesuffix(".weight") for k in arrays if k.endswith(("conv1.weight",
+                                                                         "conv2.weight"))]
+        assert len(convs) == 8
+        for conv in convs:
+            arrays[f"{conv}.bias"] = np.zeros(len(arrays[f"{conv}.weight"]), np.float32)
+        arrays["param.unet.head.bias"] = arrays["param.unet.head.bias"].reshape(-1)
+        write_container(path, arrays)
+        with pytest.raises(FormatError, match=r"unknown \['param.pfn_affine.bias', "
+                                              r"'param.pfn_affine.weight', "
+                                              r"'param.unet.down0.conv1.bias'\], "
+                                              r"missing \['param.pfn_weight'\]"):
+            model.load_checkpoint(path, toy_model(toy_grid()))
+
 
 def reachable_state(root) -> list:
     """Every grad-requiring ``Tensor`` and every ``BatchNorm`` running array
@@ -513,3 +538,13 @@ class TestStateCoverage:
         assert len(reached) == len(state)
         tensors = [v for v in state.values() if isinstance(v, T.Tensor)]
         assert list(net.parameters().values()) == tensors
+
+    @pytest.mark.parametrize("use_ma, count", [(False, 29), (True, 60)])
+    def test_no_bias_before_a_batchnorm(self, use_ma, count):
+        # a bias in front of a BatchNorm cancels against the batch mean; the
+        # logits head is the one convolution no BatchNorm follows, and the
+        # attention stages' biases feed a ReLU or a sigmoid
+        params = toy_model(toy_grid(), use_ma=use_ma).parameters()
+        assert len(params) == count
+        biases = [k for k in params if k.endswith("bias") and not k.startswith("ma.")]
+        assert biases == ["unet.head.bias"]

@@ -32,20 +32,29 @@ def default_dtype(dtype):
         T.set_default_dtype(np.float64)
 
 
-def taped_run(op, inputs, weights, seed):
+def taped_run(op, inputs, weights, seed, linear=True):
     """Output of `op` and the gradients of every input, for the loss
-    sum(op(*inputs) * weights) plus a random linear term per input. Those terms
-    are recorded after `op`, so its backward adds to gradients already there,
-    which exposes the order in which it adds its own terms."""
+    sum(op(*inputs) * weights) plus, if `linear`, a random linear term per
+    input. Those terms are recorded after `op`, so its backward adds to
+    gradients already there, which exposes the order in which it adds its own
+    terms. Without them the op's gradient is the input's whole gradient, so
+    the sign of each zero it writes shows too."""
     rng = np.random.default_rng(seed)
     params = [T.parameter(a) for a in inputs]
     with T.Tape() as tape:
         out = op(*params)
         loss = T.tsum(T.mul(out, T.constant(weights)))
-        for p in params:
+        for p in params if linear else []:
             loss = T.add(loss, T.tsum(T.mul(p, T.constant(rng.normal(size=p.data.shape)))))
         tape.backward(loss)
     return [out.data] + [p.grad for p in params]
+
+
+def signed_zero_weights(rng, shape):
+    """Normal loss weights, about a third of them +0.0 or -0.0, so that a
+    backward receives zero gradients of both signs."""
+    zeros = rng.choice(np.array([0.0, -0.0]), size=shape)
+    return np.where(rng.random(shape) < 1 / 3, zeros, rng.normal(size=shape))
 
 
 def assert_bitwise(got, want):
@@ -170,6 +179,44 @@ class TestShapeOps:
             want = taped_run(lambda t: oracles.masked_max_pool(t, mask), [x], weights, seed)
         assert_bitwise(got, want)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf inputs in the loss
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(n=st.integers(1, 30), width=st.integers(1, 5), segments=st.integers(1, 12),
+           kind=POOL_KINDS, seed=st.integers(0, 2**32 - 1))
+    def test_segment_max_gradient_bits_through_op_alone(self, dtype, n, width, segments, kind,
+                                                        seed):
+        # the loss reaches x only through the op, and some output gradients
+        # are -0.0: the op's backward adds them to zeros, so they read +0.0
+        rng = np.random.default_rng(seed)
+        seg = rng.integers(0, segments, n)
+        x = sample(rng, (n, width), kind)
+        weights = signed_zero_weights(rng, (segments, width))
+        with default_dtype(dtype):
+            got = taped_run(lambda t: T.segment_max(t, seg, segments), [x], weights, seed,
+                            linear=False)
+            want = taped_run(lambda t: oracles.segment_max(t, seg, segments), [x], weights, seed,
+                             linear=False)
+        assert_bitwise(got, want)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf inputs in the loss
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(pillars=st.integers(1, 8), slots=st.integers(1, 24), width=st.integers(1, 4),
+           kind=POOL_KINDS, seed=st.integers(0, 2**32 - 1))
+    def test_masked_max_pool_gradient_bits_through_op_alone(self, dtype, pillars, slots, width,
+                                                            kind, seed):
+        # the loss reaches x only through the op: a -0.0 output gradient
+        # lands on its slot as -0.0
+        rng = np.random.default_rng(seed)
+        mask = rng.random((pillars, slots)) < rng.random((pillars, 1))
+        x = sample(rng, (pillars, slots, width), kind)
+        weights = signed_zero_weights(rng, (pillars, width))
+        with default_dtype(dtype):
+            got = taped_run(lambda t: T.masked_max_pool(t, mask), [x], weights, seed,
+                            linear=False)
+            want = taped_run(lambda t: oracles.masked_max_pool(t, mask), [x], weights, seed,
+                             linear=False)
+        assert_bitwise(got, want)
+
     def test_masked_max_pool_reads_only_kept_slots(self):
         # slot 0 is masked out: its 5.0 is neither the max nor given a gradient
         x = T.parameter(np.array([[[5.0], [-np.inf]]]))
@@ -269,29 +316,30 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.data, np.tile(bn.beta.data, (7, 1)), atol=1e-6)
 
     def test_prenormalized_passthrough(self, rng):
-        bn = nn.BatchNorm(4, eps=1e-12)
+        bn = nn.BatchNorm(4)
         x = rng.normal(size=(2000, 4))
         x = (x - x.mean(axis=0)) / x.std(axis=0)
         out = bn(T.constant(x), training=True)
-        np.testing.assert_allclose(out.data, x, atol=1e-6)
+        np.testing.assert_allclose(out.data, x / np.sqrt(1.0 + T.BN_EPS), atol=1e-6)
 
     def test_matches_direct_formula(self, rng):
-        bn = nn.BatchNorm(3, eps=1e-5)
+        bn = nn.BatchNorm(3)
         bn.gamma.data = rng.normal(size=3)
         bn.beta.data = rng.normal(size=3)
         x = rng.normal(size=(11, 3)) * 2 + 1
         out = bn(T.constant(x), training=True)
-        expected = bn.gamma.data * (x - x.mean(0)) / np.sqrt(x.var(0) + 1e-5) + bn.beta.data
+        expected = bn.gamma.data * (x - x.mean(0)) / np.sqrt(x.var(0) + T.BN_EPS) + bn.beta.data
         np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
     def test_running_stats_and_infer_mode(self, rng):
-        bn = nn.BatchNorm(2, momentum=0.5)
+        bn = nn.BatchNorm(2)
         x = rng.normal(size=(64, 2)) + 3.0
         bn(T.constant(x), training=True)
-        expected_mean = 0.5 * 0.0 + 0.5 * x.mean(0)
-        np.testing.assert_allclose(bn.running_mean, expected_mean, atol=1e-12)
+        m = T.BN_MOMENTUM
+        np.testing.assert_allclose(bn.running_mean, (1 - m) * x.mean(0), atol=1e-12)
+        np.testing.assert_allclose(bn.running_var, m + (1 - m) * x.var(0), atol=1e-12)
         y = bn(T.constant(x), training=False)
-        expected = (x - bn.running_mean) / np.sqrt(bn.running_var + 1e-5)
+        expected = (x - bn.running_mean) / np.sqrt(bn.running_var + T.BN_EPS)
         np.testing.assert_allclose(y.data, expected, atol=1e-10)
 
     def test_zero_batch_errors(self):
@@ -537,7 +585,7 @@ class TestFeast:
                                    atol=1e-12)
 
 
-def conv_sliding_window_oracle(x, w, b, pad=1):
+def conv_sliding_window_oracle(x, w, pad=1):
     cout, cin, kh, kw = w.shape
     c, h, ww = x.shape
     xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
@@ -545,7 +593,7 @@ def conv_sliding_window_oracle(x, w, b, pad=1):
     for oc in range(cout):
         for i in range(h):
             for j in range(ww):
-                acc = b[oc]
+                acc = 0.0
                 for ic in range(cin):
                     for di in range(kh):
                         for dj in range(kw):
@@ -558,22 +606,20 @@ class TestConv:
     def test_matches_sliding_window_oracle(self, rng):
         x = rng.normal(size=(1, 4, 4))
         w = rng.normal(size=(2, 1, 3, 3))
-        b = rng.normal(size=2)
-        out = T.conv2d(T.constant(x), T.constant(w), T.constant(b)).data
-        np.testing.assert_allclose(out, conv_sliding_window_oracle(x, w, b), atol=1e-10)
+        out = T.conv2d(T.constant(x), T.constant(w)).data
+        assert out.flags.c_contiguous and out.base is None
+        np.testing.assert_allclose(out, conv_sliding_window_oracle(x, w), atol=1e-10)
 
     def test_zero_input_zero_preactivation(self, rng):
         w = rng.normal(size=(2, 3, 3, 3))
-        out = T.conv2d(T.constant(np.zeros((3, 4, 4))), T.constant(w), T.constant(np.zeros(2)))
+        out = T.conv2d(T.constant(np.zeros((3, 4, 4))), T.constant(w))
         np.testing.assert_array_equal(out.data, 0.0)
 
     def test_grads(self, rng):
         w0 = rng.normal(size=(2, 2, 3, 3))
-        b0 = rng.normal(size=2)
         x0 = rng.normal(size=(2, 4, 4))
-        check_op(lambda x: T.tsum(T.conv2d(x, T.constant(w0), T.constant(b0))), x0)
-        check_op(lambda w: T.tsum(T.conv2d(T.constant(x0), w, T.constant(b0))), w0)
-        check_op(lambda b: T.tsum(T.conv2d(T.constant(x0), T.constant(w0), b)), b0)
+        check_op(lambda x: T.tsum(T.conv2d(x, T.constant(w0))), x0)
+        check_op(lambda w: T.tsum(T.conv2d(T.constant(x0), w)), w0)
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
     @given(k=st.sampled_from([1, 3, 5]), h=st.integers(1, 12), w=st.integers(1, 12),
@@ -587,7 +633,7 @@ class TestConv:
         # of length k * k * C: output and gradients agree to rounding, about
         # 1e-6 of the largest entry in f32
         rng = np.random.default_rng(seed)
-        inputs = [rng.normal(size=s) for s in [(cin, h, w), (cout, cin, k, k), (cout,)]]
+        inputs = [rng.normal(size=s) for s in [(cin, h, w), (cout, cin, k, k)]]
         weights = rng.normal(size=(cout, h, w))
         with default_dtype(dtype):
             got = taped_run(T.conv2d, inputs, weights, seed)
@@ -604,11 +650,10 @@ class TestConv:
         with default_dtype(np.float32):
             x = T.parameter(rng.normal(size=(c, h, w)))
             weight = T.parameter(rng.normal(size=(16, c, k, k)))
-            bias = T.parameter(np.zeros(16))
             with T.Tape():
                 tracemalloc.start()
                 try:
-                    out = T.conv2d(x, weight, bias)
+                    out = T.conv2d(x, weight)
                     held, _ = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
@@ -616,23 +661,20 @@ class TestConv:
         assert held < k * k * c * h * w * 4 / 2
 
     @pytest.mark.parametrize("op, shapes", [
-        ("conv2d", [(1, 4, 4), (2, 1, 3), (2,)]),
-        ("conv2d", [(1, 4, 4), (2, 1, 3, 3), (1,)]),
-        ("conv2d", [(1, 4, 4), (2, 1, 3, 3), (2, 1)]),
+        ("conv2d", [(1, 4, 4), (2, 1, 3)]),
         ("maxpool2d", [(4, 4)]),
         ("maxpool2d", [(1, 1, 4, 4)]),
         ("upsample2x", [(4, 4)]),
         ("upsample2x", [(1, 1, 4, 4)]),
-    ], ids=["conv2d-weight-3d", "conv2d-bias-size", "conv2d-bias-2d", "maxpool2d-2d",
-            "maxpool2d-4d", "upsample2x-2d", "upsample2x-4d"])
+    ], ids=["conv2d-weight-3d", "maxpool2d-2d", "maxpool2d-4d", "upsample2x-2d",
+            "upsample2x-4d"])
     def test_malformed_shape_rejected(self, op, shapes):
         with pytest.raises(ShapeError):
             getattr(T, op)(*(T.constant(np.zeros(s)) for s in shapes))
 
     def test_even_kernel_rejected(self, rng):
         with pytest.raises(ShapeError):
-            T.conv2d(T.constant(np.zeros((1, 4, 4))), T.constant(np.zeros((1, 1, 2, 2))),
-                     T.constant(np.zeros(1)))
+            T.conv2d(T.constant(np.zeros((1, 4, 4))), T.constant(np.zeros((1, 1, 2, 2))))
 
     def test_maxpool_and_upsample(self, rng):
         x = rng.normal(size=(2, 4, 6))
@@ -658,6 +700,22 @@ class TestConv:
             want = taped_run(oracles.maxpool2d, [x], weights, seed)
         assert_bitwise(got, want)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf inputs in the loss
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(channels=st.integers(1, 3), rows=st.integers(1, 4), cols=st.integers(1, 4),
+           kind=POOL_KINDS, seed=st.integers(0, 2**32 - 1))
+    def test_maxpool_gradient_bits_through_op_alone(self, dtype, channels, rows, cols, kind,
+                                                    seed):
+        # the loss reaches x only through the op: a -0.0 output gradient
+        # lands on its corner as -0.0
+        rng = np.random.default_rng(seed)
+        x = sample(rng, (channels, 2 * rows, 2 * cols), kind)
+        weights = signed_zero_weights(rng, (channels, rows, cols))
+        with default_dtype(dtype):
+            got = taped_run(T.maxpool2d, [x], weights, seed, linear=False)
+            want = taped_run(oracles.maxpool2d, [x], weights, seed, linear=False)
+        assert_bitwise(got, want)
+
     def test_maxpool_odd_extent_rejected(self):
         with pytest.raises(ShapeError):
             T.maxpool2d(T.constant(np.zeros((1, 3, 4))))
@@ -670,11 +728,13 @@ class TestBlocks:
         identity[[0, 1], [0, 1], 1, 1] = 1.0  # each channel's centre tap
         for conv in (block.conv1, block.conv2):
             conv.weight.data = identity.copy()
-            conv.bias.data = np.zeros(2)
-            conv.bn.eps = 0.0  # at inference, unit running variance: the identity
         x = np.abs(rng.normal(size=(2, 4, 4))) + 0.1  # positive: ReLU transparent
         _, pooled = block(T.constant(x), training=False)
-        np.testing.assert_allclose(pooled.data, T.maxpool2d(T.constant(x)).data, atol=1e-12)
+        # at inference with zero mean and unit variance, each BatchNorm only
+        # scales by 1 / sqrt(1 + BN_EPS)
+        scale = 1.0 / np.sqrt(1.0 + T.BN_EPS)
+        np.testing.assert_allclose(pooled.data, T.maxpool2d(T.constant(x)).data * scale ** 2,
+                                   atol=1e-12)
 
     def test_down_up_round_trip_shapes(self, rng):
         down = nn.DownBlock(3, 8, rng)
