@@ -4,10 +4,12 @@ One batched supercover traversal serves both, from an origin on or off the
 grid. It steps every ray of a scan at once in the manner of Amanatides and
 Woo's incremental grid stepping: a vectorized Liang-Barsky clip to the grid
 box, then per ray its current cell, the steps left to its end cell, its step
-directions and its next-crossing parameters `tmax`/`tdelta`, with the rays
-that have finished dropped from the working set after each step. Rays are
-cast in 2D for observability, whose counts are a bincount of the visited
-cells, and in 3D for visibility.
+directions and its next-crossing parameters `tmax`/`tdelta`, each held as
+one contiguous row per axis. A ray that has finished holds NaN crossings: it
+stays in the working set, stepping by zero and emitting nothing, until fewer
+than half of the set is live, and then the set drops its finished rays in
+one pass. Rays are cast in 2D for observability, whose counts are a bincount
+of the visited cells, and in 3D for visibility.
 
 Traversal contract. Each ray emits every cell whose closed rectangle (box in
 3D) meets the segment clipped to the grid, however short the chord it cuts
@@ -50,6 +52,7 @@ FREE = 1
 OCCUPIED = 2
 
 _TIE_TOL = 1e-12  # tie tolerance on the segment parameter t in [0, 1]
+_COMPACT = 0.5  # drop finished rays once fewer than this share of the working set is live
 
 
 @dataclass(frozen=True)
@@ -67,8 +70,10 @@ class ObservabilityMap:
 
 
 class _Lattice(NamedTuple):
-    """Box, cell size and cell counts per axis (x, y[, z]), and the strides
-    that map a cell to its flat index in the (H, W[, D]) output array."""
+    """Box, cell size and cell counts per axis (x, y[, z]) as (k, 1) columns,
+    which broadcast over a (k, n) batch with one column per point, and the
+    (k,) strides that map a cell to its flat index in the (H, W[, D]) output
+    array."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -86,31 +91,34 @@ def _lattice(cfg: GridConfig, ndim: int) -> _Lattice:
     size = np.array([cfg.pillar_size[0], cfg.pillar_size[1], (hi[2] - lo[2]) / depth])
     shape = np.array([cfg.width, cfg.height, depth])
     strides = np.array([1, cfg.width] if ndim == 2 else [depth, cfg.width * depth, 1])
-    return _Lattice(lo[:ndim], hi[:ndim], size[:ndim], shape[:ndim], strides)
+    return _Lattice(lo[:ndim, None], hi[:ndim, None], size[:ndim, None], shape[:ndim, None],
+                    strides)
 
 
 def _cells(u: np.ndarray, lat: _Lattice) -> np.ndarray:
-    """Floor cells of points in cell units, clamped to the grid."""
+    """Floor cells of (k, n) points in cell units, clamped to the grid."""
     return np.clip(np.floor(u).astype(np.int64), 0, lat.shape - 1)
 
 
 def _clip(p0: np.ndarray, p1: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Liang-Barsky clip of the segments from p0 to each row of p1 to the
-    closed box [lo, hi]: the clipped ends of the segments that meet it."""
+    """Liang-Barsky clip of the segments from the (k, 1) point p0 to each
+    column of the (k, n) p1 to the closed box [lo, hi]: the clipped ends of
+    the segments that meet it, as (k, m) arrays."""
     d = p1 - p0
-    t0 = np.zeros(len(d))
-    t1 = np.ones(len(d))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    t0 = np.zeros(d.shape[1])
+    t1 = np.ones(d.shape[1])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for axis in range(len(lo)):
-            # where d == 0 these are infinite or NaN: they leave [t0, t1] as it
-            # is when p0 lies in [lo, hi] on this axis, and empty it otherwise
-            ta = (lo[axis] - p0[axis]) / d[:, axis]
-            tb = (hi[axis] - p0[axis]) / d[:, axis]
+            # where d == 0 (or is so small that the quotient overflows) these
+            # are infinite or NaN: they leave [t0, t1] as it is when p0 lies
+            # in [lo, hi] on this axis, and empty it otherwise
+            ta = (lo[axis] - p0[axis]) / d[axis]
+            tb = (hi[axis] - p0[axis]) / d[axis]
             t0 = np.fmax(t0, np.minimum(ta, tb))
             t1 = np.fmin(t1, np.maximum(ta, tb))
     ok = t0 <= t1
-    d = d[ok]
-    return p0 + t0[ok, None] * d, p0 + t1[ok, None] * d
+    d = d.compress(ok, axis=1)
+    return p0 + t0[ok] * d, p0 + t1[ok] * d
 
 
 def _tie_subsets(ndim: int) -> list[tuple[int, list[list[int]]]]:
@@ -126,74 +134,84 @@ def _tie_subsets(ndim: int) -> list[tuple[int, list[list[int]]]]:
 
 def _traverse(origin: np.ndarray, endpoints: np.ndarray, lat: _Lattice,
               stop: np.ndarray | None = None) -> np.ndarray:
-    """Flat indices of the cells that the rays from origin to each endpoint visit.
+    """Flat indices of the cells that the rays from origin, a (k,) point, to
+    each column of the (k, n) `endpoints` visit.
 
     Each ray is clipped to the grid box first; rays that miss it visit
     nothing. A ray ends at its endpoint's cell or, when `stop` (a flat bool
     mask over the output array) is given, at the first stop cell it visits.
     One ray's cells appear in traversal order; rays are interleaved.
     """
-    q0, q1 = _clip(origin, endpoints, lat.lo, lat.hi)
+    q0, q1 = _clip(origin[:, None], endpoints, lat.lo, lat.hi)
     u0 = (q0 - lat.lo) / lat.size
     u1 = (q1 - lat.lo) / lat.size
     cur = _cells(u0, lat)
     d = u1 - u0
-    step = np.sign(d).astype(np.int64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tmax = np.where(step != 0, (cur + (step > 0) - u0) / d, np.inf)
-        tdelta = np.where(step != 0, np.abs(1.0 / d), np.inf)
-    flat = cur @ lat.strides
-    # per-axis state, one row per axis and one column per ray: steps left (a
-    # ray steps only towards its end cell, so `rem > 0` marks exactly the axes
-    # with cur != end and a nonzero step) and flat-index steps in `ints`; next
-    # crossings and crossing spacings in t in `floats`
-    k = len(lat.shape)
-    ints = np.vstack([np.abs(_cells(u1, lat) - cur).T, (step * lat.strides).T])
-    floats = np.vstack([tmax.T, tdelta.T])
+    # per-axis state, one row per axis and one column per ray: steps left,
+    # flat-index steps, next crossings in t and crossing spacings, all float64
+    # so that no step mixes dtypes. A ray steps only towards its end cell, so
+    # an axis with steps left has a nonzero direction and finite crossings. An
+    # axis without steps left holds NaN as its next crossing, which `np.fmin`
+    # skips and no comparison passes, and 0 as its spacing, so that
+    # `tdelta * step` is never inf * 0.
+    rem = np.abs(_cells(u1, lat) - cur).astype(np.float64)
+    fstep = np.sign(d) * lat.strides[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tmax = np.where(rem > 0, (cur + (d > 0) - u0) / d, np.nan)
+        tdelta = np.where(rem > 0, np.abs(1.0 / d), 0.0)
+    flat = lat.strides @ cur
+    k = len(lat.strides)
     bits = 1 << np.arange(k)
     ties = _tie_subsets(k)
 
     visited = [flat]
-    live = ints[:k].any(axis=0)
-    if stop is not None:
-        live &= ~stop[flat]
-    while live.any():
-        if not live.all():
-            flat = flat[live]
-            ints = np.compress(live, ints, axis=1)
-            floats = np.compress(live, floats, axis=1)
-        rem, fstep, tmax, tdelta = ints[:k], ints[k:], floats[:k], floats[k:]
-        cand = rem > 0
-        tmin = np.where(cand, tmax, np.inf).min(axis=0)
-        tied = cand & (tmax <= tmin + _TIE_TOL)
+    done = None
+    while True:
+        if stop is not None:  # a ray ends at a stop cell, and at a stop corner neighbour
+            end = stop[flat] if done is None else stop[flat] | done
+            for row in tmax:  # row by row: a boolean column index is far slower
+                row[end] = np.nan
+        # a ray whose axes all hold NaN has finished. It stays in the working
+        # set, steps by zero and is not emitted, until fewer than `_COMPACT`
+        # of the set is live.
+        tmin = np.fmin.reduce(tmax, axis=0)
+        live = tmin == tmin
+        n_live = np.count_nonzero(live)
+        if not n_live:
+            break
+        if n_live == len(flat):
+            live = None
+        elif n_live < _COMPACT * len(flat):
+            flat, tmin = flat[live], tmin[live]
+            rem, fstep, tmax, tdelta = (a.compress(live, axis=1)
+                                        for a in (rem, fstep, tmax, tdelta))
+            live = None
+        tied = tmax <= tmin + _TIE_TOL
         done = None
-        corner = np.flatnonzero(tied.sum(axis=0) > 1)
-        if corner.size:
+        if np.count_nonzero(tied) > n_live:  # some ray crosses a corner
+            corner = np.flatnonzero(tied.sum(axis=0) > 1)
             code = bits @ tied[:, corner]
             for c, subsets in ties:
                 rays = corner[code == c]
                 for axes in subsets:
                     if not rays.size:
                         break
-                    cell = flat[rays] + fstep[axes][:, rays].sum(axis=0)
+                    cell = flat[rays] + fstep[axes][:, rays].sum(axis=0).astype(np.int64)
                     visited.append(cell)
                     if stop is not None:
                         hit = stop[cell]
                         done = np.zeros(len(flat), dtype=bool) if done is None else done
                         done[rays[hit]] = True
                         rays = rays[~hit]
-        flat = flat + (fstep * tied).sum(axis=0)
-        # tied axes have a finite spacing, and x + 0.0 == x for every other one
-        tmax += np.where(tied, tdelta, 0.0)
-        rem -= tied
-        live = rem.any(axis=0)
-        if done is None:
-            visited.append(flat)
-        else:  # a ray that stopped at a corner neighbour ends there
-            visited.append(flat[~done])
-            live &= ~done
-        if stop is not None:
-            live &= ~stop[flat]
+        step = tied.astype(np.float64)
+        flat = flat + np.einsum("ij,ij->j", fstep, step).astype(np.int64)
+        # x + 0.0 == x, so the axes that did not step keep their crossings
+        tmax += tdelta * step
+        rem -= step
+        tmax[rem == 0] = np.nan  # the axes that took their last step
+        if done is not None:  # a ray that stopped at a corner neighbour ends there
+            live = ~done if live is None else live & ~done
+        visited.append(flat if live is None else flat[live])
     return np.concatenate(visited)
 
 
@@ -201,7 +219,7 @@ def observability(cloud: PointCloud, cfg: GridConfig, origin=(0.0, 0.0, 0.0)) ->
     """Per-cell count of laser rays from origin to each in-range point."""
     lat = _lattice(cfg, 2)
     o = np.array([float(origin[0]), float(origin[1])])
-    endpoints = cloud.xyz[crop_mask(cloud.xyz, cfg)][:, :2].astype(np.float64)
+    endpoints = cloud.xyz[crop_mask(cloud.xyz, cfg)].T[:2].astype(np.float64, order="C")
     flat = _traverse(o, endpoints, lat)
     counts = np.bincount(flat, minlength=cfg.height * cfg.width).reshape(cfg.height, cfg.width)
     return ObservabilityMap(counts)
@@ -211,9 +229,9 @@ def visibility(cloud: PointCloud, cfg: GridConfig, origin=(0.0, 0.0, 0.0)) -> np
     """(H, W, D) uint8 states from 3D rays that stop at the first point-bearing voxel."""
     lat = _lattice(cfg, 3)
     states = np.zeros((cfg.height, cfg.width, cfg.depth), dtype=np.uint8)
-    pts = cloud.xyz[crop_mask(cloud.xyz, cfg)].astype(np.float64)
+    pts = cloud.xyz[crop_mask(cloud.xyz, cfg)].T.astype(np.float64, order="C")
     holds_point = np.zeros(states.size, dtype=bool)
-    holds_point[_cells((pts - lat.lo) / lat.size, lat) @ lat.strides] = True
+    holds_point[lat.strides @ _cells((pts - lat.lo) / lat.size, lat)] = True
     visited = _traverse(np.asarray(origin, dtype=np.float64), pts, lat, holds_point)
     states.ravel()[visited] = np.where(holds_point[visited], OCCUPIED, FREE)
     return states

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import segment_distance_to_cell
-from pillarseg import occupancy
+from pillarseg import config, dataio, occupancy, train
 from pillarseg.dataio import PointCloud
 from pillarseg.pillars import GridConfig
 from traversal import traverse_cells_2d
@@ -139,6 +139,39 @@ class TestTraverseCells2D:
             assert cells[-1] == (int(b[1]), int(b[0]))
 
 
+def point_voxel_mask(pts, lat):
+    """The stop mask that `visibility` casts with: the voxels that hold a point."""
+    holds = np.zeros(int(np.prod(lat.shape)), dtype=bool)
+    holds[lat.strides @ occupancy._cells((pts - lat.lo) / lat.size, lat)] = True
+    return holds
+
+
+class TestBatchTraversal:
+    """The batch steps finished rays by zero until it drops them; none of them
+    may emit a cell after its last one. A ray's cells do not depend on the
+    other rays of its batch."""
+
+    @staticmethod
+    def assert_batch_equals_its_rays(origin, pts, lat, stop=None):
+        batch = occupancy._traverse(origin, pts, lat, stop)
+        rays = [occupancy._traverse(origin, pts[:, i:i + 1], lat, stop)
+                for i in range(pts.shape[1])]
+        np.testing.assert_array_equal(np.sort(batch), np.sort(np.concatenate([batch[:0], *rays])))
+
+    @given(any_scene)
+    def test_2d_batch_equals_its_rays(self, scene):
+        cfg, pts, origin = scene
+        xy = np.ascontiguousarray(oracles.in_crop(pts, cfg)[:, :2].T)
+        self.assert_batch_equals_its_rays(np.array(origin[:2]), xy, occupancy._lattice(cfg, 2))
+
+    @given(any_scene)
+    def test_3d_stopped_batch_equals_its_rays(self, scene):
+        cfg, pts, origin = scene
+        lat = occupancy._lattice(cfg, 3)
+        xyz = np.ascontiguousarray(oracles.in_crop(pts, cfg).T)
+        self.assert_batch_equals_its_rays(np.array(origin), xyz, lat, point_voxel_mask(xyz, lat))
+
+
 class TestObservability:
     def test_empty_cloud(self):
         cfg = unit_grid()
@@ -177,6 +210,19 @@ class TestObservability:
         assert omap.counts.dtype == np.int64
         np.testing.assert_array_equal(omap.counts,
                                       oracles.observability_counts(cloud.xyz, cfg, origin))
+
+    def test_subnormal_direction_component(self):
+        # 1 / 5e-324 overflows to inf: a crossing that never comes, no warning
+        cfg = GridConfig((-1.0, 1.0), (-0.0, 1.0), (-0.0, 2.0), (0.5, 0.5, 0.5), 20, 4096)
+        origin = (0.0, 5e-324, 1.3012210532559685)
+        cloud = make_cloud([[0.75, 0.0, 1.75]])
+        counts = occupancy.observability(cloud, cfg, origin).counts
+        states = occupancy.visibility(cloud, cfg, origin)
+        with np.errstate(over="ignore"):  # the oracle divides numpy scalars alike
+            np.testing.assert_array_equal(
+                counts, oracles.observability_counts(cloud.xyz, cfg, origin))
+            np.testing.assert_array_equal(states, oracles.visibility_states(
+                cloud.xyz, cfg, origin, occupancy.UNKNOWN, occupancy.FREE, occupancy.OCCUPIED))
 
     def test_normalized_range(self):
         cfg = unit_grid()
@@ -222,6 +268,21 @@ class TestVisibility:
         cfg = unit_grid(8, z=(0.0, 1.0), dz=1.0)
         states = occupancy.visibility(make_cloud([[4.5, 0.5, 0.5]]), cfg, (0.5, 0.5, 0.5))
         assert (states[0, 5:, 0] == occupancy.UNKNOWN).all()
+
+
+def test_toy_frame_matches_oracles():
+    # the workload's scale: about 4,600 rays on 64 x 64 x 16, where most
+    # steps leave finished rays in the working set and several compact it
+    cfg = config.load_run_config("toy.cfg")
+    cloud, _ = dataio.generate_synthetic_frame(train.frame_seed(cfg.seed, 0), cfg.scene,
+                                               cfg.class_map)
+    origin = (0.0, 0.0, 0.0)
+    np.testing.assert_array_equal(occupancy.observability(cloud, cfg.grid, origin).counts,
+                                  oracles.observability_counts(cloud.xyz, cfg.grid, origin))
+    np.testing.assert_array_equal(occupancy.visibility(cloud, cfg.grid, origin),
+                                  oracles.visibility_states(
+                                      cloud.xyz, cfg.grid, origin, occupancy.UNKNOWN,
+                                      occupancy.FREE, occupancy.OCCUPIED))
 
 
 class TestInjectNoise:

@@ -15,6 +15,6 @@ def traverse_cells_2d(origin, endpoint, cfg):
     segment is clipped to the grid extent first, and one that misses the grid
     yields no cells; a degenerate segment yields its single cell."""
     flat = occupancy._traverse(np.asarray(origin, dtype=np.float64),
-                               np.asarray([endpoint], dtype=np.float64),
+                               np.asarray(endpoint, dtype=np.float64)[:, None],
                                occupancy._lattice(cfg, 2))
     return [divmod(f, cfg.width) for f in flat.tolist()]
