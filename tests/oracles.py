@@ -112,8 +112,9 @@ def clip_segment(p0, p1, lo, hi):
             if p0[axis] < lo[axis] or p0[axis] > hi[axis]:
                 return None
         else:
-            ta = (lo[axis] - p0[axis]) / d[axis]
-            tb = (hi[axis] - p0[axis]) / d[axis]
+            with np.errstate(over="ignore"):  # a subnormal d[axis]: an infinite t is right
+                ta = (lo[axis] - p0[axis]) / d[axis]
+                tb = (hi[axis] - p0[axis]) / d[axis]
             if ta > tb:
                 ta, tb = tb, ta
             t0 = max(t0, ta)
@@ -141,15 +142,16 @@ def supercover(u0, u1, shape):
     step = [0] * ndim
     tmax = [math.inf] * ndim
     tdelta = [math.inf] * ndim
-    for i in range(ndim):
-        if d[i] > 0:
-            step[i] = 1
-            tmax[i] = (cur[i] + 1 - u0[i]) / d[i]
-            tdelta[i] = 1.0 / d[i]
-        elif d[i] < 0:
-            step[i] = -1
-            tmax[i] = (cur[i] - u0[i]) / d[i]
-            tdelta[i] = -1.0 / d[i]
+    with np.errstate(over="ignore"):  # a subnormal d[i]: infinite crossings are right
+        for i in range(ndim):
+            if d[i] > 0:
+                step[i] = 1
+                tmax[i] = (cur[i] + 1 - u0[i]) / d[i]
+                tdelta[i] = 1.0 / d[i]
+            elif d[i] < 0:
+                step[i] = -1
+                tmax[i] = (cur[i] - u0[i]) / d[i]
+                tdelta[i] = -1.0 / d[i]
 
     cells = [tuple(cur)]
     while cur != end:
