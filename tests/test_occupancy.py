@@ -212,18 +212,6 @@ class TestObservability:
         np.testing.assert_array_equal(omap.counts,
                                       oracles.observability_counts(cloud.xyz, cfg, origin))
 
-    def test_subnormal_direction_component(self):
-        # 1 / 5e-324 overflows to inf: a crossing that never comes, no warning
-        cfg = GridConfig((-1.0, 1.0), (-0.0, 1.0), (-0.0, 2.0), (0.5, 0.5, 0.5), 20, 4096)
-        origin = (0.0, 5e-324, 1.3012210532559685)
-        cloud = make_cloud([[0.75, 0.0, 1.75]])
-        np.testing.assert_array_equal(occupancy.observability(cloud, cfg, origin).counts,
-                                      oracles.observability_counts(cloud.xyz, cfg, origin))
-        np.testing.assert_array_equal(occupancy.visibility(cloud, cfg, origin),
-                                      oracles.visibility_states(
-                                          cloud.xyz, cfg, origin, occupancy.UNKNOWN,
-                                          occupancy.FREE, occupancy.OCCUPIED))
-
     def test_normalized_range(self):
         cfg = unit_grid()
         omap = occupancy.observability(make_cloud([[6.5, 4.5, 0.0]]), cfg, (0.5, 0.5, 0.0))
@@ -270,19 +258,29 @@ class TestVisibility:
         assert (states[0, 5:, 0] == occupancy.UNKNOWN).all()
 
 
+def assert_matches_oracles(cloud, cfg, origin):
+    np.testing.assert_array_equal(occupancy.observability(cloud, cfg, origin).counts,
+                                  oracles.observability_counts(cloud.xyz, cfg, origin))
+    np.testing.assert_array_equal(occupancy.visibility(cloud, cfg, origin),
+                                  oracles.visibility_states(
+                                      cloud.xyz, cfg, origin, occupancy.UNKNOWN,
+                                      occupancy.FREE, occupancy.OCCUPIED))
+
+
+def test_subnormal_direction_component():
+    # 1 / 5e-324 overflows to inf: a crossing that never comes, no warning
+    cfg = GridConfig((-1.0, 1.0), (-0.0, 1.0), (-0.0, 2.0), (0.5, 0.5, 0.5), 20, 4096)
+    assert_matches_oracles(make_cloud([[0.75, 0.0, 1.75]]), cfg,
+                           (0.0, 5e-324, 1.3012210532559685))
+
+
 def test_toy_frame_matches_oracles():
     # the workload's scale: about 4,600 rays on 64 x 64 x 16, where most
     # steps leave finished rays in the working set and several compact it
     cfg = config.load_run_config("toy.cfg")
     cloud, _ = dataio.generate_synthetic_frame(train.frame_seed(cfg.seed, 0), cfg.scene,
                                                cfg.class_map)
-    origin = (0.0, 0.0, 0.0)
-    np.testing.assert_array_equal(occupancy.observability(cloud, cfg.grid, origin).counts,
-                                  oracles.observability_counts(cloud.xyz, cfg.grid, origin))
-    np.testing.assert_array_equal(occupancy.visibility(cloud, cfg.grid, origin),
-                                  oracles.visibility_states(
-                                      cloud.xyz, cfg.grid, origin, occupancy.UNKNOWN,
-                                      occupancy.FREE, occupancy.OCCUPIED))
+    assert_matches_oracles(cloud, cfg.grid, (0.0, 0.0, 0.0))
 
 
 class TestInjectNoise:
