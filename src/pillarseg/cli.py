@@ -104,7 +104,7 @@ def _frame_paths(directory: Path, suffix: str) -> list[Path]:
     return sorted(directory.glob(f"*{suffix}"))
 
 
-def _load_frames(scans: Path, labels_dir: Path | None, poses_path: Path | None,
+def _load_frames(scans: Path, labels_dir: Path, poses_path: Path | None,
                  class_map: dataio.ClassMap) -> list[dataio.Frame]:
     scan_paths = _frame_paths(scans, ".bin")
     if not scan_paths:
@@ -117,15 +117,13 @@ def _load_frames(scans: Path, labels_dir: Path | None, poses_path: Path | None,
     frames = []
     for i, path in enumerate(scan_paths):
         cloud = dataio.parse_point_cloud(path.read_bytes())
-        classes = None
-        if labels_dir is not None:
-            label_path = Path(labels_dir) / (path.stem + ".label")
-            if not label_path.exists():
-                raise FormatError(f"missing label file {label_path}")
-            raw = dataio.parse_labels(label_path.read_bytes())
-            if len(raw) != len(cloud):
-                raise FormatError(f"{label_path}: {len(raw)} labels for {len(cloud)} points")
-            classes = class_map.remap(raw).astype(np.int64)
+        label_path = labels_dir / (path.stem + ".label")
+        if not label_path.exists():
+            raise FormatError(f"missing label file {label_path}")
+        raw = dataio.parse_labels(label_path.read_bytes())
+        if len(raw) != len(cloud):
+            raise FormatError(f"{label_path}: {len(raw)} labels for {len(cloud)} points")
+        classes = class_map.remap(raw).astype(np.int64)
         frames.append(dataio.Frame(cloud, classes, poses[i] if poses else None))
     return frames
 

@@ -58,8 +58,9 @@ def grad_check(
 
 
 def kink_margin(f: Callable[[Tensor], Tensor], x) -> float:
-    """Smallest distance of any ReLU input / max-op runner-up margin from zero
-    along the forward pass of ``f`` at ``x``; inf when no kinked op runs."""
+    """Smallest kink distance in the forward pass of ``f`` at ``x``: a ReLU
+    input's from zero, a max pool output's lead over its runner-up (a tie gives
+    0, zeros after a ReLU included); inf with no kinked op, NaN if one reads NaN."""
     x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
     x.requires_grad = True
     with Tape(track_kinks=True) as tape:

@@ -46,7 +46,7 @@ class Tape:
         _TAPE_STACK.pop()
 
     def min_kink_margin(self) -> float:
-        return min(self.kink_margins, default=math.inf)
+        return float(np.min(self.kink_margins, initial=math.inf))
 
     def backward(self, root: "Tensor") -> None:
         """Accumulate gradients of `root` (a scalar) into every grad-requiring leaf."""
@@ -373,7 +373,9 @@ def _first_max(blocks: Sequence[np.ndarray]) -> np.ndarray:
     ranks whose candidate is not at it. That is the pick of ``np.argmax``:
     ``==`` treats +0 and -0 as equal, and a NaN max is met by the first NaN.
     Callers gather their output from that candidate, so it keeps the
-    candidate's own bits, the sign of a zero included.
+    candidate's own bits, the sign of a zero included. A kink-tracking tape
+    gets each output's lead over its runner-up, one minimum per rank block: a
+    tie gives 0, zeros after a ReLU included; one candidate reports nothing.
     """
     top = blocks[0].copy()
     for b in blocks[1:]:
@@ -388,6 +390,11 @@ def _first_max(blocks: Sequence[np.ndarray]) -> np.ndarray:
             miss &= b == b
         ahead[:k] &= miss
         rank[:k] += ahead[:k]
+    tape = active_tape()
+    if tape is not None and tape.track_kinks:
+        for r, b in enumerate(blocks):
+            lead = np.min(top[: len(b)] - b, where=rank[: len(b)] != r, initial=np.inf)
+            tape.kink_margins.append(float(lead))
     return rank
 
 
@@ -562,8 +569,8 @@ def maxpool2d(x) -> Tensor:
 
     The four window corners are strided views, taken in row-major order. Each
     output takes the first corner at the max, as ``np.argmax`` picks it
-    (``_first_max``, the kernel behind every max pool here), and the gradient
-    goes to that corner.
+    (``_first_max``, the kernel behind every max pool here, which also reports
+    kink margins: a tie gives 0), and the gradient goes to that corner.
     """
     x = as_tensor(x)
     if x.data.ndim != 3:
@@ -576,13 +583,6 @@ def maxpool2d(x) -> Tensor:
     src = np.array([0, 1, w, w + 1])[rank]
     src += np.arange(0, c * h * w, h * w)[:, None, None] + np.arange(0, h * w, 2 * w)[:, None]
     src += np.arange(0, w, 2)
-    tape = active_tape()
-    if tape is not None and tape.track_kinks:
-        windows = x.data.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(
-            c, h // 2, w // 2, 4
-        )
-        part = np.partition(windows, -2, axis=3)
-        tape.kink_margins.append(float((part[..., -1] - part[..., -2]).min()))
     out = Tensor(x.data.reshape(-1)[src])
     if not _recording(x):
         return out

@@ -27,6 +27,10 @@ coefficients but aggregates with one (V, k) @ (k, out) product per head; the
 fused op must reproduce its output and parameter gradients bitwise, and its
 input gradient to rounding.
 
+`maxpool2d_kink_margin` and `runner_up_gap` give the kink margin that the
+three pools report to a kink-tracking tape, each output's lead over its
+runner-up: by one partition of the window copy, and by sorting each segment.
+
 `multi_attention_dense` is the multi-attention fusion on the zero-padded
 (P, N, C) tensor, every slot through every stage. `MultiAttentionFuse` must
 reproduce its valid slots and its parameter gradients to rounding, since it
@@ -427,14 +431,21 @@ def masked_max_pool(x, mask):
     return _record(out, backward)
 
 
+def _windows(x):
+    """A (C, H/2, W/2, 4) copy of the 2x2 windows of a (C, H, W) array,
+    corners in row-major order."""
+    c, h, w = x.shape
+    return x.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(
+        c, h // 2, w // 2, 4
+    )
+
+
 def maxpool2d(x):
     """2x2 max pooling with stride 2 by one numpy argmax over a (C, H/2, W/2, 4)
     copy of the windows, corners in row-major order."""
     x = as_tensor(x)
     c, h, w = x.data.shape
-    windows = x.data.reshape(c, h // 2, 2, w // 2, 2).transpose(0, 1, 3, 2, 4).reshape(
-        c, h // 2, w // 2, 4
-    )
+    windows = _windows(x.data)
     idx = np.argmax(windows, axis=3)
     out = Tensor(np.take_along_axis(windows, idx[..., None], axis=3)[..., 0])
     if not _recording(x):
@@ -446,6 +457,21 @@ def maxpool2d(x):
         _accum(x, gw.reshape(c, h // 2, w // 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w))
 
     return _record(out, backward)
+
+
+def maxpool2d_kink_margin(x):
+    """Smallest lead of a 2x2 window's max over its runner-up in the (C, H, W)
+    array ``x``, by one ``np.partition`` over the window copy."""
+    part = np.partition(_windows(x), -2, axis=3)
+    return float((part[..., -1] - part[..., -2]).min())
+
+
+def runner_up_gap(groups):
+    """Smallest lead of a column's max over its runner-up in the (k, C)
+    arrays ``groups``, by sorting each; inf when no group has two rows."""
+    return min((float(np.diff(np.sort(g, axis=0)[-2:], axis=0).min()) for g in groups
+                if len(g) > 1), default=math.inf)
+
 
 def sub(a, b):
     """a - b with numpy broadcasting."""

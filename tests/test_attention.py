@@ -441,8 +441,8 @@ class TestMultiAttentionFuse:
     def taped(run, fuse, feats, masks, centers, weights):
         """Each frame's (V, C) rows from `run`, the gradient of every
         parameter of `fuse` by name, for the loss sum(rows * weights) over the
-        frames, and the forward's smallest distance of a ReLU input from its
-        kink."""
+        frames, and the forward's smallest distance from a kink (a ReLU input
+        or a pool's lead over its runner-up)."""
         params = fuse.state()
         for param in params.values():
             param.grad = None
@@ -486,7 +486,8 @@ class TestMultiAttentionFuse:
                                                       centers, weights)
         finally:
             T.set_default_dtype(np.float64)
-        # a rounding difference must not move a ReLU input across its kink
+        # a rounding difference must not move a ReLU input across its kink,
+        # nor swap the max of a near tie in either masked_max_pool call
         assume(min(got_margin, want_margin) > 1e-4)
         for a, b in zip(got_rows, want_rows, strict=True):
             assert a.dtype == b.dtype == dtype and a.shape == b.shape

@@ -79,6 +79,25 @@ def sample(rng, shape, kind):
 POOL_KINDS = st.sampled_from(["normal", "integer", "special", "nonfinite"])
 
 
+def kinked_case(op, rng, n, width):
+    """An integer-valued input for the kinked op `op`, the op on a tensor, and
+    its oracle kink margin on an array of that input's shape."""
+    if op == "relu":
+        return sample(rng, (n, width), "integer"), T.relu, lambda v: float(np.abs(v).min())
+    if op == "segment_max":
+        segments = int(rng.integers(1, n + 1))
+        seg = rng.integers(0, segments, n)
+        return (sample(rng, (n, width), "integer"), lambda t: T.segment_max(t, seg, segments),
+                lambda v: oracles.runner_up_gap([v[seg == s] for s in range(segments)]))
+    if op == "masked_max_pool":
+        slots = int(rng.integers(1, 7))
+        mask = rng.random((n, slots)) < rng.random((n, 1))
+        return (sample(rng, (n, slots, width), "integer"), lambda t: T.masked_max_pool(t, mask),
+                lambda v: oracles.runner_up_gap([v[i, mask[i]] for i in range(n)]))
+    h, w = 2 * rng.integers(1, 4, 2)
+    return sample(rng, (width, h, w), "integer"), T.maxpool2d, oracles.maxpool2d_kink_margin
+
+
 class TestElementwiseGrads:
     def test_add_mul_broadcast(self, rng):
         b = T.constant(rng.normal(size=(1, 4)))
@@ -774,9 +793,42 @@ class TestGradCheckHarness:
         with pytest.raises(VerificationError):
             nn.grad_check(lambda x: T.tsum(T.add(x, T.constant(np.nan))), np.array([-1.0]))
 
-    def test_kink_margin_reports_relu_distance(self):
-        margin = nn.kink_margin(lambda x: T.tsum(T.relu(x)), np.array([0.3, -0.7]))
-        assert margin == pytest.approx(0.3)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", ["relu", "segment_max", "masked_max_pool", "maxpool2d"])
+    @given(n=st.integers(1, 12), width=st.integers(1, 3), relu_first=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kink_margin_matches_oracle(self, dtype, op, n, width, relu_first, seed):
+        # small integers tie often, and a ReLU in front of half-integers keeps
+        # its own margin at 0.5 or more and turns the negatives into tied
+        # zeros: every tie has margin 0
+        rng = np.random.default_rng(seed)
+        x, kinked, margin = kinked_case(op, rng, n, width)
+        with default_dtype(dtype):
+            if relu_first:
+                x += 0.5
+                got = nn.kink_margin(lambda t: T.tsum(kinked(T.relu(t))), x)
+                want = min(float(np.abs(x).min()), margin(np.maximum(x, 0.0)))
+            else:
+                got = nn.kink_margin(lambda t: T.tsum(kinked(t)), x)
+                want = margin(x)
+        assert got == want
+
+    def test_kink_margin_reads_nan(self):
+        # a NaN-led pool window, and a NaN ReLU input after a finite one: each
+        # reads NaN, whichever margin the tape recorded first
+        window = np.array([[[np.nan, 3.0], [1.0, 0.0]]])
+        pooled = nn.kink_margin(lambda t: T.tsum(T.maxpool2d(t)), window)
+        late = nn.kink_margin(lambda t: T.add(T.tsum(T.relu(T.constant([1.0]))),
+                                              T.tsum(T.relu(t))), np.array([np.nan]))
+        assert np.isnan(pooled) and np.isnan(late)
+
+    def test_tied_draws_rejected(self):
+        # every draw ties in the pool, so no draw is a smooth point
+        def f(x):
+            return T.tsum(T.masked_max_pool(x, [[True, True]]))
+
+        with pytest.raises(VerificationError):
+            nn.resample_until_smooth(lambda a: np.array([[[1.0], [1.0]]]), f)
 
     def test_backward_linearity(self, rng):
         a = T.Tensor(rng.normal(size=(3,)), requires_grad=True)
