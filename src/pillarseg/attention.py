@@ -26,6 +26,7 @@ the pillar attention go back to (P, N).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -122,28 +123,35 @@ class DRLSTMAttention:
     """Bidirectional-LSTM attention over pillars ordered by their 1D spatial
     embedding; ties in the embedding keep the original pillar order.
 
-    Takes a chunk of frames: the embedding order, the gather and the sigmoid
-    head run per frame, and one :class:`~pillarseg.nn.layers.BiLSTM` call
-    runs every frame's ordered sequence in one time loop (shorter sequences
-    zero-padded past their end), so each frame's weights are bitwise those of
-    a chunk of one.
+    Takes a chunk of frames in two parts. The call orders each frame and runs
+    one :class:`~pillarseg.nn.layers.BiLSTM` call over every frame's ordered
+    sequence in one time loop (shorter sequences zero-padded past their end);
+    :meth:`weights` then takes one frame's rows of its output through the
+    sigmoid head. So each frame's weights are bitwise those of a chunk of
+    one, and all of a frame's own ops can run on that frame's tape.
     """
 
     def __init__(self, channels: int, hidden: int, rng: np.random.Generator):
         self.lstm = L.BiLSTM(channels, hidden, rng)
         self.head = L.Affine(2 * hidden, 1, rng)
 
-    def __call__(self, pillar_feats, positions) -> list[Tensor]:
+    def __call__(self, pillar_feats, positions) -> list[tuple[Tensor, int, np.ndarray]]:
+        """Per frame: the chunk's LSTM output, the first of the frame's rows in
+        it, and the frame's embedding order, which its P rows follow."""
         feats = [T.as_tensor(f) for f in pillar_feats]
         orders = [np.argsort(pca_1d(pos), kind="stable") for pos in positions]
         hidden = self.lstm([T.gather_rows(f, order) for f, order in zip(feats, orders)])
-        weights = []
-        for h, order in zip(hidden, orders):
-            inverse = np.empty_like(order)
-            inverse[order] = np.arange(len(order))
-            raw = T.sigmoid(self.head(h))  # (P, 1) in sorted order
-            weights.append(T.gather_rows(raw, inverse))
-        return weights
+        starts = np.cumsum([0] + [len(order) for order in orders]).tolist()
+        return [(hidden, start, order) for start, order in zip(starts, orders)]
+
+    def weights(self, hidden: Tensor, start: int, order: np.ndarray) -> Tensor:
+        """(P, 1) weights of one frame in input order, from its rows of the
+        chunk's LSTM output."""
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(len(order))
+        rows = T.narrow(hidden, 0, start, len(order))
+        raw = T.sigmoid(self.head(rows))  # (P, 1) in sorted order
+        return T.gather_rows(raw, inverse)
 
     def state(self) -> dict[str, Tensor]:
         return L.collect_state(lstm=self.lstm, head=self.head)
@@ -251,7 +259,7 @@ class MultiAttentionFuse:
 
     Precondition: every slot outside a frame's mask is exactly zero, as in a
     :class:`~pillarseg.pillars.PillarSet`; one pad row per pillar carries all
-    of its padded slots through the fusion. Only the LSTM stage runs the
+    of its padded slots through the fusion. Only the LSTM itself runs the
     chunk's frames together; every other op runs per frame, so each frame's
     output is bitwise that of a chunk of one.
     """
@@ -265,19 +273,21 @@ class MultiAttentionFuse:
         self.fuse1 = L.Affine(2 * channels, fusion_hidden, rng)
         self.fuse2 = L.Affine(fusion_hidden, channels, rng)
 
-    def __call__(self, aug_feats, masks, centers) -> list[Tensor]:
+    def __call__(self, aug_feats, masks, centers) -> Iterator[Tensor]:
         """Attend over a chunk of frames: each argument is a list with one
-        entry per frame (centers (P, 3)), and so is the output, the attended
-        rows of each frame's valid slots in slot order."""
+        entry per frame (centers (P, 3)). Each frame's attended rows of its
+        valid slots, in slot order, come lazily: the pooling, the embedding
+        order and the LSTM run now, for the whole chunk, and the rest of a
+        frame, from the LSTM head on, runs when the iterator reaches it."""
         streams = [T.as_tensor(f) for f in aug_feats]
         pooled = [T.masked_max_pool(s, m) for s, m in zip(streams, masks)]
-        weights = self.lstm_attn(pooled, [c[:, :2] for c in centers])
-        return [self._attend_rows(*frame)
-                for frame in zip(streams, masks, pooled, weights, centers)]
+        states = self.lstm_attn(pooled, [c[:, :2] for c in centers])
+        return map(self._attend_rows, streams, masks, pooled, states, centers)
 
-    def _attend_rows(self, stream: Tensor, mask: np.ndarray, pooled: Tensor, w_lstm: Tensor,
-                     centers: np.ndarray) -> Tensor:
-        """The graph and pillar stages of one frame, given its LSTM stage."""
+    def _attend_rows(self, stream: Tensor, mask: np.ndarray, pooled: Tensor,
+                     states: tuple[Tensor, int, np.ndarray], centers: np.ndarray) -> Tensor:
+        """One frame's LSTM head, graph and pillar stages, given its LSTM states."""
+        w_lstm = self.lstm_attn.weights(*states)
         layout = SlotRows.of(mask)
         scaled = T.mul(stream, T.reshape(w_lstm, (-1, 1, 1)))
         w_lg = T.mul(w_lstm, self.graph_attn(T.masked_max_pool(scaled, mask)))

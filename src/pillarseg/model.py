@@ -7,6 +7,7 @@ no channel, so the model always commits to a known class everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -112,44 +113,57 @@ class PillarSegNet:
         return T.segment_max(h, pillar_ids, num_pillars)
 
     def pseudo_images(self, psets: list[pil.PillarSet], grid: pil.GridConfig,
-                      training: bool) -> list[Tensor]:
-        """(pfn_channels, H, W) scatter of encoded pillars per frame; MA runs
-        first, over the chunk's non-empty frames together, when enabled.
-        Unaffected by the occupancy flag.
+                      training: bool) -> Iterator[Tensor]:
+        """(pfn_channels, H, W) scatter of encoded pillars per frame of a chunk,
+        lazily. Unaffected by the occupancy flag.
 
-        The PFN takes each frame's valid points as (V, C) rows in slot order:
-        the attended rows under MA, else the pillar set's own, gathered once
-        outside the tape."""
-        attended = {}
-        live = [i for i, pset in enumerate(psets) if pset.valid_pillars]
+        With MA, the call runs its LSTM over the chunk's non-empty frames
+        together; the rest of each frame (the rest of MA, the PFN and the
+        scatter) runs when the iterator reaches it. The PFN takes each frame's
+        valid points as (V, C) rows in slot order: the attended rows under MA,
+        else the pillar set's own, gathered once outside the tape."""
+        attended = iter(())
+        live = [pset for pset in psets if pset.valid_pillars]
         if self.ma is not None and live:
-            centers = [pil.pillar_centers(psets[i], grid) for i in live]
-            attended = dict(zip(live, self.ma([T.constant(psets[i].features) for i in live],
-                                              [psets[i].mask for i in live], centers)))
-        images = []
-        for i, pset in enumerate(psets):
-            rows = attended[i] if i in attended else T.constant(pset.features[pset.mask])
+            attended = self.ma([T.constant(pset.features) for pset in live],
+                               [pset.mask for pset in live],
+                               [pil.pillar_centers(pset, grid) for pset in live])
+
+        def image(pset: pil.PillarSet) -> Tensor:
+            attend = self.ma is not None and pset.valid_pillars
+            rows = next(attended) if attend else T.constant(pset.features[pset.mask])
             pooled = self.pfn_forward(rows, np.nonzero(pset.mask)[0], pset.valid_pillars,
                                       training)
-            images.append(T.scatter_to_image(pooled, pset.pillar_coords[:, 0],
-                                             pset.pillar_coords[:, 1], grid.height, grid.width))
-        return images
+            return T.scatter_to_image(pooled, pset.pillar_coords[:, 0], pset.pillar_coords[:, 1],
+                                      grid.height, grid.width)
+
+        return map(image, psets)
+
+    def frame_logits(self, psets: list[pil.PillarSet], grid: pil.GridConfig,
+                     occ_channels: list, training: bool) -> Iterator[Tensor]:
+        """Logits (num_classes, H, W) per frame of a chunk, lazily, from its
+        augmented pillar set plus its normalized observability channel (None
+        when the model has no occupancy input).
+
+        Only the multi-attention LSTM runs in the call, over the chunk's
+        frames together; every other op of a frame runs when the iterator
+        reaches it, on whatever tape is then active, and each frame's logits
+        are bitwise those of a chunk of one. So a training step can record the
+        LSTM once on a tape of its own and each frame's rest on another."""
+        if self.cfg.use_occupancy and any(occ is None for occ in occ_channels):
+            raise ShapeError("model was built with use_occupancy but no channel given")
+
+        def logits(image: Tensor, occ_channel: np.ndarray | None) -> Tensor:
+            if self.cfg.use_occupancy:
+                image = T.concat([image, T.constant(occ_channel[None])], axis=0)
+            return self.unet(image, training)
+
+        return map(logits, self.pseudo_images(psets, grid, training), occ_channels)
 
     def forward_frames(self, psets: list[pil.PillarSet], grid: pil.GridConfig,
                        occ_channels: list, training: bool) -> list[Tensor]:
-        """Logits (num_classes, H, W) per frame of a chunk, from its augmented
-        pillar set plus its normalized observability channel (None when the
-        model has no occupancy input). Only the multi-attention stages see the
-        chunk's frames together; PFN, scatter and UNet run per frame, and each
-        frame's logits are bitwise those of a chunk of one."""
-        logits = []
-        for image, occ_channel in zip(self.pseudo_images(psets, grid, training), occ_channels):
-            if self.cfg.use_occupancy:
-                if occ_channel is None:
-                    raise ShapeError("model was built with use_occupancy but no channel given")
-                image = T.concat([image, T.constant(occ_channel[None])], axis=0)
-            logits.append(self.unet(image, training))
-        return logits
+        """The logits of :meth:`frame_logits`, every frame computed now."""
+        return list(self.frame_logits(psets, grid, occ_channels, training))
 
     def forward_pillars(self, pset: pil.PillarSet, grid: pil.GridConfig,
                         occ_channel: np.ndarray | None, training: bool) -> Tensor:

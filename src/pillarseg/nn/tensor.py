@@ -48,11 +48,17 @@ class Tape:
     def min_kink_margin(self) -> float:
         return float(np.min(self.kink_margins, initial=math.inf))
 
-    def backward(self, root: "Tensor") -> None:
-        """Accumulate gradients of `root` (a scalar) into every grad-requiring leaf."""
-        if root.data.size != 1:
-            raise ShapeError(f"backward root must be scalar, got shape {root.data.shape}")
-        root.grad = np.ones_like(root.data)
+    def backward(self, root: "Tensor | None") -> None:
+        """Accumulate gradients of `root` (a scalar) into every grad-requiring leaf.
+
+        With no root, pass on the gradients that later tapes left on this
+        tape's nodes: a stage that several tapes read is recorded once and
+        differentiated once, after them all.
+        """
+        if root is not None:
+            if root.data.size != 1:
+                raise ShapeError(f"backward root must be scalar, got shape {root.data.shape}")
+            root.grad = np.ones_like(root.data)
         for node in reversed(self.nodes):
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
@@ -393,8 +399,10 @@ def _first_max(blocks: Sequence[np.ndarray]) -> np.ndarray:
     tape = active_tape()
     if tape is not None and tape.track_kinks:
         for r, b in enumerate(blocks):
-            lead = np.min(top[: len(b)] - b, where=rank[: len(b)] != r, initial=np.inf)
-            tape.kink_margins.append(float(lead))
+            k = len(b)
+            gap = np.zeros_like(b)  # a tie leads by 0, two equal infinities included
+            np.subtract(top[:k], b, out=gap, where=top[:k] != b)
+            tape.kink_margins.append(float(np.min(gap, where=rank[:k] != r, initial=np.inf)))
     return rank
 
 
@@ -718,11 +726,12 @@ def lstm(x, w_ih, w_hh, b, lengths=None) -> Tensor:
     the same records. A padded step has no output gradient, so a shorter
     sequence's rows enter its last step with zero gradients (up to sign).
     Each step's gate gradients are formed gate-major and written row-major,
-    as the operand of the ``w_hh`` product. Each of x, w_ih, w_hh and b
-    receives two gradient terms, the reverse direction's first, so for one
-    sequence the sums equal those of two single-direction passes. Over
-    several sequences each term is one product over all rows, equal to
-    per-sequence sums only to rounding.
+    as the operand of the ``w_hh`` product. Each sequence gives each of x,
+    w_ih, w_hh and b two gradient terms, the reverse direction's first, so
+    for one sequence the sums equal those of two single-direction passes.
+    The terms are formed per sequence and added in chunk order, so every
+    gradient is bitwise the in-order sum of single-sequence runs; a
+    zero-length sequence adds no term.
     """
     x, w_ih, w_hh, b = as_tensor(x), as_tensor(w_ih), as_tensor(w_hh), as_tensor(b)
     n, cin = x.data.shape
@@ -823,15 +832,25 @@ def lstm(x, w_ih, w_hh, b, lengths=None) -> Tensor:
             np.multiply(dz_step, dv, out=dz_gates)
             np.matmul(dz_row, w_hh_t, out=dh_next)
             np.multiply(dc, f, out=dc_next)
-        # per direction in time order, reverse first
+        # per sequence in chunk order, and per direction in time order,
+        # reverse first: the order of single-sequence runs taped one by one
         dpre_by_seq = dpre.reshape(steps, nseq, 2, 4 * hidden)
-        for d, step in ((1, rev), (0, fwd)):
-            dz = dpre_by_seq[step, seq, d]
-            if x.requires_grad:
-                _accum(x, dz @ w_ih.data.T)
-            _accum(w_ih, x.data.T @ dz)
-            _accum(w_hh, by_seq[step, seq, d].T @ dz)
-            _accum(b, dz.sum(axis=0))
+        gx = np.empty((2, n, cin), dtype=dtype) if x.requires_grad else None  # per direction
+        for s, (start, k) in enumerate(zip(starts.tolist(), lengths.tolist())):
+            if k == 0:
+                continue  # a zero-length sequence adds no term
+            time = np.arange(k)
+            own = slice(start, start + k)  # the sequence's rows of x
+            for d, step in ((1, time[::-1]), (0, time)):
+                dz = dpre_by_seq[step, s, d]
+                if gx is not None:
+                    gx[d, own] = _product(dz, w_ih.data.T)
+                _accum(w_ih, _product(x.data[own].T, dz))
+                _accum(w_hh, _product(by_seq[step, s, d].T, dz))
+                _accum(b, dz.sum(axis=0))
+        if gx is not None:
+            _accum(x, gx[1])
+            _accum(x, gx[0])
 
     return _record(out, backward)
 

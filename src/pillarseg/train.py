@@ -111,10 +111,11 @@ def evaluate(cfg: RunConfig, net: PillarSegNet, packs: list[FramePack],
     """Mean validation loss, dataset-level IoU on visible labeled cells, and
     the (H, W) prediction of each frame.
 
-    Frames are inferred ``batch_size`` at a time; a chunk runs its
-    multi-attention LSTM in one time loop, and each frame's logits are
-    bitwise those of a chunk of one. A prediction never reads the frame's
-    labels: they enter only the loss and the IoU.
+    Frames are inferred ``batch_size`` at a time: a chunk runs its
+    multi-attention LSTM in one time loop, and the rest of each frame runs
+    lazily, when its loss is taken. Each frame's logits are bitwise those of
+    a chunk of one. A prediction never reads the frame's labels: they enter
+    only the loss and the IoU.
     """
     loss_cfg = _loss_config(cfg)
     supervised = cfg.class_map.supervised_indices
@@ -127,7 +128,7 @@ def evaluate(cfg: RunConfig, net: PillarSegNet, packs: list[FramePack],
                              indices[start:start + cfg.batch_size]))
             psets = [frame_pset(cfg, pack, index) for pack, index in chunk]
             occs = [pack.obs_norm if cfg.use_occupancy else None for pack, _ in chunk]
-            logits = net.forward_frames(psets, cfg.grid, occs, training=False)
+            logits = net.frame_logits(psets, cfg.grid, occs, training=False)
             for (pack, _), frame_logits in zip(chunk, logits):
                 gt = lab.SemanticGrid(pack.label_grid, cfg.class_map.unlabeled_index)
                 losses_sum += seg_loss(frame_logits, gt, loss_cfg).item()
@@ -195,22 +196,31 @@ def _train_toy_inner(cfg: RunConfig, progress) -> TrainResult:
         epoch_loss = 0.0
         for start in range(0, len(perm), cfg.batch_size):
             batch = perm[start : start + cfg.batch_size]
+            packs = [epoch_packs[j] for j in batch]
+            psets = [frame_pset(cfg, pack, train_idx[j]) for pack, j in zip(packs, batch)]
+            occs = [pack.obs_norm if cfg.use_occupancy else None for pack in packs]
             opt.zero_grad()
             batch_loss = 0.0
-            for j in batch:
-                pack = epoch_packs[j]
-                pset = frame_pset(cfg, pack, train_idx[j])
-                occ_channel = pack.obs_norm if cfg.use_occupancy else None
+            # the batch's LSTM runs once, on a tape of its own, and each frame's
+            # rest on another, differentiated before the next frame runs; the
+            # LSTM tape goes last, with the gradients the frames left on it.
+            # So every gradient and BatchNorm statistic is bitwise that of one
+            # tape per frame. `loss` keeps the last frame's graph alive until
+            # the next is built: freed first, its memory goes back to the
+            # system and the next frame faults it in again
+            with Tape() as shared:
+                logits = net.frame_logits(psets, cfg.grid, occs, training=True)
+            for pack in packs:
                 with Tape() as tape:
-                    logits = net.forward_pillars(pset, cfg.grid, occ_channel, training=True)
                     gt = lab.SemanticGrid(pack.label_grid, cfg.class_map.unlabeled_index)
-                    loss = T.mul(seg_loss(logits, gt, loss_cfg), 1.0 / len(batch))
+                    loss = T.mul(seg_loss(next(logits), gt, loss_cfg), 1.0 / len(batch))
                 value = loss.item()
                 if not math.isfinite(value):
                     raise DivergenceError(step)
                 tape.backward(loss)
                 batch_loss += value
                 step += 1
+            shared.backward(None)
             opt.step()
             epoch_loss += batch_loss * len(batch)
         epoch_loss /= len(perm)

@@ -40,7 +40,7 @@ def check_bilstm() -> float:
     rng = _rng(2)
     layer = BiLSTM(4, 3, rng)
     w = T.constant(rng.normal(size=(5, 6)))
-    return grad_check(lambda x: T.tsum(T.mul(layer([x])[0], w)), rng.normal(size=(5, 4)))
+    return grad_check(lambda x: T.tsum(T.mul(layer([x]), w)), rng.normal(size=(5, 4)))
 
 
 def check_bilstm_ragged() -> float:
@@ -52,8 +52,7 @@ def check_bilstm_ragged() -> float:
     x0 = rng.normal(size=(8, 4))
 
     def f(x):
-        out = layer([T.narrow(x, 0, 0, 5), T.narrow(x, 0, 5, 3)])
-        return T.tsum(T.mul(T.concat(out, axis=0), w))
+        return T.tsum(T.mul(layer([T.narrow(x, 0, 0, 5), T.narrow(x, 0, 5, 3)]), w))
 
     def f_w_hh(w_hh):
         saved, layer.w_hh = layer.w_hh, w_hh
@@ -126,7 +125,7 @@ def check_dr_lstm_attention() -> float:
     pos = rng.normal(size=(6, 2))
 
     def f(x):
-        return T.tsum(T.mul(x, attn([x], [pos])[0]))
+        return T.tsum(T.mul(x, attn.weights(*attn([x], [pos])[0])))
 
     return grad_check(f, rng.normal(size=(6, 3)))
 
@@ -150,7 +149,7 @@ def check_ma_fuse() -> float:
     centers = rng.normal(size=(4, 3))
 
     def f(x):
-        return T.tsum(fuse([x], [mask], [centers])[0])
+        return T.tsum(next(fuse([x], [mask], [centers])))
 
     x = resample_until_smooth(lambda a: np.random.default_rng(500 + a).normal(size=(4, 2, 3)), f)
     return grad_check(f, x)

@@ -459,17 +459,23 @@ def maxpool2d(x):
     return _record(out, backward)
 
 
+def _lead(top, second):
+    """top - second, 0 where they are equal: two equal infinities tie."""
+    with np.errstate(invalid="ignore"):
+        return np.where(top == second, 0.0, top - second)
+
+
 def maxpool2d_kink_margin(x):
     """Smallest lead of a 2x2 window's max over its runner-up in the (C, H, W)
     array ``x``, by one ``np.partition`` over the window copy."""
     part = np.partition(_windows(x), -2, axis=3)
-    return float((part[..., -1] - part[..., -2]).min())
+    return float(_lead(part[..., -1], part[..., -2]).min())
 
 
 def runner_up_gap(groups):
     """Smallest lead of a column's max over its runner-up in the (k, C)
     arrays ``groups``, by sorting each; inf when no group has two rows."""
-    return min((float(np.diff(np.sort(g, axis=0)[-2:], axis=0).min()) for g in groups
+    return min((float(_lead(*np.sort(g, axis=0)[:-3:-1]).min()) for g in groups
                 if len(g) > 1), default=math.inf)
 
 
@@ -624,7 +630,8 @@ def multi_attention_dense(fuse, aug_feats, masks, centers):
 
     streams = [as_tensor(f) for f in aug_feats]
     pooled = [T.masked_max_pool(s, m) for s, m in zip(streams, masks)]
-    weights = fuse.lstm_attn(pooled, [c[:, :2] for c in centers])
+    states = fuse.lstm_attn(pooled, [c[:, :2] for c in centers])
+    weights = [fuse.lstm_attn.weights(*s) for s in states]
     lstm_weighted = [T.mul(p, w) for p, w in zip(pooled, weights)]
     streams = scale(streams, weights)
 

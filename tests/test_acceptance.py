@@ -315,8 +315,8 @@ class TestCriterion10OccupancyAblation:
                                       seed=10)
         without = model.PillarSegNet(model.ModelConfig(use_occupancy=False, **cfg_kwargs),
                                      seed=10)
-        img_a = with_occ.pseudo_images([pset], grid, training=False)[0].data
-        img_b = without.pseudo_images([pset], grid, training=False)[0].data
+        img_a = next(with_occ.pseudo_images([pset], grid, training=False)).data
+        img_b = next(without.pseudo_images([pset], grid, training=False)).data
         assert img_a.tobytes() == img_b.tobytes()  # bit-identical upstream
         assert with_occ.unet.downs[0].conv1.weight.data.shape[1] == 65
         assert without.unet.downs[0].conv1.weight.data.shape[1] == 64

@@ -225,10 +225,17 @@ class TestFeaStConv:
         assert nn.grad_check(f_w, p.weights.data.copy()) < 1e-7
 
 
+def lstm_weights(attn, feats, positions):
+    """`attn`'s (P, 1) weights of each frame of a chunk: the chunk's LSTM
+    call, then the head per frame."""
+    return [attn.weights(*states) for states in attn(feats, positions)]
+
+
 class TestDRLSTMAttention:
     def test_single_pillar(self, rng):
         attn = A.DRLSTMAttention(4, 3, rng)
-        w = attn([T.constant(rng.normal(size=(1, 4)))], [np.array([[0.0, 0.0]])])[0].data
+        w = lstm_weights(attn, [T.constant(rng.normal(size=(1, 4)))], [np.array([[0.0, 0.0]])])
+        w = w[0].data
         assert w.shape == (1, 1)
         assert 0.0 < w[0, 0] < 1.0
 
@@ -236,23 +243,23 @@ class TestDRLSTMAttention:
         attn = A.DRLSTMAttention(4, 3, rng)
         for p in attn.state().values():
             p.data[:] = 0.0
-        w = attn([T.constant(rng.normal(size=(6, 4)))], [rng.normal(size=(6, 2))])[0]
+        w = lstm_weights(attn, [T.constant(rng.normal(size=(6, 4)))], [rng.normal(size=(6, 2))])[0]
         np.testing.assert_allclose(w.data, 0.5, atol=1e-15)
 
     def test_permutation_invariance(self, rng):
         attn = A.DRLSTMAttention(4, 3, rng)
         feats = rng.normal(size=(8, 4))
         pos = rng.normal(size=(8, 2))
-        base = attn([T.constant(feats)], [pos])[0].data
+        base = lstm_weights(attn, [T.constant(feats)], [pos])[0].data
         perm = rng.permutation(8)
-        permuted = attn([T.constant(feats[perm])], [pos[perm]])[0].data
+        permuted = lstm_weights(attn, [T.constant(feats[perm])], [pos[perm]])[0].data
         np.testing.assert_allclose(permuted, base[perm], atol=1e-12)
 
     def test_gradcheck(self, rng):
         attn = A.DRLSTMAttention(3, 2, rng)
         pos = rng.normal(size=(5, 2))
         err = nn.grad_check(
-            lambda x: T.tsum(T.mul(x, attn([x], [pos])[0])),
+            lambda x: T.tsum(T.mul(x, lstm_weights(attn, [x], [pos])[0])),
             rng.normal(size=(5, 3)))
         assert err < 1e-6
 
@@ -356,7 +363,7 @@ class TestPillarAttention:
 
 def fuse_one(fuse, feats, mask, centers):
     """Attended (V, C) rows of a chunk of one frame."""
-    return fuse([feats], [mask], [centers])[0]
+    return next(fuse([feats], [mask], [centers]))
 
 
 class TestMultiAttentionFuse:
@@ -384,7 +391,7 @@ class TestMultiAttentionFuse:
         # compose the three blocks by hand in L, G, P order
         stream = feats.copy()
         pooled = np.where(mask[:, :, None], stream, -np.inf).max(axis=1)
-        wl = fuse.lstm_attn([T.constant(pooled)], [centers[:, :2]])[0].data
+        wl = lstm_weights(fuse.lstm_attn, [T.constant(pooled)], [centers[:, :2]])[0].data
         lstm_weighted = pooled * wl
         stream = stream * wl[:, :, None]
         pooled = np.where(mask[:, :, None], stream, -np.inf).max(axis=1)
@@ -414,7 +421,8 @@ class TestMultiAttentionFuse:
         mask = np.ones((6, 3), dtype=bool)
         centers = rng.normal(size=(6, 3))
         pooled = T.constant(feats.max(axis=1))
-        weights = [fuse.lstm_attn([pooled], [centers[:, :2]])[0], fuse.graph_attn(pooled),
+        weights = [lstm_weights(fuse.lstm_attn, [pooled], [centers[:, :2]])[0],
+                   fuse.graph_attn(pooled),
                    pillar_attend(fuse.pillar_attn, T.constant(feats), centers)]
         for w in weights:
             assert w.data.shape == (6, 1)
@@ -480,7 +488,7 @@ class TestMultiAttentionFuse:
         T.set_default_dtype(dtype)
         try:
             fuse = self.make(rng, max_points=n)
-            got_rows, got, got_margin = self.taped(lambda f, *a: f(*a), fuse, feats, masks,
+            got_rows, got, got_margin = self.taped(lambda f, *a: list(f(*a)), fuse, feats, masks,
                                                    centers, weights)
             want_rows, want, want_margin = self.taped(self.oracle_rows, fuse, feats, masks,
                                                       centers, weights)

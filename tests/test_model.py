@@ -132,8 +132,8 @@ class TestSegNetForward:
         with_occ = toy_model(grid, use_occupancy=True, seed=3)
         without = toy_model(grid, use_occupancy=False, seed=3)
         pset = pillars.augment_points(pillars.pillarize(cloud, grid, 0), grid)
-        img_a = with_occ.pseudo_images([pset], grid, training=False)[0].data
-        img_b = without.pseudo_images([pset], grid, training=False)[0].data
+        img_a = next(with_occ.pseudo_images([pset], grid, training=False)).data
+        img_b = next(without.pseudo_images([pset], grid, training=False)).data
         np.testing.assert_array_equal(img_a, img_b)  # bit-identical upstream
         assert with_occ.unet.downs[0].conv1.weight.data.shape[1] == 9
         assert without.unet.downs[0].conv1.weight.data.shape[1] == 8
@@ -160,7 +160,7 @@ class TestSegNetForward:
         empty, full = (pillars.augment_points(pillars.pillarize(cloud, grid, 0), grid)
                        for cloud in (empty, make_cloud(rng)))
         chunk = [empty, full, empty]
-        images = net.pseudo_images(chunk, grid, training)
+        images = list(net.pseudo_images(chunk, grid, training))
         for image in images[::2]:
             assert image.data.shape == (8, 16, 16) and not image.data.any()
         logits = net.forward_frames(chunk, grid, [None] * 3, training)

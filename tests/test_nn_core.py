@@ -469,9 +469,10 @@ class TestLSTM:
     def test_ragged_chunk_matches_per_sequence_oracle(self, dtype, lengths, cin, hidden, kind,
                                                       seed):
         # one time loop over a chunk of sequences, shorter ones zero-padded:
-        # each sequence's output is bitwise its own run; the gradients sum the
-        # sequences in one product rather than one by one, so they agree to
-        # rounding, within 1e-5 (f32) or 1e-12 (f64) of the largest gradient
+        # each sequence's output is bitwise its own run. The oracle's one tape
+        # adds the sequences' gradient terms last sequence first, the op first
+        # sequence first, so they agree to rounding, within 1e-5 (f32) or
+        # 1e-12 (f64) of the largest gradient
         rng = np.random.default_rng(seed)
         n = sum(lengths)
         inputs = [sample(rng, shape, kind) * 0.5 for shape in
@@ -488,6 +489,38 @@ class TestLSTM:
             np.testing.assert_allclose(g, w, rtol=0, atol=tol * np.abs(w).max(initial=1.0))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(lengths=st.lists(st.integers(0, 9), min_size=1, max_size=5).filter(any),
+           cin=st.integers(1, 5), hidden=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @example(lengths=[1, 7, 0, 3], cin=10, hidden=16, seed=3)
+    def test_chunk_gradients_are_in_order_sums_of_single_runs(self, dtype, lengths, cin, hidden,
+                                                              seed):
+        # a chunk's gradients are bitwise those of its sequences run one by
+        # one, each on its own tape, in chunk order: the order in which a
+        # training batch's frames differentiate their share of the batch's
+        # one LSTM call. A zero-length sequence gets no run.
+        rng = np.random.default_rng(seed)
+        shapes = ((cin, 4 * hidden), (hidden, 4 * hidden), (4 * hidden,))
+        weights = [sample(rng, shape, "normal") * 0.5 for shape in shapes]
+        xs = [sample(rng, (k, cin), "normal") * 0.5 for k in lengths]
+        loss_weights = [rng.normal(size=(k, 2 * hidden)) for k in lengths]
+
+        def grads(chunks):
+            with default_dtype(dtype):
+                params = [T.parameter(w) for w in weights]
+                inputs = [T.parameter(x) for x in xs]
+                for chunk in chunks:
+                    with T.Tape() as tape:
+                        out = T.lstm(T.concat([inputs[i] for i in chunk], axis=0), *params,
+                                     lengths=[lengths[i] for i in chunk])
+                        w = np.concatenate([loss_weights[i] for i in chunk])
+                        tape.backward(T.tsum(T.mul(out, T.constant(w))))
+            return [p.grad for p in params] + [x.grad for x, k in zip(inputs, lengths) if k]
+
+        got = grads([range(len(lengths))])
+        want = grads([[i] for i, k in enumerate(lengths) if k])
+        assert_bitwise(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_toy_size_sequence_matches_oracle_bitwise(self, dtype):
         # the toy model's LSTM size (10 channels, H = 16) over 400 steps, a
         # sequence length beyond the property's parameters
@@ -502,16 +535,16 @@ class TestLSTM:
 
     def test_bilstm_single_step_halves_equal(self, rng):
         layer = nn.BiLSTM(3, 4, rng)
-        out = layer([T.constant(rng.normal(size=(1, 3)))])[0].data
+        out = layer([T.constant(rng.normal(size=(1, 3)))]).data
         np.testing.assert_array_equal(out[0, :4], out[0, 4:])
 
     def test_bilstm_shape(self, rng):
         layer = nn.BiLSTM(3, 4, rng)
-        assert layer([T.constant(rng.normal(size=(5, 3)))])[0].data.shape == (5, 8)
+        assert layer([T.constant(rng.normal(size=(5, 3)))]).data.shape == (5, 8)
 
     def test_lstm_input_grad(self, rng):
         layer = nn.BiLSTM(3, 2, rng)
-        check_op(lambda x: T.tsum(layer([x])[0]), rng.normal(size=(4, 3)), tol=1e-6)
+        check_op(lambda x: T.tsum(layer([x])), rng.normal(size=(4, 3)), tol=1e-6)
 
     def test_lstm_parameter_grads(self, rng):
         cin, hidden = 2, 2
@@ -796,13 +829,17 @@ class TestGradCheckHarness:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("op", ["relu", "segment_max", "masked_max_pool", "maxpool2d"])
     @given(n=st.integers(1, 12), width=st.integers(1, 3), relu_first=st.booleans(),
-           seed=st.integers(0, 2**32 - 1))
-    def test_kink_margin_matches_oracle(self, dtype, op, n, width, relu_first, seed):
+           infinity=st.sampled_from([None, np.inf, -np.inf]), seed=st.integers(0, 2**32 - 1))
+    @example(n=2, width=1, relu_first=False, infinity=-np.inf, seed=0)
+    def test_kink_margin_matches_oracle(self, dtype, op, n, width, relu_first, infinity, seed):
         # small integers tie often, and a ReLU in front of half-integers keeps
         # its own margin at 0.5 or more and turns the negatives into tied
-        # zeros: every tie has margin 0
+        # zeros: every tie has margin 0, two equal infinities included. A
+        # draw holds infinities of one sign, so the loss's sum stays defined
         rng = np.random.default_rng(seed)
         x, kinked, margin = kinked_case(op, rng, n, width)
+        if infinity is not None:
+            x[rng.random(x.shape) < 0.5] = infinity
         with default_dtype(dtype):
             if relu_first:
                 x += 0.5
