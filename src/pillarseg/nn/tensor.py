@@ -519,13 +519,19 @@ def conv2d(x, weight) -> Tensor:
     ``xf`` of shape (C, (H + 2p) * row), with ``row = W + 2p``. In that layout
     tap (i, j) of every output pixel reads the contiguous column slice
     ``xf[:, i * row + j : i * row + j + span]``, ``span = (H - 1) * row + W``,
-    so the forward is k * k products ``weight[:, :, i, j] @ slice``, summed in
-    the tap order (0, 0), (0, 1), ..., (k - 1, k - 1) into one buffer on the
-    same row stride. One copy drops the 2p pad columns that end each row, so
-    the output is a fresh contiguous array, not a view of that buffer. The
-    backward lays the output gradient out on that stride and takes one
-    weight-gradient and one input-gradient product per tap; the tape keeps
-    only ``xf``, never a (k * k * C, H * W) column matrix.
+    so the forward is k * k products ``weight[:, :, i, j] @ slice``. Each
+    product goes into one (Cout, span) buffer that every tap reuses, and is
+    added from there to a zero-initialised accumulator on the same row
+    stride, in the tap order (0, 0), (0, 1), ..., (k - 1, k - 1). One copy
+    drops the 2p pad columns that end each row, so the output is a fresh
+    contiguous array, not a view of the accumulator. The backward lays the
+    output gradient out on that stride and takes, per tap in the same order,
+    one weight-gradient and one input-gradient product, each into a buffer of
+    its own that every tap reuses; the input-gradient products are added in
+    that order to a zero-initialised padded gradient. The tape keeps only
+    ``xf`` and the (k, k, Cout, C) tap-major weights, never a
+    (k * k * C, H * W) column matrix. An image of zero height or width gives
+    an empty output, and zero gradients.
 
     Each output is a sum of k * k partial dot products of length C, not one
     of length k * k * C, so it rounds differently from a column-matrix
@@ -542,7 +548,7 @@ def conv2d(x, weight) -> Tensor:
     pad = kh // 2
     c, h, w = x.data.shape
     row = w + 2 * pad
-    span = (h - 1) * row + w
+    span = max((h - 1) * row + w, 0)  # zero rows: no output pixel reads a column
     xp = np.zeros((c, h + 2 * pad, row), dtype=x.data.dtype)
     xp[:, pad : pad + h, pad : pad + w] = x.data
     xf = xp.reshape(c, -1)
@@ -550,8 +556,9 @@ def conv2d(x, weight) -> Tensor:
     w_taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (k, k, Cout, C)
     acc = np.zeros((cout, h, row), dtype=xf.dtype)
     acc_span = acc.reshape(cout, -1)[:, :span]
+    prod = np.empty((cout, span), dtype=xf.dtype)
     for i, j, off in taps:
-        acc_span += w_taps[i, j] @ xf[:, off : off + span]
+        acc_span += np.matmul(w_taps[i, j], xf[:, off : off + span], out=prod)
     out = Tensor(np.ascontiguousarray(acc[:, :, :w]))
     if not _recording(x, weight):
         return out
@@ -562,10 +569,12 @@ def conv2d(x, weight) -> Tensor:
         g_span = gp.reshape(cout, -1)[:, :span]
         gw = np.empty_like(weight.data)
         gxf = np.zeros_like(xf)
+        gw_tap = np.empty((c, cout), dtype=xf.dtype)
+        gx_tap = np.empty((c, span), dtype=xf.dtype)
         for i, j, off in taps:
             # (C, span) @ (span, Cout) is the faster orientation of this long product
-            gw[:, :, i, j] = (xf[:, off : off + span] @ g_span.T).T
-            gxf[:, off : off + span] += w_taps[i, j].T @ g_span
+            gw[:, :, i, j] = np.matmul(xf[:, off : off + span], g_span.T, out=gw_tap).T
+            gxf[:, off : off + span] += np.matmul(w_taps[i, j].T, g_span, out=gx_tap)
         _accum(weight, gw)
         _accum(x, gxf.reshape(c, h + 2 * pad, row)[:, pad : pad + h, pad : pad + w])
 
@@ -578,7 +587,8 @@ def maxpool2d(x) -> Tensor:
     The four window corners are strided views, taken in row-major order. Each
     output takes the first corner at the max, as ``np.argmax`` picks it
     (``_first_max``, the kernel behind every max pool here, which also reports
-    kink margins: a tie gives 0), and the gradient goes to that corner.
+    kink margins: a tie gives 0), and the gradient goes to that corner. An
+    input with a zero extent gives an empty output, and zero gradients.
     """
     x = as_tensor(x)
     if x.data.ndim != 3:
@@ -589,7 +599,7 @@ def maxpool2d(x) -> Tensor:
     rank = _first_max([x.data[:, i::2, j::2] for i in (0, 1) for j in (0, 1)])
     # flat index of each window's first corner, plus the winning corner's offset
     src = np.array([0, 1, w, w + 1])[rank]
-    src += np.arange(0, c * h * w, h * w)[:, None, None] + np.arange(0, h * w, 2 * w)[:, None]
+    src += np.arange(c)[:, None, None] * (h * w) + np.arange(0, h, 2)[:, None] * w
     src += np.arange(0, w, 2)
     out = Tensor(x.data.reshape(-1)[src])
     if not _recording(x):
@@ -604,17 +614,29 @@ def maxpool2d(x) -> Tensor:
 
 
 def upsample2x(x) -> Tensor:
-    """Nearest-neighbor 2x upsampling of a (C, H, W) tensor."""
+    """Nearest-neighbor 2x upsampling of a (C, H, W) tensor.
+
+    The gradient of an input pixel is the sum of its 2x2 block of output
+    gradients, a00 + a01 + a10 + a11 in row-major order, added by strided
+    views in the order numpy's ``sum(axis=(2, 4))`` over the (C, H, 2, W, 2)
+    view adds them: (a00 + a01) + (a10 + a11), and one after the other at
+    W = 1, where those four entries are contiguous.
+    """
     x = as_tensor(x)
     if x.data.ndim != 3:
         raise ShapeError(f"upsample2x needs a (C, H, W) input, got {x.data.shape}")
     out = Tensor(x.data.repeat(2, axis=1).repeat(2, axis=2))
     if not _recording(x):
         return out
-    c, h, w = x.data.shape
 
     def backward(g):
-        _accum(x, g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
+        gx = g[:, ::2, ::2] + g[:, ::2, 1::2]
+        if x.data.shape[2] == 1:
+            gx += g[:, 1::2, ::2]
+            gx += g[:, 1::2, 1::2]
+        else:
+            gx += g[:, 1::2, ::2] + g[:, 1::2, 1::2]
+        _accum(x, gx)
 
     return _record(out, backward)
 
@@ -635,6 +657,16 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
     Train mode normalizes by batch statistics (biased variance) and updates the
     running arrays in place with ``running = m*running + (1-m)*batch``,
     ``m = BN_MOMENTUM``; inference mode uses the running statistics.
+
+    Rounding follows the direct formulas. The batch variance takes
+    ``x.var``'s own steps: the mean, ``x - mean``, its square, the sum, then
+    the division by the count. That one ``x - mean`` array is then scaled in
+    place by ``1 / sqrt(var + BN_EPS)`` into ``xhat``, and the output is
+    ``xhat * gamma + beta``, rounded after each operation. The tape keeps
+    ``xhat`` and the per-channel ``1 / sqrt(var + BN_EPS)``. The train-mode
+    backward is ``(dxhat - sum(dxhat) / n - (xhat * sum(dxhat * xhat)) / n)
+    * inv_std``, ``dxhat = g * gamma``, worked out in place in ``dxhat`` and
+    in one more array that first holds ``g * xhat``.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     axis = channel_axis % x.data.ndim
@@ -649,36 +681,40 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray, running_var: np.ndarray
         count = x.data.size // x.data.shape[axis]
         if count == 0:
             raise ShapeError("batch_norm train mode needs a non-empty batch")
-        mean = x.data.mean(axis=reduce_axes)
-        var = x.data.var(axis=reduce_axes)
+        mean = x.data.mean(axis=reduce_axes, keepdims=True)
+        xhat = x.data - mean
+        var = np.square(xhat).sum(axis=reduce_axes)
+        var /= np.intp(count)  # as x.var divides: by an intp, in float64 for float32
         running_mean *= BN_MOMENTUM
-        running_mean += (1.0 - BN_MOMENTUM) * mean
+        running_mean += (1.0 - BN_MOMENTUM) * mean.reshape(-1)
         running_var *= BN_MOMENTUM
         running_var += (1.0 - BN_MOMENTUM) * var
     else:
-        mean = running_mean.astype(x.data.dtype)
+        xhat = x.data - expand(running_mean.astype(x.data.dtype))
         var = running_var.astype(x.data.dtype)
 
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.data - expand(mean)) * expand(inv_std)
-    out = Tensor(xhat * expand(gamma.data) + expand(beta.data))
+    inv_std = expand(1.0 / np.sqrt(var + BN_EPS))
+    xhat *= inv_std
+    y = xhat * expand(gamma.data)
+    y += expand(beta.data)
+    out = Tensor(y)
     if not _recording(x, gamma, beta):
         return out
 
     def backward(g):
-        _accum(gamma, (g * xhat).sum(axis=reduce_axes))
+        work = g * xhat
+        _accum(gamma, work.sum(axis=reduce_axes))
         _accum(beta, g.sum(axis=reduce_axes))
         dxhat = g * expand(gamma.data)
         if training:
-            n = x.data.size // x.data.shape[axis]
-            term = (
-                dxhat
-                - expand(dxhat.sum(axis=reduce_axes)) / n
-                - xhat * expand((dxhat * xhat).sum(axis=reduce_axes)) / n
-            )
-            _accum(x, term * expand(inv_std))
-        else:
-            _accum(x, dxhat * expand(inv_std))
+            sum_dxhat = dxhat.sum(axis=reduce_axes)
+            sum_dxhat_xhat = np.multiply(dxhat, xhat, out=work).sum(axis=reduce_axes)
+            dxhat -= expand(sum_dxhat) / count
+            np.multiply(xhat, expand(sum_dxhat_xhat), out=work)
+            work /= count
+            dxhat -= work
+        dxhat *= inv_std
+        _accum(x, dxhat)
 
     return _record(out, backward)
 

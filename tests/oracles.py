@@ -15,10 +15,16 @@ one LSTM direction per time loop and one sequence at a time, a Python loop
 over segments for the segment max and over pillars for the masked max pool,
 one argmax over a copy of the 2x2 windows for the image max pool, the FeaSt
 convolution as a graph of generic taped ops (`feast_conv_graph`), and the 2D
-convolution as one product with an im2col column matrix (`conv2d_im2col`). The fused and loop-free ops in
-`pillarseg.nn.tensor` must reproduce their outputs and gradients bitwise,
-except the shifted-slice `conv2d`, which sums its products tap by tap and so
-agrees with the column-matrix form to rounding.
+convolution as one product with an im2col column matrix (`conv2d_im2col`).
+The fused and loop-free ops in `pillarseg.nn.tensor` must reproduce their
+outputs and gradients bitwise, except the shifted-slice `conv2d`, which sums
+its products tap by tap and so agrees with the column-matrix form to
+rounding. Three more references spell out an op's arithmetic with a fresh
+array for every step, where the op reuses its buffers: the shifted-slice
+convolution (`conv2d_taps`), batch normalization by its direct formulas
+(`batch_norm`) and the upsampling gradient as one ``sum(axis=(2, 4))``
+(`upsample2x`). Those ops must reproduce them bitwise, BatchNorm's running
+statistics included.
 The FeaSt graph is head-major, as the fused op is: (M, k) key scores
 ``steering @ xk.T + offsets``, (M, V) node scores ``steering @ x.T``, their
 (M, V, k) difference, a softmax over the head axis 0 and one
@@ -592,6 +598,113 @@ def conv2d_im2col(x, weight):
         g2 = g.reshape(cout, -1)
         _accum(weight, (g2 @ cols.T).reshape(weight.data.shape))
         _accum(x, _col2im(w2.T @ g2, x.data.shape, k, pad))
+
+    return _record(out, backward)
+
+
+def conv2d_taps(x, weight):
+    """The shifted-slice convolution with a fresh array per tap product:
+    k * k products ``weight[:, :, i, j] @ xf[:, off : off + span]`` of the
+    zero-padded, row-flattened input, added in tap order to a zero-initialised
+    accumulator; the backward takes one weight-gradient and one input-gradient
+    product per tap, the latter added in tap order to a zero-initialised
+    padded gradient. `T.conv2d` must reproduce it bitwise."""
+    x, weight = as_tensor(x), as_tensor(weight)
+    cout, _, k, _ = weight.data.shape
+    pad = k // 2
+    c, h, w = x.data.shape
+    row = w + 2 * pad
+    span = max((h - 1) * row + w, 0)
+    xp = np.zeros((c, h + 2 * pad, row), dtype=x.data.dtype)
+    xp[:, pad : pad + h, pad : pad + w] = x.data
+    xf = xp.reshape(c, -1)
+    taps = [(i, j, i * row + j) for i in range(k) for j in range(k)]
+    w_taps = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))
+    acc = np.zeros((cout, h, row), dtype=xf.dtype)
+    acc_span = acc.reshape(cout, -1)[:, :span]
+    for i, j, off in taps:
+        acc_span += w_taps[i, j] @ xf[:, off : off + span]
+    out = Tensor(np.ascontiguousarray(acc[:, :, :w]))
+    if not _recording(x, weight):
+        return out
+
+    def backward(g):
+        gp = np.zeros((cout, h, row), dtype=g.dtype)
+        gp[:, :, :w] = g
+        g_span = gp.reshape(cout, -1)[:, :span]
+        gw = np.empty_like(weight.data)
+        gxf = np.zeros_like(xf)
+        for i, j, off in taps:
+            gw[:, :, i, j] = (xf[:, off : off + span] @ g_span.T).T
+            gxf[:, off : off + span] += w_taps[i, j].T @ g_span
+        _accum(weight, gw)
+        _accum(x, gxf.reshape(c, h + 2 * pad, row)[:, pad : pad + h, pad : pad + w])
+
+    return _record(out, backward)
+
+
+def upsample2x(x):
+    """Nearest-neighbor 2x upsampling by two repeats; the backward sums each
+    2x2 block of the gradient with one ``sum(axis=(2, 4))``."""
+    x = as_tensor(x)
+    out = Tensor(x.data.repeat(2, axis=1).repeat(2, axis=2))
+    if not _recording(x):
+        return out
+    c, h, w = x.data.shape
+
+    def backward(g):
+        _accum(x, g.reshape(c, h, 2, w, 2).sum(axis=(2, 4)))
+
+    return _record(out, backward)
+
+
+def batch_norm(x, gamma, beta, running_mean, running_var, training, channel_axis=-1):
+    """Batch normalization by the direct formulas, with a fresh array for
+    every step: ``x.mean`` and ``x.var`` for the batch statistics,
+    ``(x - mean) * inv_std`` for ``xhat`` and ``xhat * gamma + beta``; the
+    backward forms ``dxhat - sum(dxhat) / n - xhat * sum(dxhat * xhat) / n``
+    as written. `T.batch_norm` must reproduce its output, gradients and
+    running statistics bitwise."""
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    axis = channel_axis % x.data.ndim
+    reduce_axes = tuple(i for i in range(x.data.ndim) if i != axis)
+    bshape = [1] * x.data.ndim
+    bshape[axis] = x.data.shape[axis]
+
+    def expand(v):
+        return v.reshape(bshape)
+
+    if training:
+        mean = x.data.mean(axis=reduce_axes)
+        var = x.data.var(axis=reduce_axes)
+        running_mean *= T.BN_MOMENTUM
+        running_mean += (1.0 - T.BN_MOMENTUM) * mean
+        running_var *= T.BN_MOMENTUM
+        running_var += (1.0 - T.BN_MOMENTUM) * var
+    else:
+        mean = running_mean.astype(x.data.dtype)
+        var = running_var.astype(x.data.dtype)
+
+    inv_std = 1.0 / np.sqrt(var + T.BN_EPS)
+    xhat = (x.data - expand(mean)) * expand(inv_std)
+    out = Tensor(xhat * expand(gamma.data) + expand(beta.data))
+    if not _recording(x, gamma, beta):
+        return out
+
+    def backward(g):
+        _accum(gamma, (g * xhat).sum(axis=reduce_axes))
+        _accum(beta, g.sum(axis=reduce_axes))
+        dxhat = g * expand(gamma.data)
+        if training:
+            n = x.data.size // x.data.shape[axis]
+            term = (
+                dxhat
+                - expand(dxhat.sum(axis=reduce_axes)) / n
+                - xhat * expand((dxhat * xhat).sum(axis=reduce_axes)) / n
+            )
+            _accum(x, term * expand(inv_std))
+        else:
+            _accum(x, dxhat * expand(inv_std))
 
     return _record(out, backward)
 

@@ -12,8 +12,9 @@ the same side.
 For every metric it prints each side's median and quartiles
 (``statistics.quantiles(values, n=4)``, as ``perfbench/sweep.py`` takes them),
 the relative change of the median, the pairs the change wins by the metric's
-``better`` direction in ``BENCHMARK.json`` (a tie counts for neither side)
-and whether the medians differ by more than the parent's quartile distance.
+``better`` direction in ``BENCHMARK.json`` (a tie counts for neither side),
+whether the medians differ by more than the parent's quartile distance, and a
+verdict (see ``verdict``) against the metric's relative ``bound``.
 The raw results and the summary go to ``--out``; nothing is written under
 ``perfbench/`` except what each run writes there itself.
 """
@@ -39,11 +40,42 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return statistics.median(values), q1, q3
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
+def verdict(row: dict, sign: float, bound: float | None) -> str:
+    """A metric's verdict over the pairs, by the rules for claiming a gain
+    and for showing no regression:
+
+    - ``gain``: the change wins at least nine tenths of the pairs and the
+      medians differ, in the better direction, by more than the parent's
+      quartile distance;
+    - ``no bound``: otherwise, for a metric without a bound;
+    - ``unresolved``: the parent's quartile distance is wider than the bound,
+      relative to its median, so a shift within the bound cannot be told
+      from noise, unless every change run beats every parent run;
+    - ``within bound`` or ``worse than bound``: whether the change's median
+      is worse than the parent's by more than the relative bound.
+
+    ``sign`` is -1 where lower is better, +1 where higher is."""
+    parent, change = row["parent"], row["change"]
+    if row["wins"] >= 0.9 * len(parent["values"]) and row["beats_parent_iqr"]:
+        return "gain"
+    if bound is None:
+        return "no bound"
+    base = abs(parent["median"])
+    spread = (parent["q3"] - parent["q1"]) / base if base else 0.0
+    every_run_better = (min(sign * c for c in change["values"])
+                        > max(sign * p for p in parent["values"]))
+    if spread > bound and not every_run_better:
+        return "unresolved"
+    return "worse than bound" if -sign * row["relative"] > bound else "within bound"
+
+
+def summarize(pairs: list[dict], better: dict[str, str],
+              bounds: dict[str, float | None]) -> dict[str, dict]:
     """Per metric of the runs: each side's median and quartiles, the relative
-    change of the median, the change's wins over the pairs and whether the
+    change of the median, the change's wins over the pairs, whether the
     medians differ, in the better direction, by more than the parent's
-    quartile distance. ``better`` maps a metric to "lower" or "higher"."""
+    quartile distance, and the ``verdict``. ``better`` maps a metric to
+    "lower" or "higher", ``bounds`` to its relative bound or None."""
     summary = {}
     for name in pairs[0]["parent"]["metrics"]:
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
@@ -57,6 +89,7 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
         row["relative"] = (new - base) / base if base else 0.0
         row["wins"] = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         row["beats_parent_iqr"] = gain > row["parent"]["q3"] - row["parent"]["q1"]
+        row["verdict"] = verdict(row, sign, bounds.get(name))
         summary[name] = row
     return summary
 
@@ -64,7 +97,7 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
 def table(summary: dict[str, dict], pairs: int, bounds: dict[str, float | None]) -> str:
     """The summary as a markdown table."""
     lines = ["| metric | parent median [q1, q3] | change median [q1, q3] | change | wins "
-             "| beyond parent IQR | bound |", "|---|---|---|---|---|---|---|"]
+             "| beyond parent IQR | bound | verdict |", "|---|---|---|---|---|---|---|---|"]
 
     def cell(s):
         return f"{s['median']:.5g} [{s['q1']:.5g}, {s['q3']:.5g}]"
@@ -74,7 +107,7 @@ def table(summary: dict[str, dict], pairs: int, bounds: dict[str, float | None])
         lines.append(f"| `{name}` | {cell(row['parent'])} | {cell(row['change'])} "
                      f"| {row['relative']:+.1%} | {row['wins']}/{pairs} "
                      f"| {'yes' if row['beats_parent_iqr'] else 'no'} "
-                     f"| {'' if bound is None else bound} |")
+                     f"| {'' if bound is None else bound} | {row['verdict']} |")
     return "\n".join(lines)
 
 
@@ -116,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{side} correct={pair[side]['correct']} failed={pair[side]['failed']}"
             f"/{pair[side]['attempted']}" for side in SIDES), flush=True)
 
-    summary = summarize(pairs, better)
+    summary = summarize(pairs, better, bounds)
     print(f"\n{args.workload}, {count} pairs (seeds {', '.join(map(str, args.seeds))}):\n")
     print(table(summary, count, bounds))
     args.out.write_text(json.dumps(
