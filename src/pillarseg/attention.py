@@ -15,12 +15,12 @@ in input order:
 Fusion applies them in the fixed order LSTM -> graph -> pillar
 (local-global-local) and returns only the attended points.
 
-Past the LSTM stage the points of a frame are rows, not a (P, N, C) tensor
-(:class:`SlotRows`): the V valid slots in slot order, then one row per pillar
-that stands for all of its padded slots. A padded slot of a pillar set is
-exactly zero, so every padded slot of a pillar takes the same value through
-the fusion, and one row computes it. Only the one-channel per-slot scores of
-the pillar attention go back to (P, N).
+A frame's points are (V, C) rows throughout, the layout the pillar feature
+net reads: its valid slots in slot order, as ``features[mask]``. The fusion
+adds one row per pillar for all of its padded slots (:class:`SlotRows`): a
+padded slot is exactly zero, so every padded slot of a pillar takes the same
+value through the fusion, and one row computes it. Only the one-channel
+per-slot scores of the pillar attention go back to (P, N).
 """
 
 from __future__ import annotations
@@ -190,15 +190,14 @@ class GraphAttention:
 
 @dataclass(frozen=True)
 class SlotRows:
-    """Row layout of a frame's (P, N, C) points, from its (P, N) slot mask.
+    """Row layout of a frame's points, from its (P, N) slot mask.
 
     Rows 0 .. V - 1 are the V valid slots in slot order (pillar-major, as
-    ``x[mask]``); row V + p is the pad row of pillar p, which stands for all
-    of its padded slots, zero on input. A full pillar's pad row is computed
-    and never read.
+    ``features[mask]``); row V + p is the pad row of pillar p, which stands
+    for all of its padded slots, zero on input. A full pillar's pad row is
+    computed and never read.
     """
 
-    valid: np.ndarray  # (V,) flat slot index p * N + k of each valid row
     pillar: np.ndarray  # (V + P,) pillar of each row
     slot_row: np.ndarray  # (P * N,) the row that holds each slot
     shape: tuple[int, int]  # (P, N)
@@ -210,15 +209,14 @@ class SlotRows:
         valid = np.flatnonzero(mask)
         slot_row = np.repeat(len(valid) + np.arange(p), n)
         slot_row[valid] = np.arange(len(valid))
-        return cls(valid, np.concatenate([valid // n, np.arange(p)]), slot_row, (p, n))
+        return cls(np.concatenate([valid // n, np.arange(p)]), slot_row, (p, n))
 
-    def rows(self, x) -> Tensor:
-        """(V + P, C) rows of a (P, N, C) tensor: its valid slots, then a zero
-        pad row per pillar."""
-        x = T.as_tensor(x)
-        p, n, c = x.data.shape
-        points = T.gather_rows(T.reshape(x, (p * n, c)), self.valid)
-        return T.concat([points, T.constant(np.zeros((p, c)))], axis=0)
+    def rows(self, points) -> Tensor:
+        """(V + P, C) rows: the (V, C) valid points, then a zero pad row per
+        pillar."""
+        points = T.as_tensor(points)
+        pad = T.constant(np.zeros((self.shape[0], points.data.shape[1])))
+        return T.concat([points, pad], axis=0)
 
 
 class PillarAttention:
@@ -242,26 +240,26 @@ class PillarAttention:
 
 
 class MultiAttentionFuse:
-    """Compose the three attentions over the augmented point tensors of a
-    chunk of frames, and return the attended (V, C) point rows of each frame.
+    """Compose the three attentions over the augmented point rows of a chunk
+    of frames, and return the attended (V, C) point rows of each frame.
 
     The order is LSTM -> graph -> pillar (local-global-local); the LSTM stage
     orders pillars by the x, y of their centers. Each stage's (P, 1) weights
     scale the running stream, so an output row is its input point times its
-    pillar's three weights. The LSTM stage pools the dense (P, N, C) input
-    and the graph stage pools the LSTM-scaled dense stream; the rest runs on
-    the rows of :class:`SlotRows`, scaled by the product of the LSTM and graph
-    weights. That product rounds differently from scaling by one weight after
-    the other, so the rows agree with a dense stage-by-stage stream to
-    rounding. Before the pillar stage, each row gets the LSTM-weighted pooled
-    features of its pillar concatenated channel-wise and passes through two
-    shared affine+ReLU layers.
+    pillar's three weights. The LSTM stage pools the input rows and the graph
+    stage pools the LSTM-scaled rows; the fusion runs on the rows of
+    :class:`SlotRows`, scaled by the product of the LSTM and graph weights.
+    That product rounds differently from scaling by one weight after the
+    other, so the rows agree with a dense stage-by-stage stream to rounding.
+    Before the pillar stage, each row gets the LSTM-weighted pooled features
+    of its pillar concatenated channel-wise and passes through two shared
+    affine+ReLU layers.
 
-    Precondition: every slot outside a frame's mask is exactly zero, as in a
-    :class:`~pillarseg.pillars.PillarSet`; one pad row per pillar carries all
-    of its padded slots through the fusion. Only the LSTM itself runs the
-    chunk's frames together; every other op runs per frame, so each frame's
-    output is bitwise that of a chunk of one.
+    The padded slots of a frame are zero points, as in a
+    :class:`~pillarseg.pillars.PillarSet`; one pad row per pillar carries
+    them through the fusion. Only the LSTM itself runs the chunk's frames
+    together; every other op runs per frame, so each frame's output is
+    bitwise that of a chunk of one.
     """
 
     def __init__(self, channels: int, max_points: int, rng: np.random.Generator, *,
@@ -273,32 +271,31 @@ class MultiAttentionFuse:
         self.fuse1 = L.Affine(2 * channels, fusion_hidden, rng)
         self.fuse2 = L.Affine(fusion_hidden, channels, rng)
 
-    def __call__(self, aug_feats, masks, centers) -> Iterator[Tensor]:
+    def __call__(self, points, masks, centers) -> Iterator[Tensor]:
         """Attend over a chunk of frames: each argument is a list with one
-        entry per frame (centers (P, 3)). Each frame's attended rows of its
-        valid slots, in slot order, come lazily: the pooling, the embedding
-        order and the LSTM run now, for the whole chunk, and the rest of a
-        frame, from the LSTM head on, runs when the iterator reaches it."""
-        streams = [T.as_tensor(f) for f in aug_feats]
-        pooled = [T.masked_max_pool(s, m) for s, m in zip(streams, masks)]
+        entry per frame, its (V, C) point rows in slot order, its (P, N) slot
+        mask and its (P, 3) centers. Each frame's attended rows come lazily:
+        the pooling, the embedding order and the LSTM run now, for the whole
+        chunk, and the rest of a frame, from the LSTM head on, runs when the
+        iterator reaches it."""
+        points = [T.as_tensor(x) for x in points]
+        pooled = [T.masked_max_pool(x, m) for x, m in zip(points, masks)]
         states = self.lstm_attn(pooled, [c[:, :2] for c in centers])
-        return map(self._attend_rows, streams, masks, pooled, states, centers)
+        return map(self._attend_rows, points, masks, pooled, states, centers)
 
-    def _attend_rows(self, stream: Tensor, mask: np.ndarray, pooled: Tensor,
+    def _attend_rows(self, points: Tensor, mask: np.ndarray, pooled: Tensor,
                      states: tuple[Tensor, int, np.ndarray], centers: np.ndarray) -> Tensor:
         """One frame's LSTM head, graph and pillar stages, given its LSTM states."""
         w_lstm = self.lstm_attn.weights(*states)
         layout = SlotRows.of(mask)
-        scaled = T.mul(stream, T.reshape(w_lstm, (-1, 1, 1)))
+        point_pillar = layout.pillar[: len(points.data)]
+        scaled = T.mul(points, T.gather_rows(w_lstm, point_pillar))
         w_lg = T.mul(w_lstm, self.graph_attn(T.masked_max_pool(scaled, mask)))
-        rows = layout.rows(stream)
-        attended = T.mul(rows, T.gather_rows(w_lg, layout.pillar))
+        attended = T.mul(layout.rows(points), T.gather_rows(w_lg, layout.pillar))
         partner = T.gather_rows(T.mul(pooled, w_lstm), layout.pillar)
         fused = T.relu(self.fuse2(T.relu(self.fuse1(T.concat([attended, partner], axis=1)))))
         w_all = T.mul(w_lg, self.pillar_attn(fused, layout, centers))
-        v = len(layout.valid)
-        points = T.narrow(rows, 0, 0, v)
-        return T.mul(points, T.gather_rows(w_all, layout.pillar[:v]))
+        return T.mul(points, T.gather_rows(w_all, point_pillar))
 
     def state(self) -> dict[str, Tensor]:
         return L.collect_state(

@@ -50,7 +50,8 @@ def write_container(path: str | Path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def read_container(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a container written by :func:`write_container`."""
+    """Read a container written by :func:`write_container`; bytes past its
+    last entry are a ``FormatError``."""
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != MAGIC:
         raise FormatError(f"not a container file: {path}")
@@ -87,4 +88,6 @@ def read_container(path: str | Path) -> dict[str, np.ndarray]:
             off += nbytes
     except struct.error as exc:
         raise FormatError(f"truncated container file: {path}") from exc
+    if off != len(data):
+        raise FormatError(f"{len(data) - off} trailing bytes after the last entry: {path}")
     return out

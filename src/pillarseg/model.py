@@ -119,13 +119,13 @@ class PillarSegNet:
 
         With MA, the call runs its LSTM over the chunk's non-empty frames
         together; the rest of each frame (the rest of MA, the PFN and the
-        scatter) runs when the iterator reaches it. The PFN takes each frame's
-        valid points as (V, C) rows in slot order: the attended rows under MA,
-        else the pillar set's own, gathered once outside the tape."""
+        scatter) runs when the iterator reaches it. MA and the PFN read one
+        layout, a frame's valid points as (V, C) rows in slot order, gathered
+        outside the tape; the PFN takes the attended rows under MA."""
         attended = iter(())
         live = [pset for pset in psets if pset.valid_pillars]
         if self.ma is not None and live:
-            attended = self.ma([T.constant(pset.features) for pset in live],
+            attended = self.ma([T.constant(pset.features[pset.mask]) for pset in live],
                                [pset.mask for pset in live],
                                [pil.pillar_centers(pset, grid) for pset in live])
 
@@ -160,15 +160,10 @@ class PillarSegNet:
 
         return map(logits, self.pseudo_images(psets, grid, training), occ_channels)
 
-    def forward_frames(self, psets: list[pil.PillarSet], grid: pil.GridConfig,
-                       occ_channels: list, training: bool) -> list[Tensor]:
-        """The logits of :meth:`frame_logits`, every frame computed now."""
-        return list(self.frame_logits(psets, grid, occ_channels, training))
-
     def forward_pillars(self, pset: pil.PillarSet, grid: pil.GridConfig,
                         occ_channel: np.ndarray | None, training: bool) -> Tensor:
         """Logits (num_classes, H, W) of one frame: a chunk of one."""
-        return self.forward_frames([pset], grid, [occ_channel], training)[0]
+        return next(self.frame_logits([pset], grid, [occ_channel], training))
 
     # ------------------------------------------------------------------
     # state

@@ -54,6 +54,11 @@ class Tape:
         With no root, pass on the gradients that later tapes left on this
         tape's nodes: a stage that several tapes read is recorded once and
         differentiated once, after them all.
+
+        A tape is differentiated once: each node drops its gradient and
+        backward rule once visited and keeps only its output. Gradients left
+        on another tape's nodes wait for that tape, as a frame tape leaves
+        them on the shared tape that ``shared.backward(None)`` reads last.
         """
         if root is not None:
             if root.data.size != 1:
@@ -62,6 +67,7 @@ class Tape:
         for node in reversed(self.nodes):
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
+            node.grad = node._backward = None
 
 
 def active_tape() -> Tape | None:
@@ -435,15 +441,13 @@ def _segment_first_max(x: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> n
     return src
 
 
-def segment_max(x, segments, num_segments: int) -> Tensor:
-    """Per-segment max over rows; empty segments yield zero rows (no gradient).
-
-    Segment ids may come in any order. Each output takes the first of its
-    segment's rows at the max, as ``np.argmax`` picks it (``_first_max``, the
-    kernel behind every max pool here), and the gradient goes to that row.
-    """
+def _segment_max(x, segments, num_segments: int) -> Tensor:
+    """The body of :func:`segment_max` and :func:`masked_max_pool`. Each calls
+    it directly, so a wrapper of one name never times the other's backward."""
     x = as_tensor(x)
     segments = np.asarray(segments, dtype=np.int64)
+    if segments.shape != x.data.shape[:1]:
+        raise ShapeError(f"{len(segments)} segment ids for {x.data.shape[0]} rows")
     counts = np.bincount(segments, minlength=num_segments)
     seg_ids = np.flatnonzero(counts)
     src = _segment_first_max(x.data, np.argsort(segments, kind="stable"), counts[seg_ids])
@@ -461,31 +465,23 @@ def segment_max(x, segments, num_segments: int) -> Tensor:
     return _record(out, backward)
 
 
-def masked_max_pool(x, mask) -> Tensor:
-    """(P, N, C) max over the N axis restricted to mask; empty rows yield zero.
+def segment_max(x, segments, num_segments: int) -> Tensor:
+    """Per-segment max over rows; empty segments yield zero rows (no gradient).
 
-    Only the slots that ``mask`` keeps are read. Each output takes the first
-    kept slot at the max, as ``np.argmax`` picks it (``_first_max``, the kernel
-    behind every max pool here), and the gradient goes to that slot.
+    Segment ids may come in any order. Each output takes the first of its
+    segment's rows at the max, as ``np.argmax`` picks it (``_first_max``, the
+    kernel behind every max pool here), and the gradient goes to that row.
     """
-    x = as_tensor(x)
+    return _segment_max(x, segments, num_segments)
+
+
+def masked_max_pool(x, mask) -> Tensor:
+    """(P, C) per-pillar max of the (V, C) rows of a (P, N) slot mask's kept
+    slots, in slot order (as ``features[mask]``); pillars without a kept slot
+    yield zero rows. The segment max with each row's pillar as its segment.
+    """
     mask = np.asarray(mask, dtype=bool)
-    p, n, c = x.data.shape
-    counts = mask.sum(axis=1)
-    live = np.flatnonzero(counts)
-    src = _segment_first_max(x.data.reshape(p * n, c), np.flatnonzero(mask), counts[live])
-    data = np.zeros((p, c), dtype=x.data.dtype)
-    data[live] = x.data.reshape(-1)[src]
-    out = Tensor(data)
-    if not _recording(x):
-        return out
-
-    def backward(g):
-        gx = np.zeros(x.data.size, dtype=x.data.dtype)
-        gx[src] = g[live]
-        _accum(x, gx.reshape(p, n, c))
-
-    return _record(out, backward)
+    return _segment_max(x, np.nonzero(mask)[0], mask.shape[0])
 
 
 def scatter_to_image(x, rows, cols, height: int, width: int) -> Tensor:

@@ -205,9 +205,10 @@ def _train_toy_inner(cfg: RunConfig, progress) -> TrainResult:
             # rest on another, differentiated before the next frame runs; the
             # LSTM tape goes last, with the gradients the frames left on it.
             # So every gradient and BatchNorm statistic is bitwise that of one
-            # tape per frame. `loss` keeps the last frame's graph alive until
-            # the next is built: freed first, its memory goes back to the
-            # system and the next frame faults it in again
+            # tape per frame. `tape` keeps the last frame's graph alive until
+            # the next is built, though after its backward only the node
+            # outputs: freed first, its memory goes back to the system and the
+            # next frame faults it in again
             with Tape() as shared:
                 logits = net.frame_logits(psets, cfg.grid, occs, training=True)
             for pack in packs:

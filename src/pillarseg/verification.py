@@ -110,12 +110,13 @@ def check_pillar_attention() -> float:
     rng = _rng(6)
     attn = att.PillarAttention(3, 4, rng)
     centers = rng.normal(size=(3, 3))
-    layout = att.SlotRows.of(np.ones((3, 4), dtype=bool))
+    layout = att.SlotRows.of(np.arange(4) < np.array([[4], [2], [3]]))  # 9 points
 
     def f(x):
-        return T.tsum(T.mul(x, T.reshape(attn(layout.rows(x), layout, centers), (-1, 1, 1))))
+        return T.tsum(T.mul(x, T.gather_rows(attn(layout.rows(x), layout, centers),
+                                             layout.pillar[:9])))
 
-    x = resample_until_smooth(lambda a: np.random.default_rng(300 + a).normal(size=(3, 4, 3)), f)
+    x = resample_until_smooth(lambda a: np.random.default_rng(300 + a).normal(size=(9, 3)), f)
     return grad_check(f, x)
 
 
@@ -145,13 +146,13 @@ def check_ma_fuse() -> float:
     rng = _rng(9)
     fuse = att.MultiAttentionFuse(3, 2, rng, fusion_hidden=3, lstm_hidden=2, graph_hidden=4,
                                   heads=2, fps_rate=0.4)
-    mask = np.ones((4, 2), dtype=bool)
+    mask = np.array([[True, True], [True, False], [True, True], [True, False]])  # 6 points
     centers = rng.normal(size=(4, 3))
 
     def f(x):
         return T.tsum(next(fuse([x], [mask], [centers])))
 
-    x = resample_until_smooth(lambda a: np.random.default_rng(500 + a).normal(size=(4, 2, 3)), f)
+    x = resample_until_smooth(lambda a: np.random.default_rng(500 + a).normal(size=(6, 3)), f)
     return grad_check(f, x)
 
 

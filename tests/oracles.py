@@ -12,8 +12,10 @@ must reproduce its valid rows bitwise, seeded sampling included.
 
 The taped references at the end are the direct forms of six autograd ops:
 one LSTM direction per time loop and one sequence at a time, a Python loop
-over segments for the segment max and over pillars for the masked max pool,
-one argmax over a copy of the 2x2 windows for the image max pool, the FeaSt
+over segments for the segment max and over pillars for the masked max pool
+on the padded (P, N, C) tensor (the op pools rows, so only its forward
+compares; its gradient is the segment max's over each row's pillar), one
+argmax over a copy of the 2x2 windows for the image max pool, the FeaSt
 convolution as a graph of generic taped ops (`feast_conv_graph`), and the 2D
 convolution as one product with an im2col column matrix (`conv2d_im2col`).
 The fused and loop-free ops in `pillarseg.nn.tensor` must reproduce their
@@ -38,10 +40,11 @@ three pools report to a kink-tracking tape, each output's lead over its
 runner-up: by one partition of the window copy, and by sorting each segment.
 
 `multi_attention_dense` is the multi-attention fusion on the zero-padded
-(P, N, C) tensor, every slot through every stage. `MultiAttentionFuse` must
-reproduce its valid slots and its parameter gradients to rounding, since it
-folds the LSTM and graph weights into one product per pillar and carries
-all padded slots of a pillar in one row.
+(P, N, C) tensor, every slot through every stage, pooled by the dense loop
+`masked_max_pool`. `MultiAttentionFuse`, which reads only the valid slots as
+rows, must reproduce its valid slots and its parameter gradients to
+rounding, since it folds the LSTM and graph weights into one product per
+pillar and carries all padded slots of a pillar in one row.
 """
 
 import math
@@ -386,9 +389,8 @@ def segment_max(x, segments, num_segments):
     arg = np.full((num_segments, width), -1, dtype=np.int64)
     order = np.argsort(segments, kind="stable")
     sorted_seg = segments[order]
-    boundaries = np.flatnonzero(np.diff(sorted_seg)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [n]])
+    starts = np.flatnonzero(np.diff(sorted_seg, prepend=-1))  # none for no rows
+    ends = np.append(starts[1:], n)
     for s, e in zip(starts, ends):
         rows = order[s:e]
         seg_id = sorted_seg[s]
@@ -742,13 +744,13 @@ def multi_attention_dense(fuse, aug_feats, masks, centers):
         return [T.mul(s, T.reshape(w, (-1, 1, 1))) for s, w in zip(streams, weights)]
 
     streams = [as_tensor(f) for f in aug_feats]
-    pooled = [T.masked_max_pool(s, m) for s, m in zip(streams, masks)]
+    pooled = [masked_max_pool(s, m) for s, m in zip(streams, masks)]
     states = fuse.lstm_attn(pooled, [c[:, :2] for c in centers])
     weights = [fuse.lstm_attn.weights(*s) for s in states]
     lstm_weighted = [T.mul(p, w) for p, w in zip(pooled, weights)]
     streams = scale(streams, weights)
 
-    pooled = [T.masked_max_pool(s, m) for s, m in zip(streams, masks)]
+    pooled = [masked_max_pool(s, m) for s, m in zip(streams, masks)]
     streams = scale(streams, [fuse.graph_attn(p) for p in pooled])
 
     weights = []

@@ -314,11 +314,15 @@ class TestGraphAttention:
         assert err < 1e-6
 
 
-def pillar_attend(attn, feats, centers):
-    """`attn`'s weights over a dense (P, N, C) tensor whose slots are all valid."""
-    feats = T.as_tensor(feats)
-    layout = A.SlotRows.of(np.ones(feats.data.shape[:2], dtype=bool))
-    return attn(layout.rows(feats), layout, centers)
+def pillar_attend(attn, points, mask, centers):
+    """`attn`'s (P, 1) weights over the (V, C) point rows of the slots that
+    the (P, N) `mask` keeps."""
+    layout = A.SlotRows.of(mask)
+    return attn(layout.rows(points), layout, centers)
+
+
+def all_slots(p, n):
+    return np.ones((p, n), dtype=bool)
 
 
 class TestPillarAttention:
@@ -326,7 +330,8 @@ class TestPillarAttention:
         attn = A.PillarAttention(5, 4, rng)
         for p in attn.state().values():
             p.data[:] = 0.0
-        w = pillar_attend(attn, T.constant(rng.normal(size=(3, 4, 5))), rng.normal(size=(3, 3)))
+        w = pillar_attend(attn, T.constant(rng.normal(size=(12, 5))), all_slots(3, 4),
+                          rng.normal(size=(3, 3)))
         np.testing.assert_allclose(w.data, 0.5, atol=1e-15)
 
     def test_hand_scalar_case(self, rng):
@@ -337,7 +342,7 @@ class TestPillarAttention:
         b2 = attn.point_fc.bias.data
         f = 0.7
         center = np.array([0.3, -0.2, 0.1])
-        w = pillar_attend(attn, T.constant(np.array([[[f]]])), center[None, :]).data
+        w = pillar_attend(attn, T.constant(np.array([[f]])), all_slots(1, 1), center[None, :]).data
         pre = max(np.dot(np.concatenate([[f], center]), w1[:, 0]) + b1[0], 0.0)
         expected = 1.0 / (1.0 + math.exp(-(pre * w2[0, 0] + b2[0])))
         assert w[0, 0] == pytest.approx(expected, abs=1e-12)
@@ -345,25 +350,27 @@ class TestPillarAttention:
     def test_weight_count_is_pillar_count(self, rng):
         for n in (1, 4, 9):
             attn = A.PillarAttention(6, n, rng)
-            w = pillar_attend(attn, T.constant(rng.normal(size=(7, n, 6))),
+            w = pillar_attend(attn, T.constant(rng.normal(size=(7 * n, 6))), all_slots(7, n),
                               rng.normal(size=(7, 3)))
             assert w.data.shape == (7, 1)
 
     def test_gradcheck(self, rng):
         attn = A.PillarAttention(3, 4, rng)
         centers = rng.normal(size=(2, 3))
+        mask = np.arange(4) < np.array([[4], [2]])  # 6 points, two padded slots
+        pillar = np.nonzero(mask)[0]
 
         def f(x):
-            return T.tsum(T.mul(x, T.reshape(pillar_attend(attn, x, centers), (-1, 1, 1))))
+            return T.tsum(T.mul(x, T.gather_rows(pillar_attend(attn, x, mask, centers), pillar)))
 
         x = nn.resample_until_smooth(
-            lambda a: np.random.default_rng(200 + a).normal(size=(2, 4, 3)), f)
+            lambda a: np.random.default_rng(200 + a).normal(size=(6, 3)), f)
         assert nn.grad_check(f, x) < 1e-6
 
 
-def fuse_one(fuse, feats, mask, centers):
-    """Attended (V, C) rows of a chunk of one frame."""
-    return next(fuse([feats], [mask], [centers]))
+def fuse_one(fuse, points, mask, centers):
+    """Attended (V, C) rows of a chunk of one frame, from its (V, C) rows."""
+    return next(fuse([points], [mask], [centers]))
 
 
 class TestMultiAttentionFuse:
@@ -377,7 +384,7 @@ class TestMultiAttentionFuse:
             p.data[:] = 0.0
         feats = rng.normal(size=(5, 3, 4))
         mask = np.ones((5, 3), dtype=bool)
-        out = fuse_one(fuse, T.constant(feats), mask, rng.normal(size=(5, 3)))
+        out = fuse_one(fuse, T.constant(feats[mask]), mask, rng.normal(size=(5, 3)))
         np.testing.assert_allclose(out.data, feats[mask] / 8.0, atol=1e-12)
 
     def test_single_pillar_composes_blocks(self, rng):
@@ -386,7 +393,7 @@ class TestMultiAttentionFuse:
         mask = np.array([[True, True, False]])
         feats[~mask] = 0.0  # a padded slot is zero, as in every PillarSet
         centers = rng.normal(size=(1, 3))
-        out = fuse_one(fuse, T.constant(feats), mask, centers)
+        out = fuse_one(fuse, T.constant(feats[mask]), mask, centers)
 
         # compose the three blocks by hand in L, G, P order
         stream = feats.copy()
@@ -410,10 +417,11 @@ class TestMultiAttentionFuse:
     def test_shape_contract(self, rng):
         fuse = self.make(rng)
         for p, n in ((2, 3), (7, 3)):
-            feats = rng.normal(size=(p, n, 4))
-            mask = np.ones((p, n), dtype=bool)
-            out = fuse_one(fuse, T.constant(feats), mask, rng.normal(size=(p, 3)))
-            assert out.data.shape == (p * n, 4)
+            mask = rng.random((p, n)) < 0.6
+            mask[:, 0] = True
+            out = fuse_one(fuse, T.constant(rng.normal(size=(int(mask.sum()), 4))), mask,
+                           rng.normal(size=(p, 3)))
+            assert out.data.shape == (mask.sum(), 4)
 
     def test_all_weights_in_open_interval(self, rng):
         fuse = self.make(rng)
@@ -423,47 +431,53 @@ class TestMultiAttentionFuse:
         pooled = T.constant(feats.max(axis=1))
         weights = [lstm_weights(fuse.lstm_attn, [pooled], [centers[:, :2]])[0],
                    fuse.graph_attn(pooled),
-                   pillar_attend(fuse.pillar_attn, T.constant(feats), centers)]
+                   pillar_attend(fuse.pillar_attn, T.constant(feats[mask]), mask, centers)]
         for w in weights:
             assert w.data.shape == (6, 1)
             assert (w.data > 0).all() and (w.data < 1).all()
         # every stage scales a pillar's points by one weight in (0, 1)
-        out = fuse_one(fuse, T.constant(feats), mask, centers).data.reshape(feats.shape)
+        out = fuse_one(fuse, T.constant(feats[mask]), mask, centers).data.reshape(feats.shape)
         ratio = out / feats
         assert (ratio > 0).all() and (ratio < 1).all()
         np.testing.assert_allclose(ratio, ratio[:, :1, :1] * np.ones_like(ratio), rtol=1e-12)
 
     def test_gradcheck_through_fusion(self, rng):
         fuse = self.make(rng, channels=3, max_points=2)
-        mask = np.ones((4, 2), dtype=bool)
+        mask = np.array([[True, True], [True, False], [True, True], [True, True]])  # 7 points
         centers = rng.normal(size=(4, 3))
 
         def f(x):
             return T.tsum(fuse_one(fuse, x, mask, centers))
 
         x = nn.resample_until_smooth(
-            lambda a: np.random.default_rng(300 + a).normal(size=(4, 2, 3)), f)
+            lambda a: np.random.default_rng(300 + a).normal(size=(7, 3)), f)
         assert nn.grad_check(f, x) < 1e-4
 
     @staticmethod
     def taped(run, fuse, feats, masks, centers, weights):
-        """Each frame's (V, C) rows from `run`, the gradient of every
-        parameter of `fuse` by name, for the loss sum(rows * weights) over the
-        frames, and the forward's smallest distance from a kink (a ReLU input
-        or a pool's lead over its runner-up)."""
+        """Each frame's (V, C) rows from `run` on the frames' padded (P, N, C)
+        arrays, the gradient of every parameter of `fuse` by name, for the
+        loss sum(rows * weights) over the frames, and the forward's smallest
+        distance from a kink (a ReLU input or a pool's lead over its
+        runner-up)."""
         params = fuse.state()
         for param in params.values():
             param.grad = None
         with T.Tape(track_kinks=True) as tape:
-            rows = run(fuse, [T.constant(f) for f in feats], masks, centers)
+            rows = run(fuse, feats, masks, centers)
             loss = T.tsum(T.concat([T.mul(r, T.constant(w)) for r, w in zip(rows, weights)]))
             tape.backward(loss)
         grads = {name: param.grad for name, param in params.items()}
         return [r.data for r in rows], grads, tape.min_kink_margin()
 
     @staticmethod
+    def fuse_rows(fuse, feats, masks, centers):
+        return list(fuse([T.constant(f[m]) for f, m in zip(feats, masks)], masks, centers))
+
+    @staticmethod
     def oracle_rows(fuse, feats, masks, centers):
-        streams = oracles.multi_attention_dense(fuse, feats, masks, centers)
+        streams = oracles.multi_attention_dense(fuse, [T.constant(f) for f in feats], masks,
+                                                centers)
         return [T.gather_rows(T.reshape(s, (-1, s.data.shape[2])), np.flatnonzero(m))
                 for s, m in zip(streams, masks)]
 
@@ -488,14 +502,14 @@ class TestMultiAttentionFuse:
         T.set_default_dtype(dtype)
         try:
             fuse = self.make(rng, max_points=n)
-            got_rows, got, got_margin = self.taped(lambda f, *a: list(f(*a)), fuse, feats, masks,
-                                                   centers, weights)
+            got_rows, got, got_margin = self.taped(self.fuse_rows, fuse, feats, masks, centers,
+                                                   weights)
             want_rows, want, want_margin = self.taped(self.oracle_rows, fuse, feats, masks,
                                                       centers, weights)
         finally:
             T.set_default_dtype(np.float64)
         # a rounding difference must not move a ReLU input across its kink,
-        # nor swap the max of a near tie in either masked_max_pool call
+        # nor swap the max of a near tie in either pool of either side
         assume(min(got_margin, want_margin) > 1e-4)
         for a, b in zip(got_rows, want_rows, strict=True):
             assert a.dtype == b.dtype == dtype and a.shape == b.shape

@@ -206,6 +206,13 @@ class TestContainer:
             container.read_container(path)
 
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.pstc"
+        container.write_container(path, {"x": np.ones(3, dtype=np.float32)})
+        path.write_bytes(path.read_bytes() + b"\x00" * 19)
+        with pytest.raises(FormatError, match="19 trailing bytes after the last entry"):
+            container.read_container(path)
+
     def test_non_utf8_name_rejected(self, tmp_path):
         path = tmp_path / "name.pstc"
         container.write_container(path, {"ab": np.ones(2, dtype=np.float32)})

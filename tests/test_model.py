@@ -163,7 +163,7 @@ class TestSegNetForward:
         images = list(net.pseudo_images(chunk, grid, training))
         for image in images[::2]:
             assert image.data.shape == (8, 16, 16) and not image.data.any()
-        logits = net.forward_frames(chunk, grid, [None] * 3, training)
+        logits = list(net.frame_logits(chunk, grid, [None] * 3, training))
         alone = net.forward_pillars(full, grid, None, training)
         assert logits[1].data.tobytes() == alone.data.tobytes()
 
@@ -184,7 +184,8 @@ class TestOracleOps:
     def test_ma_training_step_gradients_match_oracle_ops(self, rng, monkeypatch, dtype):
         # the fused LSTM, the three max pools and the fused FeaSt convolution
         # against their direct forms, through one multi-attention step over
-        # two frames
+        # two frames. The masked max pool reads point rows, so its direct form
+        # is the loop segment max over each row's pillar
         grid = toy_grid()
         frames = [(make_cloud(rng, n=120), make_gt(rng.integers(0, 4, (16, 16))))
                   for _ in range(2)]
@@ -205,7 +206,8 @@ class TestOracleOps:
         fused = gradients()
         monkeypatch.setattr(T, "lstm", oracles.bilstm)
         monkeypatch.setattr(T, "segment_max", oracles.segment_max)
-        monkeypatch.setattr(T, "masked_max_pool", oracles.masked_max_pool)
+        monkeypatch.setattr(T, "masked_max_pool", lambda x, mask: oracles.segment_max(
+            x, np.nonzero(mask)[0], len(mask)))
         monkeypatch.setattr(T, "maxpool2d", oracles.maxpool2d)
         monkeypatch.setattr(T, "feast", oracles.feast_conv_graph)
         direct = gradients()

@@ -92,8 +92,11 @@ def kinked_case(op, rng, n, width):
     if op == "masked_max_pool":
         slots = int(rng.integers(1, 7))
         mask = rng.random((n, slots)) < rng.random((n, 1))
-        return (sample(rng, (n, slots, width), "integer"), lambda t: T.masked_max_pool(t, mask),
-                lambda v: oracles.runner_up_gap([v[i, mask[i]] for i in range(n)]))
+        mask[rng.integers(n), rng.integers(slots)] = True  # at least one row
+        pillar = np.nonzero(mask)[0]
+        return (sample(rng, (len(pillar), width), "integer"),
+                lambda t: T.masked_max_pool(t, mask),
+                lambda v: oracles.runner_up_gap([v[pillar == i] for i in range(n)]))
     h, w = 2 * rng.integers(1, 4, 2)
     return sample(rng, (width, h, w), "integer"), T.maxpool2d, oracles.maxpool2d_kink_margin
 
@@ -188,15 +191,21 @@ class TestShapeOps:
     @example(pillars=3, slots=22, width=2, kind="integer", seed=3)  # 20 and 22 kept slots
     def test_masked_max_pool_matches_loop_oracle(self, dtype, pillars, slots, width, kind, seed):
         # arbitrary masks: each pillar keeps its slots at its own random rate,
-        # so some keep none and many drop slot 0
+        # so some keep none and many drop slot 0. The op pools the kept
+        # slots' rows: its forward is the dense loop oracle's on the padded
+        # tensor, and its gradient the segment max's over each row's pillar
         rng = np.random.default_rng(seed)
         mask = rng.random((pillars, slots)) < rng.random((pillars, 1))
         x = sample(rng, (pillars, slots, width), kind)
+        seg = np.nonzero(mask)[0]
         weights = rng.normal(size=(pillars, width))
         with default_dtype(dtype):
-            got = taped_run(lambda t: T.masked_max_pool(t, mask), [x], weights, seed)
-            want = taped_run(lambda t: oracles.masked_max_pool(t, mask), [x], weights, seed)
+            got = taped_run(lambda t: T.masked_max_pool(t, mask), [x[mask]], weights, seed)
+            want = taped_run(lambda t: oracles.segment_max(t, seg, pillars), [x[mask]], weights,
+                             seed)
+            dense = oracles.masked_max_pool(T.constant(x), mask).data
         assert_bitwise(got, want)
+        assert_bitwise(got[:1], [dense])
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf inputs in the loss
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -223,36 +232,44 @@ class TestShapeOps:
            kind=POOL_KINDS, seed=st.integers(0, 2**32 - 1))
     def test_masked_max_pool_gradient_bits_through_op_alone(self, dtype, pillars, slots, width,
                                                             kind, seed):
-        # the loss reaches x only through the op: a -0.0 output gradient
-        # lands on its slot as -0.0
+        # the loss reaches the rows only through the op: as in segment_max, a
+        # -0.0 output gradient is added to zeros and lands as +0.0
         rng = np.random.default_rng(seed)
         mask = rng.random((pillars, slots)) < rng.random((pillars, 1))
-        x = sample(rng, (pillars, slots, width), kind)
+        x = sample(rng, (int(mask.sum()), width), kind)
+        seg = np.nonzero(mask)[0]
         weights = signed_zero_weights(rng, (pillars, width))
         with default_dtype(dtype):
             got = taped_run(lambda t: T.masked_max_pool(t, mask), [x], weights, seed,
                             linear=False)
-            want = taped_run(lambda t: oracles.masked_max_pool(t, mask), [x], weights, seed,
+            want = taped_run(lambda t: oracles.segment_max(t, seg, pillars), [x], weights, seed,
                              linear=False)
         assert_bitwise(got, want)
 
     def test_masked_max_pool_reads_only_kept_slots(self):
-        # slot 0 is masked out: its 5.0 is neither the max nor given a gradient
-        x = T.parameter(np.array([[[5.0], [-np.inf]]]))
+        # the rows are the kept slots in slot order: pillar 0 keeps only its
+        # slot 1, so its one row, -inf, is its max, and the 5.0 of pillar 1's
+        # slot 0 takes pillar 1's gradient
+        x = T.parameter(np.array([[-np.inf], [5.0], [1.0]]))
         with T.Tape() as tape:
-            out = T.masked_max_pool(x, np.array([[False, True]]))
+            out = T.masked_max_pool(x, np.array([[False, True], [True, True]]))
             tape.backward(T.tsum(out))
-        assert out.data.tolist() == [[-np.inf]]
-        assert x.grad.tolist() == [[[0.0], [1.0]]]
+        assert out.data.tolist() == [[-np.inf], [5.0]]
+        assert x.grad.tolist() == [[1.0], [1.0], [0.0]]
+
+    def test_masked_max_pool_rejects_row_count(self):
+        # one row per kept slot: a mismatch is a ShapeError, not an index error
+        with pytest.raises(ShapeError, match="3 segment ids for 2 rows"):
+            T.masked_max_pool(T.constant(np.zeros((2, 4))), np.ones((1, 3), dtype=bool))
 
     def test_masked_max_pool(self, rng):
         mask = np.array([[True, True, False], [True, False, False], [False, False, False]])
         x = rng.normal(size=(3, 3, 4))
-        out = T.masked_max_pool(T.constant(x), mask)
+        out = T.masked_max_pool(T.constant(x[mask]), mask)
         np.testing.assert_array_equal(out.data[0], x[0, :2].max(axis=0))
         np.testing.assert_array_equal(out.data[1], x[1, 0])
         np.testing.assert_array_equal(out.data[2], 0.0)
-        check_op(lambda t: T.tsum(T.masked_max_pool(t, mask)), x)
+        check_op(lambda t: T.tsum(T.masked_max_pool(t, mask)), x[mask])
 
     def test_scatter_to_image(self, rng):
         rows, cols = np.array([0, 2]), np.array([1, 3])
@@ -973,7 +990,7 @@ class TestGradCheckHarness:
             return T.tsum(T.masked_max_pool(x, [[True, True]]))
 
         with pytest.raises(VerificationError):
-            nn.resample_until_smooth(lambda a: np.array([[[1.0], [1.0]]]), f)
+            nn.resample_until_smooth(lambda a: np.array([[1.0], [1.0]]), f)
 
     def test_backward_linearity(self, rng):
         a = T.Tensor(rng.normal(size=(3,)), requires_grad=True)

@@ -187,6 +187,12 @@ class TestContainer:
         if arrays is not None:
             assert len(arrays) == struct.unpack_from("<I", raw, 8)[0]
 
+    @given(entries, st.binary(min_size=1, max_size=40))
+    def test_appended_bytes_rejected(self, scratch, arrays, tail):
+        # a well-formed container with anything after its last entry
+        scratch.write_bytes(encode(scratch, arrays) + tail)
+        assert parse_or_none(container.read_container, scratch) is None
+
     @given(st.data())
     def test_renamed_entries(self, scratch, data):
         raw = bytearray(data.draw(entries.map(lambda arrays: encode(scratch, arrays))))
