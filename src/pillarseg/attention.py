@@ -16,7 +16,8 @@ Fusion applies them in the fixed order LSTM -> graph -> pillar
 (local-global-local) and returns only the attended points.
 
 A frame's points are (V, C) rows throughout, the layout the pillar feature
-net reads: its valid slots in slot order, as ``features[mask]``. The fusion
+net reads and a :class:`~pillarseg.pillars.PillarRows` holds: its valid
+slots pillar by pillar in slot order, each with its pillar id. The fusion
 adds one row per pillar for all of its padded slots (:class:`SlotRows`): a
 padded slot is exactly zero, so every padded slot of a pillar takes the same
 value through the fusion, and one row computes it. Only the one-channel
@@ -190,7 +191,7 @@ class GraphAttention:
 
 @dataclass(frozen=True)
 class SlotRows:
-    """Row layout of a frame's points, from its (P, N) slot mask.
+    """Row layout of a frame's points, from the pillar of each valid point.
 
     Rows 0 .. V - 1 are the V valid slots in slot order (pillar-major, as
     ``features[mask]``); row V + p is the pad row of pillar p, which stands
@@ -203,13 +204,16 @@ class SlotRows:
     shape: tuple[int, int]  # (P, N)
 
     @classmethod
-    def of(cls, mask) -> "SlotRows":
-        mask = np.asarray(mask, dtype=bool)
-        p, n = mask.shape
-        valid = np.flatnonzero(mask)
-        slot_row = np.repeat(len(valid) + np.arange(p), n)
-        slot_row[valid] = np.arange(len(valid))
-        return cls(np.concatenate([valid // n, np.arange(p)]), slot_row, (p, n))
+    def of(cls, pillar_ids: np.ndarray, shape: tuple[int, int]) -> "SlotRows":
+        """The layout of V valid points with pillars ``pillar_ids``, pillar by
+        pillar in slot order, each pillar's points in its first slots, among
+        (P, N) slots."""
+        p, n = shape
+        v = len(pillar_ids)
+        slot = np.arange(v) - np.searchsorted(pillar_ids, pillar_ids)  # rank in its pillar
+        slot_row = np.repeat(v + np.arange(p), n)
+        slot_row[pillar_ids * n + slot] = np.arange(v)
+        return cls(np.concatenate([pillar_ids, np.arange(p)]), slot_row, (p, n))
 
     def rows(self, points) -> Tensor:
         """(V + P, C) rows: the (V, C) valid points, then a zero pad row per
@@ -255,42 +259,45 @@ class MultiAttentionFuse:
     of its pillar concatenated channel-wise and passes through two shared
     affine+ReLU layers.
 
-    The padded slots of a frame are zero points, as in a
-    :class:`~pillarseg.pillars.PillarSet`; one pad row per pillar carries
-    them through the fusion. Only the LSTM itself runs the chunk's frames
-    together; every other op runs per frame, so each frame's output is
-    bitwise that of a chunk of one.
+    A frame arrives as its valid points alone, as in a
+    :class:`~pillarseg.pillars.PillarRows`: a pillar's slots past its valid
+    points are zero points in the pillar encoding, and one pad row per
+    pillar carries them through the fusion. Only the LSTM itself runs the
+    chunk's frames together; every other op runs per frame, so each frame's
+    output is bitwise that of a chunk of one.
     """
 
     def __init__(self, channels: int, max_points: int, rng: np.random.Generator, *,
                  fusion_hidden: int, lstm_hidden: int, graph_hidden: int, heads: int,
                  fps_rate: float):
+        self.max_points = max_points
         self.lstm_attn = DRLSTMAttention(channels, lstm_hidden, rng)
         self.graph_attn = GraphAttention(channels, graph_hidden, heads, rng, fps_rate)
         self.pillar_attn = PillarAttention(channels, max_points, rng)
         self.fuse1 = L.Affine(2 * channels, fusion_hidden, rng)
         self.fuse2 = L.Affine(fusion_hidden, channels, rng)
 
-    def __call__(self, points, masks, centers) -> Iterator[Tensor]:
+    def __call__(self, points, pillar_ids, centers) -> Iterator[Tensor]:
         """Attend over a chunk of frames: each argument is a list with one
-        entry per frame, its (V, C) point rows in slot order, its (P, N) slot
-        mask and its (P, 3) centers. Each frame's attended rows come lazily:
-        the pooling, the embedding order and the LSTM run now, for the whole
-        chunk, and the rest of a frame, from the LSTM head on, runs when the
-        iterator reaches it."""
+        entry per frame, its (V, C) point rows pillar by pillar in slot order,
+        the (V,) pillar of each row and its (P, 3) pillar centers. Each
+        frame's attended rows come lazily: the pooling, the embedding order
+        and the LSTM run now, for the whole chunk, and the rest of a frame,
+        from the LSTM head on, runs when the iterator reaches it."""
         points = [T.as_tensor(x) for x in points]
-        pooled = [T.masked_max_pool(x, m) for x, m in zip(points, masks)]
+        pooled = [T.masked_max_pool(x, ids, len(c))
+                  for x, ids, c in zip(points, pillar_ids, centers)]
         states = self.lstm_attn(pooled, [c[:, :2] for c in centers])
-        return map(self._attend_rows, points, masks, pooled, states, centers)
+        return map(self._attend_rows, points, pillar_ids, pooled, states, centers)
 
-    def _attend_rows(self, points: Tensor, mask: np.ndarray, pooled: Tensor,
+    def _attend_rows(self, points: Tensor, point_pillar: np.ndarray, pooled: Tensor,
                      states: tuple[Tensor, int, np.ndarray], centers: np.ndarray) -> Tensor:
         """One frame's LSTM head, graph and pillar stages, given its LSTM states."""
         w_lstm = self.lstm_attn.weights(*states)
-        layout = SlotRows.of(mask)
-        point_pillar = layout.pillar[: len(points.data)]
+        layout = SlotRows.of(point_pillar, (len(centers), self.max_points))
         scaled = T.mul(points, T.gather_rows(w_lstm, point_pillar))
-        w_lg = T.mul(w_lstm, self.graph_attn(T.masked_max_pool(scaled, mask)))
+        w_lg = T.mul(w_lstm, self.graph_attn(T.masked_max_pool(scaled, point_pillar,
+                                                                len(centers))))
         attended = T.mul(layout.rows(points), T.gather_rows(w_lg, layout.pillar))
         partner = T.gather_rows(T.mul(pooled, w_lstm), layout.pillar)
         fused = T.relu(self.fuse2(T.relu(self.fuse1(T.concat([attended, partner], axis=1)))))

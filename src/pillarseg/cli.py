@@ -7,6 +7,7 @@ failure.
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -229,7 +230,9 @@ def cmd_eval(overrides: dict[str, list[str]]) -> int:
         net = PillarSegNet(train.model_config(cfg), seed=cfg.seed)
         load_checkpoint(checkpoint, net)
         packs = train.prepare_frames(cfg, val_idx)
-        _, result, preds = train.evaluate(cfg, net, packs, val_idx)
+        val_loss, result, preds = train.evaluate(cfg, net, packs, val_idx)
+    if not math.isfinite(val_loss):
+        raise FormatError(f"checkpoint {checkpoint} gives a non-finite validation loss")
     out_dir.mkdir(parents=True, exist_ok=True)
     for pack, index, pred in zip(packs, val_idx, preds):
         render.write_raw16(out_dir / f"pred_{index:06d}.raw", pred)

@@ -1,7 +1,10 @@
 """PillarSegNet: pillar feature net -> scatter -> occupancy concat -> M-UNet.
 
-The logits head has one channel per supervised class; the unlabeled class has
-no channel, so the model always commits to a known class everywhere.
+A frame enters as a :class:`~pillarseg.pillars.PillarRows`: the (V, C) rows
+of its valid points, pillar by pillar, which multi-attention and the PFN read
+as they are; no zero-padded (P, N, C) tensor reaches the model. The logits
+head has one channel per supervised class; the unlabeled class has no
+channel, so the model always commits to a known class everywhere.
 """
 
 from __future__ import annotations
@@ -73,7 +76,8 @@ class MUNet:
 
 
 class PillarSegNet:
-    """End-to-end top-view segmentation over an augmented pillar set."""
+    """End-to-end top-view segmentation over a frame's augmented point rows
+    (:class:`~pillarseg.pillars.PillarRows`)."""
 
     def __init__(self, cfg: ModelConfig, seed: int = 0):
         self.cfg = cfg
@@ -112,38 +116,38 @@ class PillarSegNet:
         h = T.relu(self.pfn_bn(T.matmul(rows, self.pfn_weight), training))
         return T.segment_max(h, pillar_ids, num_pillars)
 
-    def pseudo_images(self, psets: list[pil.PillarSet], grid: pil.GridConfig,
+    def pseudo_images(self, psets: list[pil.PillarRows], grid: pil.GridConfig,
                       training: bool) -> Iterator[Tensor]:
         """(pfn_channels, H, W) scatter of encoded pillars per frame of a chunk,
         lazily. Unaffected by the occupancy flag.
 
         With MA, the call runs its LSTM over the chunk's non-empty frames
         together; the rest of each frame (the rest of MA, the PFN and the
-        scatter) runs when the iterator reaches it. MA and the PFN read one
-        layout, a frame's valid points as (V, C) rows in slot order, gathered
-        outside the tape; the PFN takes the attended rows under MA."""
+        scatter) runs when the iterator reaches it. MA and the PFN read a
+        frame's point rows as they are cached, and each row's pillar, taken
+        once per frame; the PFN takes the attended rows under MA."""
+        ids = [pset.pillar_ids for pset in psets]
         attended = iter(())
-        live = [pset for pset in psets if pset.valid_pillars]
+        live = [(pset, pillar_ids) for pset, pillar_ids in zip(psets, ids) if pset.valid_pillars]
         if self.ma is not None and live:
-            attended = self.ma([T.constant(pset.features[pset.mask]) for pset in live],
-                               [pset.mask for pset in live],
-                               [pil.pillar_centers(pset, grid) for pset in live])
+            attended = self.ma([T.constant(pset.points) for pset, _ in live],
+                               [pillar_ids for _, pillar_ids in live],
+                               [pil.pillar_centers(pset, grid) for pset, _ in live])
 
-        def image(pset: pil.PillarSet) -> Tensor:
+        def image(pset: pil.PillarRows, pillar_ids: np.ndarray) -> Tensor:
             attend = self.ma is not None and pset.valid_pillars
-            rows = next(attended) if attend else T.constant(pset.features[pset.mask])
-            pooled = self.pfn_forward(rows, np.nonzero(pset.mask)[0], pset.valid_pillars,
-                                      training)
+            rows = next(attended) if attend else T.constant(pset.points)
+            pooled = self.pfn_forward(rows, pillar_ids, pset.valid_pillars, training)
             return T.scatter_to_image(pooled, pset.pillar_coords[:, 0], pset.pillar_coords[:, 1],
                                       grid.height, grid.width)
 
-        return map(image, psets)
+        return map(image, psets, ids)
 
-    def frame_logits(self, psets: list[pil.PillarSet], grid: pil.GridConfig,
+    def frame_logits(self, psets: list[pil.PillarRows], grid: pil.GridConfig,
                      occ_channels: list, training: bool) -> Iterator[Tensor]:
         """Logits (num_classes, H, W) per frame of a chunk, lazily, from its
-        augmented pillar set plus its normalized observability channel (None
-        when the model has no occupancy input).
+        point rows plus its normalized observability channel (None when the
+        model has no occupancy input).
 
         Only the multi-attention LSTM runs in the call, over the chunk's
         frames together; every other op of a frame runs when the iterator
@@ -160,7 +164,7 @@ class PillarSegNet:
 
         return map(logits, self.pseudo_images(psets, grid, training), occ_channels)
 
-    def forward_pillars(self, pset: pil.PillarSet, grid: pil.GridConfig,
+    def forward_pillars(self, pset: pil.PillarRows, grid: pil.GridConfig,
                         occ_channel: np.ndarray | None, training: bool) -> Tensor:
         """Logits (num_classes, H, W) of one frame: a chunk of one."""
         return next(self.frame_logits([pset], grid, [occ_channel], training))
@@ -204,7 +208,9 @@ def save_checkpoint(path, model: PillarSegNet) -> None:
 
 def load_checkpoint(path, model: PillarSegNet) -> None:
     """Copy every checkpoint entry in place into the model's array of its name.
-    An unknown entry, a missing entry or a shape mismatch is a ``FormatError``."""
+    An unknown entry, a missing entry, a shape mismatch, a non-finite value
+    or a negative BatchNorm running variance is a ``FormatError``, raised
+    before any entry is copied."""
     arrays = container.read_container(path)
     targets = _checkpoint_entries(model)
     if arrays.keys() != targets.keys():
@@ -212,7 +218,13 @@ def load_checkpoint(path, model: PillarSegNet) -> None:
                           f"{sorted(arrays.keys() - targets.keys())[:3]}, missing "
                           f"{sorted(targets.keys() - arrays.keys())[:3]}")
     for name, target in targets.items():
-        if arrays[name].shape != target.shape:
+        array = arrays[name]
+        if array.shape != target.shape:
             raise FormatError(
-                f"checkpoint shape {arrays[name].shape} != model shape {target.shape} for {name!r}")
+                f"checkpoint shape {array.shape} != model shape {target.shape} for {name!r}")
+        if not np.isfinite(array).all():
+            raise FormatError(f"checkpoint entry {name!r} holds a non-finite value")
+        if name.endswith(".running_var") and (array < 0).any():
+            raise FormatError(f"checkpoint entry {name!r} holds a negative variance")
+    for name, target in targets.items():
         target[...] = arrays[name]

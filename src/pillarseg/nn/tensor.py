@@ -475,13 +475,13 @@ def segment_max(x, segments, num_segments: int) -> Tensor:
     return _segment_max(x, segments, num_segments)
 
 
-def masked_max_pool(x, mask) -> Tensor:
-    """(P, C) per-pillar max of the (V, C) rows of a (P, N) slot mask's kept
-    slots, in slot order (as ``features[mask]``); pillars without a kept slot
-    yield zero rows. The segment max with each row's pillar as its segment.
+def masked_max_pool(x, pillar_ids, num_pillars: int) -> Tensor:
+    """(P, C) per-pillar max of a frame's (V, C) point rows, pillar by pillar
+    in slot order, with ``pillar_ids`` the pillar of each row; pillars
+    without a row yield zero rows. The segment max with each row's pillar as
+    its segment, the pool of multi-attention.
     """
-    mask = np.asarray(mask, dtype=bool)
-    return _segment_max(x, np.nonzero(mask)[0], mask.shape[0])
+    return _segment_max(x, pillar_ids, num_pillars)
 
 
 def scatter_to_image(x, rows, cols, height: int, width: int) -> Tensor:

@@ -1,8 +1,14 @@
-"""Top-view pillar rasterization and the (P, N, C) feature tensor.
+"""Top-view pillar rasterization, from a cloud to a frame's point rows.
 
 Cells are half-open along x and y: a point on a shared boundary belongs to
 the cell whose low edge it sits on, so assignment is total and deterministic.
 Row index follows y, column index follows x.
+
+A frame passes through two forms. :func:`pillarize` and
+:func:`augment_points` write the zero-padded (P, N, C) tensor of a
+:class:`PillarSet`; :func:`compact` keeps only its valid points, as the
+float32 (V, C) rows of a :class:`PillarRows`, the form that frames are cached,
+trained and inferred in.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class PillarSet:
-    """The occupied pillars of a frame, one row each.
+    """The occupied pillars of a frame, one row each, zero-padded.
 
     ``features`` is (valid_pillars, max_points, C) with rows in ascending
     (row, col) order; slots at or beyond a row's ``valid_points`` are exactly
@@ -84,6 +90,28 @@ class PillarSet:
         """(valid_pillars, max_points) bool validity mask."""
         n = self.features.shape[1]
         return np.arange(n)[None, :] < self.valid_points[:, None]
+
+
+@dataclass(frozen=True)
+class PillarRows:
+    """The occupied pillars of a frame as its valid points, one row each.
+
+    ``points`` is (V, C) float32 and read-only: the points of pillar 0 in
+    slot order, then those of pillar 1, and so on, as
+    ``PillarSet.features[mask]``. Pillars are in ascending (row, col) order
+    and hold ``valid_points`` of ``max_points`` slots each.
+    """
+
+    points: np.ndarray
+    pillar_coords: np.ndarray  # (valid_pillars, 2) int, (row, col)
+    valid_points: np.ndarray  # (valid_pillars,) int
+    valid_pillars: int
+    max_points: int
+
+    @property
+    def pillar_ids(self) -> np.ndarray:
+        """(V,) the pillar of each row."""
+        return np.repeat(np.arange(len(self.valid_points)), self.valid_points)
 
 
 def crop_mask(xyz: np.ndarray, cfg: GridConfig) -> np.ndarray:
@@ -114,10 +142,18 @@ def pillarize(cloud: PointCloud, cfg: GridConfig, rng_seed: int = 0) -> PillarSe
     """
     n_max = cfg.max_points
     keep = crop_mask(cloud.xyz, cfg)
-    pts = np.column_stack([cloud.xyz[keep], cloud.reflectance[keep]]).astype(np.float64)
+    pts = np.empty((np.count_nonzero(keep), 4))
+    pts[:, :3] = cloud.xyz[keep]
+    pts[:, 3] = cloud.reflectance[keep]
     rows, cols = cell_indices(pts, cfg)
-    uniq, inverse, counts = np.unique(rows * cfg.width + cols, return_inverse=True,
-                                      return_counts=True)
+    # stable grouping: points of each pillar in cloud order; a point's slot is
+    # its rank there, or the rank of its draw in an overflowing pillar
+    key = rows * cfg.width + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    uniq = key[starts]
+    counts = np.diff(starts, append=len(key))
     rng: np.random.Generator | None = None
 
     pillar_ids = np.arange(len(uniq))
@@ -125,10 +161,6 @@ def pillarize(cloud: PointCloud, cfg: GridConfig, rng_seed: int = 0) -> PillarSe
         rng = np.random.default_rng(rng_seed)
         pillar_ids = np.sort(rng.choice(len(uniq), size=cfg.max_pillars, replace=False))
 
-    # stable grouping: points of each pillar in cloud order; a point's slot is
-    # its rank there, or the rank of its draw in an overflowing pillar
-    order = np.argsort(inverse, kind="stable")
-    starts = np.cumsum(counts) - counts
     slot = np.arange(len(order)) - np.repeat(starts, counts)
     for pid in pillar_ids[counts[pillar_ids] > n_max]:
         if rng is None:
@@ -139,7 +171,7 @@ def pillarize(cloud: PointCloud, cfg: GridConfig, rng_seed: int = 0) -> PillarSe
 
     out_row = np.full(len(uniq), -1)
     out_row[pillar_ids] = np.arange(len(pillar_ids))
-    row = out_row[inverse[order]]
+    row = np.repeat(out_row, counts)
     take = (slot < n_max) & (row >= 0)
     features = np.zeros((len(pillar_ids), n_max, 4))
     features[row[take], slot[take]] = pts[order[take]]
@@ -160,23 +192,31 @@ def augment_points(pset: PillarSet, cfg: GridConfig) -> PillarSet:
     out = np.zeros((v, n_max, AUGMENTED_CHANNELS), dtype=pset.features.dtype)
     out[:, :, :4] = pset.features
 
+    # the means sum the padded slots, which are zero; the offsets are taken
+    # on the valid points only and written into their slots at once
     mask = pset.mask
     counts = np.maximum(pset.valid_points, 1).astype(np.float64)
     xyz = pset.features[:, :, :3]
     means = xyz.sum(axis=1) / counts[:, None]
-    centers = pillar_centers(pset, cfg)
-
-    out[:, :, 4:7] = np.where(mask[:, :, None], xyz - means[:, None, :], 0.0)
-    out[:, :, 7:10] = np.where(mask[:, :, None], xyz - centers[:, None, :], 0.0)
+    ids = np.repeat(np.arange(v), pset.valid_points)
+    valid = xyz[mask]
+    offsets = np.empty((len(valid), 6))
+    np.subtract(valid, means[ids], out=offsets[:, :3])
+    np.subtract(valid, pillar_centers(pset, cfg)[ids], out=offsets[:, 3:])
+    out[mask, 4:] = offsets
     return replace(pset, features=out)
 
 
-def compact(pset: PillarSet) -> PillarSet:
-    """Float32 form of a pillar set, the form that frames train and infer on."""
-    return replace(pset, features=pset.features.astype(np.float32))
+def compact(pset: PillarSet) -> PillarRows:
+    """The valid points of an augmented pillar set as read-only float32 rows,
+    the form that frames are cached, trained and inferred in."""
+    points = pset.features[pset.mask].astype(np.float32, copy=False)
+    points.flags.writeable = False
+    return PillarRows(points, pset.pillar_coords, pset.valid_points, pset.valid_pillars,
+                      pset.features.shape[1])
 
 
-def pillar_centers(pset: PillarSet, cfg: GridConfig) -> np.ndarray:
+def pillar_centers(pset: PillarSet | PillarRows, cfg: GridConfig) -> np.ndarray:
     """(valid_pillars, 3) geometric cell centers of the pillars."""
     xy = cfg.cell_centers_xy(pset.pillar_coords[:, 0], pset.pillar_coords[:, 1])
     return np.column_stack([xy, np.full(len(xy), cfg.z_center)])

@@ -33,7 +33,7 @@ class FramePack:
     label_grid: np.ndarray  # (H, W) merged indices
     obs_norm: np.ndarray  # (H, W) in [0, 1]
     visible: np.ndarray  # (H, W) bool, observability count > 0
-    pset: pil.PillarSet | None = None  # cached unless the frame is augmented
+    pset: pil.PillarRows | None = None  # cached unless the frame is augmented
 
 
 @dataclass
@@ -93,9 +93,10 @@ def prepare_frames(cfg: RunConfig, indices, augment_seeds=None):
     return [prepare_frame(cfg, i, s) for i, s in zip(indices, seeds)]
 
 
-def frame_pset(cfg: RunConfig, pack: FramePack, index: int) -> pil.PillarSet:
-    """The pack's cached pillar set, or one built from its cloud when none is
-    cached (an augmented frame); either is in :func:`pillars.compact` form."""
+def frame_pset(cfg: RunConfig, pack: FramePack, index: int) -> pil.PillarRows:
+    """The pack's cached point rows, or rows built from its cloud when none
+    are cached (an augmented frame). The zero-padded pillar set lives only
+    here, from :func:`pillars.pillarize` to :func:`pillars.compact`."""
     if pack.pset is not None:
         return pack.pset
     pset = pil.pillarize(pack.cloud, cfg.grid, frame_seed(cfg.seed, index))

@@ -110,11 +110,11 @@ def check_pillar_attention() -> float:
     rng = _rng(6)
     attn = att.PillarAttention(3, 4, rng)
     centers = rng.normal(size=(3, 3))
-    layout = att.SlotRows.of(np.arange(4) < np.array([[4], [2], [3]]))  # 9 points
+    pillar = np.repeat(np.arange(3), [4, 2, 3])  # 9 points
+    layout = att.SlotRows.of(pillar, (3, 4))
 
     def f(x):
-        return T.tsum(T.mul(x, T.gather_rows(attn(layout.rows(x), layout, centers),
-                                             layout.pillar[:9])))
+        return T.tsum(T.mul(x, T.gather_rows(attn(layout.rows(x), layout, centers), pillar)))
 
     x = resample_until_smooth(lambda a: np.random.default_rng(300 + a).normal(size=(9, 3)), f)
     return grad_check(f, x)
@@ -146,11 +146,11 @@ def check_ma_fuse() -> float:
     rng = _rng(9)
     fuse = att.MultiAttentionFuse(3, 2, rng, fusion_hidden=3, lstm_hidden=2, graph_hidden=4,
                                   heads=2, fps_rate=0.4)
-    mask = np.array([[True, True], [True, False], [True, True], [True, False]])  # 6 points
+    pillar = np.repeat(np.arange(4), [2, 1, 2, 1])  # 6 points
     centers = rng.normal(size=(4, 3))
 
     def f(x):
-        return T.tsum(next(fuse([x], [mask], [centers])))
+        return T.tsum(next(fuse([x], [pillar], [centers])))
 
     x = resample_until_smooth(lambda a: np.random.default_rng(500 + a).normal(size=(6, 3)), f)
     return grad_check(f, x)
@@ -164,7 +164,7 @@ def check_full_model() -> float:
     xyz = np.column_stack([rng.uniform(0, 16, 8), rng.uniform(0, 16, 8),
                            rng.uniform(-2, 2, 8)]).astype(np.float32)
     cloud = PointCloud(xyz, rng.uniform(0, 1, 8).astype(np.float32))
-    pset = pillars.augment_points(pillars.pillarize(cloud, grid, 0), grid)
+    pset = pillars.compact(pillars.augment_points(pillars.pillarize(cloud, grid, 0), grid))
     occ_norm = occupancy.observability(cloud, grid).normalized()
     net = PillarSegNet(
         ModelConfig(num_classes=3, max_points=4, pfn_channels=6, unet_widths=(4, 8),

@@ -9,6 +9,9 @@ floats; the batched engine in `pillarseg.occupancy` must reproduce it bitwise.
 `pillarize_padded` fills the fixed `max_pillars x max_points` pillar tensor
 with a Python loop over the pillars; the loop-free `pillarseg.pillars.pillarize`
 must reproduce its valid rows bitwise, seeded sampling included.
+`augment_points_dense` takes the six offset channels over every slot of the
+padded tensor and zeroes the padded ones; `pillarseg.pillars.augment_points`,
+which takes them on the valid points only, must reproduce it bitwise.
 
 The taped references at the end are the direct forms of six autograd ops:
 one LSTM direction per time loop and one sequence at a time, a Python loop
@@ -291,6 +294,24 @@ def pillarize_padded(cloud, cfg, rng_seed=0):
         coords[out_idx, 1] = uniq[pid] % cfg.width
 
     return PillarSet(features, coords, valid_points, n_valid)
+
+
+def augment_points_dense(pset, cfg):
+    """The 10-channel encoding of a raw padded pillar set, every slot taken:
+    offsets to the mean of each pillar's valid points and to its cell center
+    (z to the z-range midpoint), then zero in every padded slot."""
+    v, n_max, _ = pset.features.shape
+    out = np.zeros((v, n_max, 10), dtype=pset.features.dtype)
+    out[:, :, :4] = pset.features
+    mask = np.arange(n_max)[None, :] < pset.valid_points[:, None]
+    counts = np.maximum(pset.valid_points, 1).astype(np.float64)
+    xyz = pset.features[:, :, :3]
+    means = xyz.sum(axis=1) / counts[:, None]
+    xy = cfg.cell_centers_xy(pset.pillar_coords[:, 0], pset.pillar_coords[:, 1])
+    centers = np.column_stack([xy, np.full(len(xy), cfg.z_center)])
+    out[:, :, 4:7] = np.where(mask[:, :, None], xyz - means[:, None, :], 0.0)
+    out[:, :, 7:10] = np.where(mask[:, :, None], xyz - centers[:, None, :], 0.0)
+    return PillarSet(out, pset.pillar_coords, pset.valid_points, pset.valid_pillars)
 
 
 def lstm_direction(x, w_ih, w_hh, b, reverse=False):

@@ -306,7 +306,8 @@ class TestCriterion10OccupancyAblation:
         xyz = np.column_stack([rng.uniform(0, 32, 200), rng.uniform(0, 32, 200),
                                rng.uniform(-2, 2, 200)]).astype(np.float32)
         cloud = PointCloud(xyz, rng.uniform(0, 1, 200).astype(np.float32))
-        pset = pillars.augment_points(pillars.pillarize(cloud, grid, 0), grid)
+        pset = pillars.compact(pillars.augment_points(pillars.pillarize(cloud, grid, 0),
+                                                      grid))
 
         cfg_kwargs = dict(num_classes=3, max_points=20, pfn_channels=64, unet_widths=(8,),
                           lstm_hidden=32, fusion_hidden=10, use_ma=False, graph_hidden=16,

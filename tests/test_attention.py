@@ -316,8 +316,8 @@ class TestGraphAttention:
 
 def pillar_attend(attn, points, mask, centers):
     """`attn`'s (P, 1) weights over the (V, C) point rows of the slots that
-    the (P, N) `mask` keeps."""
-    layout = A.SlotRows.of(mask)
+    the (P, N) `mask` keeps, each pillar's first slots."""
+    layout = A.SlotRows.of(np.nonzero(mask)[0], mask.shape)
     return attn(layout.rows(points), layout, centers)
 
 
@@ -369,8 +369,9 @@ class TestPillarAttention:
 
 
 def fuse_one(fuse, points, mask, centers):
-    """Attended (V, C) rows of a chunk of one frame, from its (V, C) rows."""
-    return next(fuse([points], [mask], [centers]))
+    """Attended (V, C) rows of a chunk of one frame, from its (V, C) rows and
+    its (P, N) slot mask."""
+    return next(fuse([points], [np.nonzero(mask)[0]], [centers]))
 
 
 class TestMultiAttentionFuse:
@@ -410,7 +411,8 @@ class TestMultiAttentionFuse:
         h = np.maximum(h @ fuse.fuse2.weight.data + fuse.fuse2.bias.data, 0.0)
         # the valid slots' rows, then the padded slot's as the pillar's pad row
         rows = np.concatenate([h[mask], h[~mask]])
-        wp = fuse.pillar_attn(T.constant(rows), A.SlotRows.of(mask), centers).data
+        wp = fuse.pillar_attn(T.constant(rows), A.SlotRows.of(np.nonzero(mask)[0], mask.shape),
+                                 centers).data
         stream = stream * wp[:, :, None]
         np.testing.assert_allclose(out.data, stream[mask], atol=1e-12)
 
@@ -472,7 +474,8 @@ class TestMultiAttentionFuse:
 
     @staticmethod
     def fuse_rows(fuse, feats, masks, centers):
-        return list(fuse([T.constant(f[m]) for f, m in zip(feats, masks)], masks, centers))
+        return list(fuse([T.constant(f[m]) for f, m in zip(feats, masks)],
+                         [np.nonzero(m)[0] for m in masks], centers))
 
     @staticmethod
     def oracle_rows(fuse, feats, masks, centers):

@@ -346,6 +346,27 @@ class TestTrainEval:
         assert "data error: checkpoint shape (5,) != model shape (8,)" in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("buffer.pfn_bn.running_var", -1.0,
+         "data error: checkpoint entry 'buffer.pfn_bn.running_var' holds a negative variance"),
+        ("param.unet.head.bias", [3e38, -3e38, 0.0],
+         "gives a non-finite validation loss"),
+    ], ids=["negative-variance", "overflowing-logits"])
+    def test_eval_corrupt_checkpoint_exit_2(self, scene_file, tmp_path, capsys, name, value,
+                                            message):
+        # finite head biases of +-3e38 overflow the float32 logits, so the
+        # validation loss is infinite: eval writes nothing
+        out = tmp_path / "run"
+        assert run_cli("train", *micro_args(scene_file, "--epochs", "0"),
+                       "--out", str(out)) == 0
+        arrays = read_container(out / "model.ckpt")
+        arrays[name].reshape(-1)[...] = value
+        write_container(out / "model.ckpt", arrays)
+        assert run_cli("eval", *micro_args(scene_file), "--checkpoint", str(out / "model.ckpt"),
+                       "--out", str(tmp_path / "eval")) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("use_ma", ["false", "true"])
     def test_eval_scores_as_train_final(self, scene_file, tmp_path, use_ma):
         # at f32 the checkpoint holds the trained weights exactly

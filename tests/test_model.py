@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,10 +32,16 @@ def toy_model(grid, num_classes=3, use_occupancy=True, use_ma=False, seed=0):
     return model.PillarSegNet(cfg, seed=seed)
 
 
+def encode(cloud, grid):
+    """A cloud's point rows as frames are cached: rasterized, augmented and
+    compacted."""
+    return pillars.compact(pillars.augment_points(pillars.pillarize(cloud, grid, 0), grid))
+
+
 def forward_cloud(net, cloud, grid, training=False):
     """Logits of the full pipeline from a raw cloud: rasterize, augment,
-    encode, segment."""
-    pset = pillars.augment_points(pillars.pillarize(cloud, grid, 0), grid)
+    compact, encode, segment."""
+    pset = encode(cloud, grid)
     occ_channel = None
     if net.cfg.use_occupancy:
         occ_channel = occupancy.observability(cloud, grid).normalized()
@@ -131,7 +138,7 @@ class TestSegNetForward:
         cloud = make_cloud(rng)
         with_occ = toy_model(grid, use_occupancy=True, seed=3)
         without = toy_model(grid, use_occupancy=False, seed=3)
-        pset = pillars.augment_points(pillars.pillarize(cloud, grid, 0), grid)
+        pset = encode(cloud, grid)
         img_a = next(with_occ.pseudo_images([pset], grid, training=False)).data
         img_b = next(without.pseudo_images([pset], grid, training=False)).data
         np.testing.assert_array_equal(img_a, img_b)  # bit-identical upstream
@@ -141,7 +148,7 @@ class TestSegNetForward:
     def test_missing_occupancy_channel_rejected(self, rng):
         grid = toy_grid()
         net = toy_model(grid)
-        pset = pillars.augment_points(pillars.pillarize(make_cloud(rng), grid, 0), grid)
+        pset = encode(make_cloud(rng), grid)
         with pytest.raises(ShapeError):
             net.forward_pillars(pset, grid, None, training=False)
 
@@ -157,7 +164,7 @@ class TestSegNetForward:
         grid = toy_grid()
         net = toy_model(grid, use_occupancy=False, use_ma=True)
         empty = PointCloud(np.zeros((0, 3), dtype=np.float32), np.zeros(0, dtype=np.float32))
-        empty, full = (pillars.augment_points(pillars.pillarize(cloud, grid, 0), grid)
+        empty, full = (encode(cloud, grid)
                        for cloud in (empty, make_cloud(rng)))
         chunk = [empty, full, empty]
         images = list(net.pseudo_images(chunk, grid, training))
@@ -206,8 +213,7 @@ class TestOracleOps:
         fused = gradients()
         monkeypatch.setattr(T, "lstm", oracles.bilstm)
         monkeypatch.setattr(T, "segment_max", oracles.segment_max)
-        monkeypatch.setattr(T, "masked_max_pool", lambda x, mask: oracles.segment_max(
-            x, np.nonzero(mask)[0], len(mask)))
+        monkeypatch.setattr(T, "masked_max_pool", oracles.segment_max)
         monkeypatch.setattr(T, "maxpool2d", oracles.maxpool2d)
         monkeypatch.setattr(T, "feast", oracles.feast_conv_graph)
         direct = gradients()
@@ -367,7 +373,7 @@ class TestFullModelGradients:
         grid = toy_grid(cells=16, max_points=4)
         net = toy_model(grid, num_classes=3)
         cloud = make_cloud(rng, n=8)
-        pset = pillars.augment_points(pillars.pillarize(cloud, grid, 0), grid)
+        pset = encode(cloud, grid)
         from pillarseg import occupancy as occ
 
         occ_norm = occ.observability(cloud, grid).normalized()
@@ -391,7 +397,7 @@ class TestFullModelGradients:
         grid = toy_grid(cells=16, max_points=4)
         net = toy_model(grid, num_classes=3)
         cloud = make_cloud(rng, n=10)
-        pset = pillars.augment_points(pillars.pillarize(cloud, grid, 0), grid)
+        pset = encode(cloud, grid)
         gt = SemanticGrid(rng.integers(0, 4, (16, 16)).astype(np.int16), 0)
         cfg = losses.SegLossConfig(np.ones(4), 0)
         from pillarseg import occupancy as occ
@@ -471,6 +477,29 @@ class TestCheckpoint:
         write_container(path, arrays)
         with pytest.raises(FormatError, match=message):
             model.load_checkpoint(path, toy_model(toy_grid()))
+
+    @pytest.mark.parametrize("name, index, value, message", [
+        ("buffer.pfn_bn.running_var", -1, np.nan, "holds a non-finite value"),
+        ("buffer.pfn_bn.running_var", ..., -1.0, "holds a negative variance"),
+        ("param.unet.head.weight", 0, -np.inf, "holds a non-finite value"),
+    ], ids=["nan-variance", "negative-variance", "infinite-param"])
+    def test_corrupt_value_rejected(self, tmp_path, name, index, value, message):
+        # every entry is checked before any is copied, so the model keeps
+        # its own state
+        from pillarseg.container import read_container, write_container
+        from pillarseg.errors import FormatError
+
+        path = tmp_path / "model.ckpt"
+        model.save_checkpoint(path, toy_model(toy_grid(), seed=1))
+        arrays = read_container(path)
+        arrays[name].reshape(-1)[index] = value
+        write_container(path, arrays)
+        net = toy_model(toy_grid())
+        before = {k: v.copy() for k, v in model._checkpoint_entries(net).items()}
+        with pytest.raises(FormatError, match=re.escape(f"entry {name!r} {message}")):
+            model.load_checkpoint(path, net)
+        for k, v in model._checkpoint_entries(net).items():
+            assert v.tobytes() == before[k].tobytes(), k
 
     def test_checkpoint_with_biases_before_batchnorm_rejected(self, tmp_path):
         # the layout before the biases that BatchNorm cancels were deleted:

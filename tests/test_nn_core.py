@@ -95,7 +95,7 @@ def kinked_case(op, rng, n, width):
         mask[rng.integers(n), rng.integers(slots)] = True  # at least one row
         pillar = np.nonzero(mask)[0]
         return (sample(rng, (len(pillar), width), "integer"),
-                lambda t: T.masked_max_pool(t, mask),
+                lambda t: T.masked_max_pool(t, pillar, n),
                 lambda v: oracles.runner_up_gap([v[pillar == i] for i in range(n)]))
     h, w = 2 * rng.integers(1, 4, 2)
     return sample(rng, (width, h, w), "integer"), T.maxpool2d, oracles.maxpool2d_kink_margin
@@ -200,7 +200,8 @@ class TestShapeOps:
         seg = np.nonzero(mask)[0]
         weights = rng.normal(size=(pillars, width))
         with default_dtype(dtype):
-            got = taped_run(lambda t: T.masked_max_pool(t, mask), [x[mask]], weights, seed)
+            got = taped_run(lambda t: T.masked_max_pool(t, seg, pillars), [x[mask]], weights,
+                            seed)
             want = taped_run(lambda t: oracles.segment_max(t, seg, pillars), [x[mask]], weights,
                              seed)
             dense = oracles.masked_max_pool(T.constant(x), mask).data
@@ -240,19 +241,19 @@ class TestShapeOps:
         seg = np.nonzero(mask)[0]
         weights = signed_zero_weights(rng, (pillars, width))
         with default_dtype(dtype):
-            got = taped_run(lambda t: T.masked_max_pool(t, mask), [x], weights, seed,
+            got = taped_run(lambda t: T.masked_max_pool(t, seg, pillars), [x], weights, seed,
                             linear=False)
             want = taped_run(lambda t: oracles.segment_max(t, seg, pillars), [x], weights, seed,
                              linear=False)
         assert_bitwise(got, want)
 
     def test_masked_max_pool_reads_only_kept_slots(self):
-        # the rows are the kept slots in slot order: pillar 0 keeps only its
-        # slot 1, so its one row, -inf, is its max, and the 5.0 of pillar 1's
-        # slot 0 takes pillar 1's gradient
+        # the rows are the kept slots in slot order: pillar 0 keeps one slot,
+        # so its one row, -inf, is its max, and the 5.0 of pillar 1's first
+        # row takes pillar 1's gradient
         x = T.parameter(np.array([[-np.inf], [5.0], [1.0]]))
         with T.Tape() as tape:
-            out = T.masked_max_pool(x, np.array([[False, True], [True, True]]))
+            out = T.masked_max_pool(x, np.array([0, 1, 1]), 2)
             tape.backward(T.tsum(out))
         assert out.data.tolist() == [[-np.inf], [5.0]]
         assert x.grad.tolist() == [[1.0], [1.0], [0.0]]
@@ -260,16 +261,17 @@ class TestShapeOps:
     def test_masked_max_pool_rejects_row_count(self):
         # one row per kept slot: a mismatch is a ShapeError, not an index error
         with pytest.raises(ShapeError, match="3 segment ids for 2 rows"):
-            T.masked_max_pool(T.constant(np.zeros((2, 4))), np.ones((1, 3), dtype=bool))
+            T.masked_max_pool(T.constant(np.zeros((2, 4))), np.zeros(3, dtype=int), 1)
 
     def test_masked_max_pool(self, rng):
         mask = np.array([[True, True, False], [True, False, False], [False, False, False]])
         x = rng.normal(size=(3, 3, 4))
-        out = T.masked_max_pool(T.constant(x[mask]), mask)
+        pillar = np.nonzero(mask)[0]
+        out = T.masked_max_pool(T.constant(x[mask]), pillar, 3)
         np.testing.assert_array_equal(out.data[0], x[0, :2].max(axis=0))
         np.testing.assert_array_equal(out.data[1], x[1, 0])
         np.testing.assert_array_equal(out.data[2], 0.0)
-        check_op(lambda t: T.tsum(T.masked_max_pool(t, mask)), x[mask])
+        check_op(lambda t: T.tsum(T.masked_max_pool(t, pillar, 3)), x[mask])
 
     def test_scatter_to_image(self, rng):
         rows, cols = np.array([0, 2]), np.array([1, 3])
@@ -987,7 +989,7 @@ class TestGradCheckHarness:
     def test_tied_draws_rejected(self):
         # every draw ties in the pool, so no draw is a smooth point
         def f(x):
-            return T.tsum(T.masked_max_pool(x, [[True, True]]))
+            return T.tsum(T.masked_max_pool(x, [0, 0], 1))
 
         with pytest.raises(VerificationError):
             nn.resample_until_smooth(lambda a: np.array([[1.0], [1.0]]), f)

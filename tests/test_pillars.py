@@ -181,16 +181,27 @@ def assert_bitwise(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+ORACLE_EXAMPLES = [
+    (lattice_scene(3, 12, []), 0),  # empty cloud
+    (lattice_scene(4, 12, CELL_CORNERS), 1),  # cell and crop boundaries
+    (lattice_scene(2, 12, CROWDED), 2),  # max_points overflow in 3 pillars
+    (lattice_scene(2, 3, CROWDED + CELL_CORNERS), 3),  # and max_pillars
+    (lattice_scene(2, 5, EVERY_CELL_THRICE), 4),  # both, in every pillar
+]
+
+
+def oracle_scenes(test):
+    """`test` over random lattice scenes and seeds, and the examples above."""
+    for scene, seed in ORACLE_EXAMPLES:
+        test = example(scene=scene, seed=seed)(test)
+    return given(scene=scenes, seed=st.integers(0, 2**32 - 1))(test)
+
+
 class TestPillarizeAgainstPaddedOracle:
     """The valid rows of the padded per-pillar loop, bit for bit, with the
-    same seeded draws."""
+    same seeded draws, and their encoding by the dense formula."""
 
-    @given(scene=scenes, seed=st.integers(0, 2**32 - 1))
-    @example(scene=lattice_scene(3, 12, []), seed=0)  # empty cloud
-    @example(scene=lattice_scene(4, 12, CELL_CORNERS), seed=1)  # cell and crop boundaries
-    @example(scene=lattice_scene(2, 12, CROWDED), seed=2)  # max_points overflow in 3 pillars
-    @example(scene=lattice_scene(2, 3, CROWDED + CELL_CORNERS), seed=3)  # and max_pillars
-    @example(scene=lattice_scene(2, 5, EVERY_CELL_THRICE), seed=4)  # both, in every pillar
+    @oracle_scenes
     def test_valid_rows_match(self, scene, seed):
         cfg, cloud = scene
         got = pillars.pillarize(cloud, cfg, seed)
@@ -200,9 +211,23 @@ class TestPillarizeAgainstPaddedOracle:
         assert_bitwise(got.features, want.features[:v])
         assert_bitwise(got.pillar_coords, want.pillar_coords[:v])
         assert_bitwise(got.valid_points, want.valid_points[:v])
-        got, want = pillars.augment_points(got, cfg), pillars.augment_points(want, cfg)
+        got, want = pillars.augment_points(got, cfg), oracles.augment_points_dense(want, cfg)
         assert got.valid_pillars == v
         assert_bitwise(got.features, want.features[:v])
+
+    @oracle_scenes
+    def test_compact_rows_match(self, scene, seed):
+        # the oracle's set keeps its trailing empty pillars: they add no row
+        cfg, cloud = scene
+        dense = oracles.augment_points_dense(oracles.pillarize_padded(cloud, cfg, seed), cfg)
+        rows = pillars.compact(dense)
+        mask = np.arange(cfg.max_points) < dense.valid_points[:, None]
+        assert_bitwise(rows.points, dense.features[mask].astype(np.float32))
+        assert not rows.points.flags.writeable
+        assert rows.max_points == cfg.max_points and rows.valid_pillars == dense.valid_pillars
+        assert rows.pillar_coords is dense.pillar_coords
+        assert rows.valid_points is dense.valid_points
+        assert_bitwise(rows.pillar_ids, np.nonzero(mask)[0])
 
 
 class TestScatter:

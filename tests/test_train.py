@@ -196,7 +196,7 @@ class TestPrepareFrames:
         assert all((pack.pset is None) == augmented for pack in packs[1])
         for first, again, i in zip(*packs, idx):
             assert_fields_equal(first, again)
-            assert train.frame_pset(cfg, first, i).features.dtype == np.float32
+            assert train.frame_pset(cfg, first, i).points.dtype == np.float32
         # noise_snr adds noise points to every frame
         quiet = train.prepare_frames(micro_config(scene_file), idx)
         assert all(len(noisy.cloud) > len(plain.cloud) for noisy, plain in zip(packs[0], quiet))
@@ -252,9 +252,41 @@ def test_toy_ma_step_records_no_padded_tensor():
     # stage's scaling of that layout once recorded one. The (P, N) slot
     # scores of the pillar attention are 2-D
     tape, pset = toy_ma_step_tape()
-    padded = pset.features.shape[:2]
+    padded = (pset.valid_pillars, pset.max_points)
     assert [node.data.shape for node in tape.nodes
             if node.data.ndim == 3 and node.data.shape[:2] == padded] == []
+
+
+def arrays_of(value):
+    """Every array a prepared frame holds, through its dataclass fields."""
+    if dataclasses.is_dataclass(value):
+        return [a for f in dataclasses.fields(value) for a in arrays_of(getattr(value, f.name))]
+    return [value] if isinstance(value, np.ndarray) else []
+
+
+def test_cached_toy_frame_holds_point_rows():
+    # a frame is cached as the float32 rows of its valid points: 0.17 MiB of
+    # pillar arrays on toy frame 0 (3793 points in 1085 pillars), where the
+    # zero-padded (P, N, 10) tensor took 0.85 MiB
+    pack = train.prepare_frame(toy_ma_config(), 0)
+    pset = pack.pset
+    padded = (pset.valid_pillars, pset.max_points)
+    assert [a.shape for a in arrays_of(pack) if a.ndim == 3 and a.shape[:2] == padded] == []
+    assert pset.points.shape == (pset.valid_points.sum(), 10)
+    assert sum(a.nbytes for a in arrays_of(pset)) <= 0.18 * 2**20
+
+
+def test_cached_rows_are_read_only():
+    # under f32 a constant aliases the cached rows, so an op that wrote into
+    # its input would change the frame for every later epoch
+    cfg = toy_ma_config()
+    rows = train.prepare_frame(cfg, 0).pset.points
+    with train.model_dtype(cfg):
+        tensor = T.constant(rows)
+    assert np.shares_memory(tensor.data, rows)
+    for target in (rows, tensor.data):
+        with pytest.raises(ValueError, match="read-only"):
+            target[0, 0] = 1.0
 
 
 def toy_ma_batch_config():
